@@ -1,16 +1,20 @@
 """Command-line surface: every computation as a reproducible, scriptable
 run with machine-readable CSV or JSON output.
 
-Exit codes: 0 success, 1 configuration error, 2 domain error
+Exit codes: 0 success, 1 configuration error (a flag value that is not
+finite or out of range, or a ValueError from the library), 2 domain error
 (threshold / supercritical / repulsive / singular map), 3 convergence
-failure.  Identical inputs produce byte-identical data files; run
+failure.  Every non-zero exit writes one `error: Type: message` line to
+stderr.  Identical inputs produce byte-identical data files; run
 metadata goes to a separate `.meta.json` sidecar next to --output.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import math
 import sys
 
 import numpy as np
@@ -22,22 +26,44 @@ _FMT = "{:.16e}"
 
 
 def _physical_params(args) -> model.PhysicalParams:
-    try:
-        return model.PhysicalParams(z=args.z, kappa=args.kappa, compton=args.compton, omega=args.omega)
-    except DomainError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return model.PhysicalParams(z=args.z, kappa=args.kappa, compton=args.compton, omega=args.omega)
+
+
+def _check_finite(flag: str, value: float) -> None:
+    if not math.isfinite(value):
+        raise ConfigError(f"{flag} must be finite, got {value}")
+
+
+def _check_args(args) -> None:
+    """Flag checks that no library function makes.  The ranges of --eta
+    and --n are the library's own (a ValueError, also exit 1)."""
+    for name in ("eps", "zre", "zim", "eta"):
+        value = getattr(args, name, None)
+        if value is not None:
+            _check_finite("--" + name, value)
+    if getattr(args, "n_max", 0) < 0:
+        raise ConfigError(f"--n-max must be >= 0, got {args.n_max}")
+    if getattr(args, "trunc", 1) < 1:
+        raise ConfigError(f"--trunc must be >= 1, got {args.trunc}")
+
+
+def _grid(flag: str, spec, positive: bool = False) -> np.ndarray:
+    """The uniform grid START STOP COUNT given to `flag`."""
+    start, stop, count = spec
+    _check_finite(flag + " START", start)
+    _check_finite(flag + " STOP", stop)
+    if not (math.isfinite(count) and count == int(count) and count >= 1):
+        raise ConfigError(f"{flag} COUNT must be a positive integer, got {count}")
+    if positive and min(start, stop) <= 0:
+        raise ConfigError(f"{flag} bounds must be positive, got {start} and {stop}")
+    return np.linspace(start, stop, int(count))
 
 
 def _eps_grid(args):
     if getattr(args, "eps", None) is not None:
         return [args.eps]
-    start, stop, count = args.eps_grid
-    count = int(count)
-    if count < 1:
-        raise ConfigError("grid count must be >= 1")
-    grid = list(np.linspace(start, stop, count))
+    start, stop, _ = args.eps_grid
+    grid = list(_grid("--eps-grid", args.eps_grid))
     crossings = [t for t in (-1.0, 1.0) if (start - t) * (stop - t) < 0]
     if crossings and not args.split:
         raise DomainError(f"energy grid crosses |eps| = 1 at {crossings}; rerun with --split")
@@ -118,8 +144,7 @@ def _cmd_density(args) -> None:
     pol = model.map_to_pollaczek(d, e)
     params = pollaczek.PollaczekParams(lam=pol.lam, a=pol.a, b=pol.b)
     coeffs = pollaczek.jacobi_coefficients(params)
-    start, stop, count = args.x_grid
-    xs = np.linspace(start, stop, int(count))
+    xs = _grid("--x-grid", args.x_grid)
     rho = resolvent.spectral_density_grid(coeffs, xs, args.eta)
     rows = [(float(x), args.eta, float(r)) for x, r in zip(xs, rho)]
     _emit(args, ["x", "eta", "rho"], rows)
@@ -128,8 +153,7 @@ def _cmd_density(args) -> None:
 def _cmd_wavefunction(args) -> None:
     p = _physical_params(args)
     d = model.derive(p)
-    start, stop, count = args.r_grid
-    r = np.linspace(start, stop, int(count))
+    r = _grid("--r-grid", args.r_grid, positive=True)
     # bound regime: the square-summable vector (backward generator), so a
     # user-rounded level energy still yields the physical state; the
     # forward recursion is the scattering-regime evaluator
@@ -153,7 +177,11 @@ def _cmd_verify(args) -> None:
     _emit(args, ["offband_ratio", "diag_deviation", "offdiag_deviation", "gram_deviation"], rows)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and shared by every
+    main() call: an argparse parser is a graph of ~1,000 objects held in
+    reference cycles, which only the cyclic collector frees."""
     parser = argparse.ArgumentParser(prog="tridirac", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -228,8 +256,9 @@ def main(argv=None) -> int:
         return 1 if exc.code not in (0, None) else 0
     args.invocation = invocation
     try:
+        _check_args(args)
         args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, ValueError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     except ConvergenceFailure as exc:

@@ -38,10 +38,6 @@ class BottomPoleError(DomainError):
         super().__init__(message or f"bottom parameter pole at k={k} before termination at n={n}")
 
 
-class ConvergenceError(ConvergenceFailure):
-    """Symmetric-tridiagonal eigensolver exceeded its sweep budget."""
-
-
 # --- polynomial machinery ---------------------------------------------------
 
 class DegenerateError(DomainError):

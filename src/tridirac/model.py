@@ -55,7 +55,7 @@ _THRESHOLD_TOL = 1e-15
 @dataclass(frozen=True)
 class PhysicalParams:
     """Model knobs. Z < 0 is attractive; kappa is a nonzero integer;
-    compton and omega are positive."""
+    compton and omega are positive; z, compton and omega are finite."""
 
     z: float
     kappa: int
@@ -63,6 +63,8 @@ class PhysicalParams:
     omega: float = 1.0
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in (self.z, self.compton, self.omega)):
+            raise ConfigError("z, compton and omega must be finite")
         if self.kappa == 0:
             raise ConfigError("kappa must be a nonzero integer")
         if self.compton <= 0 or self.omega <= 0:

@@ -1,9 +1,10 @@
 """Self-contained special-function kernel.
 
 Complex log-Gamma (Lanczos sum plus reflection), rising factorials,
-associated Laguerre polynomials, terminating Gauss hypergeometric sums,
-and Gauss quadrature rules built from symmetric tridiagonal (Jacobi)
-matrices with an internal implicit-shift QL eigensolver.
+associated Laguerre polynomials (one recurrence, yielded row by row),
+terminating Gauss hypergeometric sums, and Gauss quadrature rules built
+from symmetric tridiagonal (Jacobi) matrices: nodes from LAPACK, weights
+from the Christoffel function of the same three-term recurrence.
 
 Everything here is a pure function of its arguments; no global state.
 """
@@ -16,13 +17,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BottomPoleError, ConvergenceError, PoleError
+from .errors import BottomPoleError, PoleError
 
 __all__ = [
     "QuadratureRule",
     "log_gamma",
     "gamma_abs_arg",
     "pochhammer",
+    "laguerre_rows",
     "laguerre",
     "laguerre_derivative",
     "hyp2f1_terminating",
@@ -60,7 +62,8 @@ _POLE_TOL = 1e-13
 @dataclass(frozen=True)
 class QuadratureRule:
     """Gauss rule: strictly increasing nodes, positive weights summing to
-    the total mass of the underlying weight function."""
+    the total mass of the underlying weight function (weights below the
+    double range, at the far nodes of high orders, are 0)."""
 
     nodes: np.ndarray
     weights: np.ndarray
@@ -142,20 +145,34 @@ def pochhammer(c, n: int):
     return cmath.exp(log_gamma(c + n) - log_gamma(c))
 
 
+def laguerre_rows(n: int, nu: float, x):
+    """Yield the associated Laguerre polynomials L_0^nu(x), ...,
+    L_{n-1}^nu(x) in one pass of the forward three-term recurrence in the
+    degree (stable for x >= 0); nothing for n <= 0.  x may be a scalar or
+    an ndarray; each row has the shape of x.  Every basis sum runs over
+    these rows, so each degree is computed once per sum."""
+    x = np.asarray(x, dtype=float) if isinstance(x, np.ndarray) else x
+    if n <= 0:
+        return
+    prev = np.ones_like(x) if isinstance(x, np.ndarray) else 1.0
+    yield prev
+    if n == 1:
+        return
+    cur = 1.0 + nu - x
+    yield cur
+    for k in range(1, n - 1):
+        prev, cur = cur, ((2 * k + nu + 1 - x) * cur - (k + nu) * prev) / (k + 1)
+        yield cur
+
+
 def laguerre(n: int, nu: float, x):
-    """Associated Laguerre polynomial L_n^nu(x) by the forward three-term
-    recurrence in the degree (stable for x >= 0).  x may be a scalar or an
-    ndarray."""
+    """Associated Laguerre polynomial L_n^nu(x): the last row of
+    `laguerre_rows(n + 1, nu, x)`.  x may be a scalar or an ndarray."""
     if n < 0:
         raise ValueError("degree must be non-negative")
-    x = np.asarray(x, dtype=float) if isinstance(x, np.ndarray) else x
-    if n == 0:
-        return np.ones_like(x) if isinstance(x, np.ndarray) else 1.0
-    prev = np.ones_like(x) if isinstance(x, np.ndarray) else 1.0
-    cur = 1.0 + nu - x
-    for k in range(1, n):
-        prev, cur = cur, ((2 * k + nu + 1 - x) * cur - (k + nu) * prev) / (k + 1)
-    return cur
+    for row in laguerre_rows(n + 1, nu, x):
+        pass
+    return row
 
 
 def laguerre_derivative(n: int, nu: float, x):
@@ -197,81 +214,57 @@ def hyp2f1_terminating(n: int, b, c, z) -> complex:
 
 # --- symmetric tridiagonal eigenproblem and Gauss rules ---------------------
 
-_DEFLATE_TOL = 1e-14  # off-diagonal deflation threshold, relative
+# Christoffel sums are rescaled by 2^-_RESCALE_BITS (and the polynomial
+# values by the square root of that) once they pass 2^_RESCALE_BITS, so no
+# square overflows however far a node lies outside the bulk of the spectrum.
+_RESCALE_BITS = 512
 
 
-def tridiag_eigen_first_row(diag, offdiag, max_sweeps: int = 50):
+def tridiag_eigen_first_row(diag, offdiag):
     """Eigenvalues of the symmetric tridiagonal matrix with the given
     diagonal and off-diagonal, plus the first component of each
     (normalized) eigenvector.
 
-    Implicit-shift QL iteration; only the first row of the eigenvector
-    matrix is accumulated, which is all the Golub-Welsch construction
-    needs.  Returns (values, first_components) sorted by eigenvalue.
-    Raises ConvergenceError if any eigenvalue needs more than
-    `max_sweeps` sweeps.
+    The eigenvalues come from LAPACK (`np.linalg.eigvalsh`).  The first
+    components are not read off eigenvectors, where tiny components lose
+    their relative accuracy, but from the Christoffel function: with
+    p_0 = 1 and b_k p_{k+1}(x) = (x - a_k) p_k(x) - b_{k-1} p_{k-1}(x),
+    the eigenvector of eigenvalue x_k is (p_0(x_k), ..., p_{m-1}(x_k))
+    up to scale, so its first component is 1/sqrt(sum_n p_n(x_k)^2)
+    (Golub & Welsch 1969; Gautschi 2004, section 3.1).  The recurrence
+    runs vectorised over the nodes with power-of-two rescaling of the
+    sum, so nothing overflows.
+
+    Returns (values, first_components) sorted by eigenvalue; the first
+    components are positive.  Raises ValueError for an empty matrix, a
+    wrongly sized off-diagonal, or a zero off-diagonal entry (the matrix
+    then splits into blocks and the recurrence divides by zero).
     """
     d = np.array(diag, dtype=float)
     m = d.size
     if m == 0:
         raise ValueError("empty matrix")
-    e = np.zeros(m)
-    if m > 1:
-        off = np.asarray(offdiag, dtype=float)
-        if off.size != m - 1:
-            raise ValueError("offdiag must have len(diag) - 1 entries")
-        e[: m - 1] = off
-    z0 = np.zeros(m)
-    z0[0] = 1.0
-
-    for l in range(m):
-        sweeps = 0
-        while True:
-            mm = l
-            while mm < m - 1:
-                dd = abs(d[mm]) + abs(d[mm + 1])
-                if abs(e[mm]) <= _DEFLATE_TOL * dd + 1e-300:
-                    break
-                mm += 1
-            if mm == l:
-                break
-            sweeps += 1
-            if sweeps > max_sweeps:
-                raise ConvergenceError(f"eigenvalue {l} did not deflate in {max_sweeps} sweeps")
-            g = (d[l + 1] - d[l]) / (2.0 * e[l])
-            r = math.hypot(g, 1.0)
-            g = d[mm] - d[l] + e[l] / (g + math.copysign(r, g))
-            s = c = 1.0
-            p = 0.0
-            underflow = False
-            for i in range(mm - 1, l - 1, -1):
-                f = s * e[i]
-                bb = c * e[i]
-                r = math.hypot(f, g)
-                e[i + 1] = r
-                if r == 0.0:
-                    d[i + 1] -= p
-                    e[mm] = 0.0
-                    underflow = True
-                    break
-                s = f / r
-                c = g / r
-                g = d[i + 1] - p
-                r = (d[i] - g) * s + 2.0 * c * bb
-                p = s * r
-                d[i + 1] = g + p
-                g = c * r - bb
-                f0 = z0[i + 1]
-                z0[i + 1] = s * z0[i] + c * f0
-                z0[i] = c * z0[i] - s * f0
-            if underflow:
-                continue
-            d[l] -= p
-            e[l] = g
-            e[mm] = 0.0
-
-    order = np.argsort(d)
-    return d[order], z0[order]
+    off = np.asarray(offdiag, dtype=float).reshape(-1)
+    if off.size != m - 1:
+        raise ValueError("offdiag must have len(diag) - 1 entries")
+    if np.any(off == 0.0):
+        raise ValueError("off-diagonal entries must be nonzero")
+    nodes = np.linalg.eigvalsh(np.diag(d) + np.diag(off, -1))
+    limit = math.ldexp(1.0, _RESCALE_BITS)
+    prev = np.zeros(m)
+    cur = np.ones(m)
+    total = np.ones(m)
+    exponent = np.zeros(m, dtype=int)  # sum_n p_n^2 = total * 2^(2 exponent)
+    for k in range(m - 1):
+        prev, cur = cur, ((nodes - d[k]) * cur - (off[k - 1] * prev if k else 0.0)) / off[k]
+        total += cur * cur
+        big = total > limit
+        if big.any():
+            cur[big] = np.ldexp(cur[big], -_RESCALE_BITS // 2)
+            prev[big] = np.ldexp(prev[big], -_RESCALE_BITS // 2)
+            total[big] = np.ldexp(total[big], -_RESCALE_BITS)
+            exponent[big] += _RESCALE_BITS // 2
+    return nodes, np.ldexp(1.0 / np.sqrt(total), -exponent)
 
 
 def gauss_rule_from_jacobi(diag, offdiag, mass: float = 1.0) -> QuadratureRule:

@@ -25,6 +25,7 @@ g -> -g-1, so either angular parameter gives the same operator.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -101,28 +102,31 @@ class TridiagonalityReport:
     matrix: np.ndarray
 
 
+def _envelope(gamma: float, omega: float, r):
+    """(y, y^{g+1}, e^{-y/2}) with y = omega r: the degree-independent
+    factors of every basis element.  The basis sums take them once and
+    multiply them in the order basis_value does, so a sum equals the sum
+    of basis_value terms bit for bit."""
+    y = omega * np.asarray(r, dtype=float)
+    return y, y ** (gamma + 1.0), np.exp(-0.5 * y)
+
+
 def basis_value(elem: BasisElement, r):
     """zeta_n(r); r may be a scalar or an ndarray of positive radii."""
-    y = elem.omega * np.asarray(r, dtype=float)
+    y, power, decay = _envelope(elem.gamma, elem.omega, r)
     nu = 2.0 * elem.gamma + 1.0
-    out = elem.normalization * y ** (elem.gamma + 1.0) * np.exp(-0.5 * y) * specfun.laguerre(elem.n, nu, y)
+    out = elem.normalization * power * decay * specfun.laguerre(elem.n, nu, y)
     return float(out) if np.ndim(r) == 0 else out
 
 
 def basis_derivative(elem: BasisElement, r):
     """d zeta_n / dr, via the Laguerre derivative identity (analytic; no
     differencing)."""
-    y = elem.omega * np.asarray(r, dtype=float)
+    y, power, decay = _envelope(elem.gamma, elem.omega, r)
     nu = 2.0 * elem.gamma + 1.0
     lag = specfun.laguerre(elem.n, nu, y)
     dlag = specfun.laguerre_derivative(elem.n, nu, y)
-    out = (
-        elem.omega
-        * elem.normalization
-        * y ** (elem.gamma + 1.0)
-        * np.exp(-0.5 * y)
-        * (((elem.gamma + 1.0) / y - 0.5) * lag + dlag)
-    )
+    out = elem.omega * elem.normalization * power * decay * (((elem.gamma + 1.0) / y - 0.5) * lag + dlag)
     return float(out) if np.ndim(r) == 0 else out
 
 
@@ -149,7 +153,7 @@ def gram_matrix(d: DerivedParams, n_basis: int, order: int | None = None) -> np.
     if order is None:
         order = n_basis + 6
     rule = specfun.gauss_laguerre_rule(order, nu)
-    lag = np.array([specfun.laguerre(n, nu, rule.nodes) for n in range(n_basis)])
+    lag = np.array(list(specfun.laguerre_rows(n_basis, nu, rule.nodes)))
     norms = np.array([BasisElement(n, g, d.omega).normalization for n in range(n_basis)])
     core = lag * rule.weights  # broadcasts over nodes
     gram = core @ lag.T
@@ -280,12 +284,13 @@ def reconstruct_upper(coeffs: CoefficientVector, d: DerivedParams, r_grid, n_tru
         raise ValueError("n_trunc exceeds the available coefficients")
     r = np.asarray(r_grid, dtype=float)
     g = d.gamma_eff
+    y, power, decay = _envelope(g, d.omega, r)
     out = np.zeros_like(r)
-    for n in range(n_trunc):
+    for n, lag in enumerate(specfun.laguerre_rows(n_trunc, 2.0 * g + 1.0, y)):
         f = coeffs.values[n].real
         if f == 0.0 or not math.isfinite(f):
             continue
-        out += f * basis_value(BasisElement(n, g, d.omega), r)
+        out += f * (BasisElement(n, g, d.omega).normalization * power * decay * lag)
     tail = None
     if len(coeffs) > n_trunc:
         sq = np.abs(coeffs.values) ** 2
@@ -296,15 +301,23 @@ def reconstruct_upper(coeffs: CoefficientVector, d: DerivedParams, r_grid, n_tru
 
 
 def reconstruct_derivative(coeffs: CoefficientVector, d: DerivedParams, r_grid, n_trunc: int):
-    """d/dr of the truncated expansion (analytic basis derivatives)."""
+    """d/dr of the truncated expansion (analytic basis derivatives).
+
+    d/dy L_n^nu = -L_{n-1}^{nu+1}, so the nu+1 rows run one degree behind
+    the nu rows, in lockstep."""
     r = np.asarray(r_grid, dtype=float)
     g = d.gamma_eff
+    nu = 2.0 * g + 1.0
+    y, power, decay = _envelope(g, d.omega, r)
+    slope = (g + 1.0) / y - 0.5
     out = np.zeros_like(r)
-    for n in range(n_trunc):
+    lowered = itertools.chain([0.0], specfun.laguerre_rows(n_trunc - 1, nu + 1.0, y))
+    for n, (lag, lag_shifted) in enumerate(zip(specfun.laguerre_rows(n_trunc, nu, y), lowered)):
         f = coeffs.values[n].real
         if f == 0.0 or not math.isfinite(f):
             continue
-        out += f * basis_derivative(BasisElement(n, g, d.omega), r)
+        scale = d.omega * BasisElement(n, g, d.omega).normalization
+        out += f * (scale * power * decay * (slope * lag - lag_shifted))
     return out
 
 
@@ -394,7 +407,7 @@ def verify_tridiagonal(d: DerivedParams, eps: float, n_basis: int,
     nu = 2.0 * g + 1.0
     w = d.omega
     rule = specfun.gauss_laguerre_rule(order, nu)
-    lag = np.array([specfun.laguerre(n, nu, rule.nodes) for n in range(n_basis)])
+    lag = np.array(list(specfun.laguerre_rows(n_basis, nu, rule.nodes)))
     norms = np.array([BasisElement(n, g, w).normalization for n in range(n_basis)])
     cc = _radial_constant(d, eps) - 0.25 * w * w
     a_n = np.arange(n_basis) + g + 1.0
@@ -454,12 +467,14 @@ def coupled_system_residual(coeffs: CoefficientVector, d: DerivedParams, eps: fl
     phi_p, _ = reconstruct_upper(coeffs, d, r, n_trunc)
     dphi_p = reconstruct_derivative(coeffs, d, r, n_trunc)
     g = d.gamma_eff
+    y, power, decay = _envelope(g, d.omega, r)
     d2phi_p = np.zeros_like(r)
-    for n in range(n_trunc):
+    for n, lag in enumerate(specfun.laguerre_rows(n_trunc, 2.0 * g + 1.0, y)):
         f = coeffs.values[n].real
         if f == 0.0 or not math.isfinite(f):
             continue
-        d2phi_p += f * basis_second_derivative(BasisElement(n, g, d.omega), r)
+        zeta = BasisElement(n, g, d.omega).normalization * power * decay * lag
+        d2phi_p += f * (d.omega**2 * zeta * (g * (g + 1.0) / y**2 - (n + g + 1.0) / y + 0.25))
     op = -d.z / d.kappa + d.gamma / r
     phi_m = pref * (op * phi_p + dphi_p)
     dphi_m = pref * (op * dphi_p - d.gamma / r**2 * phi_p + d2phi_p)

@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import subprocess
@@ -112,6 +113,22 @@ class TestDeterminism:
             assert out.startswith("n,kappa,eps")
 
 
+class TestRepeatedCalls:
+    def test_no_cyclic_garbage_per_call(self, capsys):
+        # in-process callers run main() in a loop; a parser rebuilt per call
+        # leaves ~1,000 objects in reference cycles each time
+        argv = ["wavefunction", "--z", "-1", "--kappa", "1", "--compton", "0.05", "--eps", "1.3",
+                "--trunc", "8", "--r-grid", "0.5", "5", "4"]
+        assert cli.main(argv) == 0
+        gc.collect()
+        gc.disable()
+        try:
+            assert cli.main(argv) == 0
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+
 class TestOutputFiles:
     def test_writes_data_and_sidecar(self, tmp_path, capsys):
         target = tmp_path / "levels.csv"
@@ -170,6 +187,46 @@ class TestConfigErrors:
         code, _, err = run_cli(capsys, "spectrum", "--z", "-1", "--kappa", "0")
         assert code == 1
         assert "ConfigError" in err
+
+
+def _case_id(argv):
+    """The subcommand and the last flag with its values."""
+    last_flag = max(i for i, token in enumerate(argv) if token.startswith("--"))
+    return " ".join(argv[:1] + argv[last_flag:])
+
+
+class TestInvalidInput:
+    WAVE = ["wavefunction", "--z", "-1", "--kappa", "1", "--compton", "0.05", "--eps", "1.3"]
+    DENSITY = ["density", "--z", "-1", "--kappa", "1", "--compton", "0.02", "--eps", "1.25"]
+    CASES = [
+        (["spectrum", "--kappa", "1", "--n-max", "1", "--z", "nan"], "ConfigError"),
+        (["spectrum", "--z", "-1", "--kappa", "1", "--compton", "inf"], "ConfigError"),
+        (["spectrum", "--z", "-1", "--kappa", "1", "--omega", "nan"], "ConfigError"),
+        (["spectrum", "--z", "-1", "--kappa", "1", "--n-max", "-3"], "ConfigError"),
+        (["coefficients", "--z", "-1", "--kappa", "1", "--eps", "1.3", "--n-max", "-1"], "ConfigError"),
+        (["phase-shift", "--z", "-1", "--kappa", "1", "--eps", "nan"], "ConfigError"),
+        (["phase-shift", "--z", "-1", "--kappa", "1", "--eps-grid", "1.1", "inf", "3"], "ConfigError"),
+        (["phase-shift", "--z", "-1", "--kappa", "1", "--eps-grid", "1.1", "2", "2.5"], "ConfigError"),
+        (["green", "--z", "-1", "--kappa", "1", "--zre", "3", "--zim", "nan"], "ConfigError"),
+        (["green", "--z", "-1", "--kappa", "1", "--zim", "0.5", "--zre", "inf"], "ConfigError"),
+        (WAVE + ["--trunc", "0"], "ConfigError"),
+        (WAVE + ["--r-grid", "0.5", "2", "nan"], "ConfigError"),
+        (WAVE + ["--r-grid", "0", "2", "3"], "ConfigError"),
+        (DENSITY + ["--eta", "nan"], "ConfigError"),
+        (DENSITY + ["--x-grid", "-0.5", "0.5", "0"], "ConfigError"),
+        # ranges the library itself checks: its ValueError is exit 1 too
+        (DENSITY + ["--eta", "-1"], "ValueError"),
+        (["verify", "--z", "-1", "--kappa", "1", "--eps", "0.99", "--n", "2"], "ValueError"),
+    ]
+
+    @pytest.mark.parametrize("argv,kind", CASES, ids=[_case_id(a) for a, _ in CASES])
+    def test_documented_exit(self, capsys, argv, kind):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: {kind}: ")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
 
 
 class TestConvergenceExit:

@@ -42,6 +42,13 @@ class TestDerive:
         with pytest.raises(ConfigError):
             PhysicalParams(z=-1, kappa=0)
 
+    @pytest.mark.parametrize("field", ["z", "compton", "omega"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, field, value):
+        knobs = {"z": -1.0, "kappa": 1, "compton": 0.05, "omega": 1.0, field: value}
+        with pytest.raises(ConfigError, match="finite"):
+            PhysicalParams(**knobs)
+
 
 class TestPollaczekMap:
     def test_forced_zero_numerator(self):

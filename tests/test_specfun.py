@@ -1,11 +1,12 @@
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from tridirac import specfun
+from tridirac import model, specfun
 from tridirac.errors import BottomPoleError, PoleError
 
 
@@ -120,6 +121,17 @@ class TestLaguerre:
                 scale = max(abs(vals[n + 1]), abs(vals[n]), abs(vals[n - 1]), 1.0)
                 assert abs(lhs) / scale < 1e-10
 
+    @pytest.mark.parametrize("x", [2.5, np.linspace(0.0, 60.0, 97)], ids=["scalar", "array"])
+    def test_rows_equal_single_degree(self, x):
+        rows = list(specfun.laguerre_rows(40, 2.3, x))
+        assert len(rows) == 40
+        for n, row in enumerate(rows):
+            assert np.array_equal(row, specfun.laguerre(n, 2.3, x))
+
+    def test_rows_empty_for_nonpositive_count(self):
+        assert list(specfun.laguerre_rows(0, 1.0, 2.0)) == []
+        assert list(specfun.laguerre_rows(-1, 1.0, 2.0)) == []
+
     def test_vectorized_matches_scalar(self):
         x = np.linspace(0.1, 20.0, 11)
         vec = specfun.laguerre(7, 1.5, x)
@@ -214,6 +226,40 @@ class TestGaussRules:
         ref_vals, ref_vecs = np.linalg.eigh(dense)
         assert_allclose(vals, ref_vals, rtol=1e-12, atol=1e-12)
         assert_allclose(np.abs(first), np.abs(ref_vecs[0]), rtol=1e-9, atol=1e-11)
+
+    @pytest.mark.parametrize("order", [150, 300, 600])
+    def test_high_order_rules(self, order):
+        # the unscaled Christoffel sum overflows from order ~300 on
+        nu = 2.9
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rule = specfun.gauss_laguerre_rule(order, nu)
+        mass = math.gamma(nu + 1.0)
+        assert np.all(np.isfinite(rule.weights)) and np.all(rule.weights >= 0)
+        assert np.all(np.diff(rule.nodes) > 0)
+        assert abs(rule.weights.sum() - mass) / mass < 1e-13
+        # x^k stays finite at the largest node (~4 order) for k <= 80
+        for k in range(0, 81, 8):
+            approx = rule.integrate(rule.nodes**k)
+            exact = math.exp(math.lgamma(k + nu + 1.0))
+            assert abs(approx - exact) / exact < 1e-12
+
+    def test_first_row_against_dense_eigh(self):
+        d = model.derive(model.PhysicalParams(z=-1.0, kappa=1, compton=0.05))
+        coeffs = model.recursion_coefficients(d)
+        order = 150
+        diag = coeffs.diag_array(order)
+        off = coeffs.offdiag_array(order - 1)
+        vals, first = specfun.tridiag_eigen_first_row(diag, off)
+        ref_vals, ref_vecs = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+        assert_allclose(vals, ref_vals, rtol=1e-13)
+        # eigenvector components are accurate only relative to the largest
+        assert_allclose(first, np.abs(ref_vecs[0]), rtol=0, atol=1e-13)
+        assert np.all(first > 0)
+
+    def test_zero_offdiagonal_rejected(self):
+        with pytest.raises(ValueError, match="nonzero"):
+            specfun.tridiag_eigen_first_row([1.0, 2.0, 3.0], [0.5, 0.0])
 
     def test_nodes_strictly_increasing(self):
         rule = specfun.gauss_laguerre_rule(30, 1.2)

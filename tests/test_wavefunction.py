@@ -192,6 +192,27 @@ class TestReconstruction:
         assert np.max(np.abs(final - cur)) / scale < 1e-2
         assert tail < 1e-30  # only the (negligible) n = 64 coefficient remains
 
+    @pytest.mark.parametrize("bound", [True, False], ids=["bound", "scattering"])
+    def test_one_pass_sums_equal_per_element_sums(self, bound):
+        # same products in the same order as basis_value/basis_derivative,
+        # so the one-pass sums must agree bit for bit
+        d = model.derive(DESK)
+        if bound:
+            coeffs = wavefunction.coefficients_bound_state(d, spectrum.bound_energy(DESK, 2), 64)
+        else:
+            coeffs = wavefunction.coefficients_recursion(d, 1.3, 64)
+        r = np.linspace(0.5, 60.0, 500)
+        for fast, element in ((lambda: wavefunction.reconstruct_upper(coeffs, d, r, 64)[0],
+                               wavefunction.basis_value),
+                              (lambda: wavefunction.reconstruct_derivative(coeffs, d, r, 64),
+                               wavefunction.basis_derivative)):
+            ref = np.zeros_like(r)
+            for n in range(64):
+                f = coeffs.values[n].real
+                if f != 0.0 and math.isfinite(f):
+                    ref += f * element(BasisElement(n, d.gamma_eff, d.omega), r)
+            assert np.array_equal(fast(), ref)
+
     def test_tail_fraction_reported(self):
         d = model.derive(DESK)
         eps0 = spectrum.bound_energy(DESK, 0)
