@@ -46,7 +46,7 @@ print("=" * 72)
 print("\n  gamma = 0 family has the closed-form density 4 x e^{-2x}; the")
 print("  eta-smeared inversion recovers it after extrapolating eta -> 0:")
 flat = model.RecursionCoefficients(
-    diag=lambda n: n + 1.0, offdiag=lambda n: 0.5 * math.sqrt((n + 1.0) * (n + 2.0))
+    diag=lambda n: n + 1.0, offdiag=lambda n: 0.5 * np.sqrt((n + 1.0) * (n + 2.0))
 )
 print(f"  {'x':>6} {'extrapolated':>14} {'exact':>14} {'rel dev':>10}")
 for x in (0.5, 1.0, 2.0, 4.0):

@@ -113,17 +113,31 @@ class EnergyPoint:
 
 @dataclass(frozen=True)
 class RecursionCoefficients:
-    """Callable coefficient maps of a symmetric three-term recursion:
-    diag(n) and offdiag(n) > 0."""
+    """Coefficient maps of a symmetric three-term recursion: diag(n) and
+    offdiag(n) > 0.
+
+    Both maps are elementwise: given an int they return that level's
+    coefficient, and given a float ndarray of indices they return the
+    array of coefficients at those indices, each value equal to the
+    scalar call's.  Write them with numpy functions (np.sqrt, not
+    math.sqrt), and a constant map as e.g. `lambda n: 0.5 + 0.0 * n`.
+    Evaluators read coefficients through `block`, a few hundred levels
+    per call, never one map call per level.
+    """
 
     diag: object
     offdiag: object
 
+    def block(self, lo, hi):
+        """(diag, offdiag) float arrays over the levels lo..hi-1."""
+        n = np.arange(lo, hi, dtype=float)
+        return self.diag(n), self.offdiag(n)
+
     def diag_array(self, n):
-        return np.array([self.diag(k) for k in range(n)])
+        return self.block(0, n)[0]
 
     def offdiag_array(self, n):
-        return np.array([self.offdiag(k) for k in range(n)])
+        return self.block(0, n)[1]
 
 
 @dataclass(frozen=True)
@@ -242,7 +256,7 @@ def recursion_coefficients(d: DerivedParams) -> RecursionCoefficients:
         raise ConfigError("effective gamma must exceed -1")
     return RecursionCoefficients(
         diag=lambda n: n + g + 1.0,
-        offdiag=lambda n: 0.5 * math.sqrt((n + 1.0) * (n + 2.0 * g + 2.0)),
+        offdiag=lambda n: 0.5 * np.sqrt((n + 1.0) * (n + 2.0 * g + 2.0)),
     )
 
 

@@ -375,6 +375,6 @@ def jacobi_coefficients(params: PollaczekParams) -> RecursionCoefficients:
         return -b / (n + lam + a)
 
     def offdiag(n):
-        return 0.5 * math.sqrt((n + 1.0) * (n + 2.0 * lam) / ((n + lam + a) * (n + lam + a + 1.0)))
+        return 0.5 * np.sqrt((n + 1.0) * (n + 2.0 * lam) / ((n + lam + a) * (n + lam + a + 1.0)))
 
     return RecursionCoefficients(diag=diag, offdiag=offdiag)

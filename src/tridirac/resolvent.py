@@ -11,6 +11,13 @@ denominator at real z is reported as spectrum contact).  The finite
 truncation G_depth equals the resolvent of the depth x depth matrix
 truncation exactly, which is what the Gauss-quadrature cross-check
 exploits.
+
+Every evaluator reads the recursion coefficients in blocks of levels
+(`RecursionCoefficients.block`), not one map call per level.  Lentz runs
+its per-level expressions on the block converted to Python scalars, and
+the truncated fraction sweeps down a block with one subtract and one
+divide per level over all points of z, so both give the same values,
+bit for bit, as level-by-level evaluation.
 """
 
 from __future__ import annotations
@@ -35,6 +42,8 @@ __all__ = [
 ]
 
 _TINY = 1e-30
+_BLOCK = 512  # levels per coefficient block
+_BLOCK_ELEMS = 16_384  # cap on the elements of one block's 2-D temporaries
 
 
 @dataclass(frozen=True)
@@ -51,14 +60,18 @@ def green_function(coeffs: RecursionCoefficients, z, tol: float = 1e-12,
     """Evaluate G(z) = 1/(z - a_0 - b_0^2/(z - a_1 - ...)) by modified
     Lentz until the running update |delta - 1| drops below tol.
 
-    Raises NoConvergence when max_depth is hit first, and
+    Raises ValueError unless tol is finite and positive and
+    max_depth >= 1, NoConvergence when max_depth is hit first, and
     SpectrumProximity when a partial denominator vanishes (within 1e-14
     of the working scale) for real z: the argument sits on the spectrum.
     """
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
+    if max_depth < 1:
+        raise ValueError(f"max_depth must be >= 1, got {max_depth}")
     z = complex(z)
     on_axis = z.imag == 0.0
-    a0 = coeffs.diag(0)
-    f = z - a0
+    f = z - coeffs.block(0, 1)[0].item()
     scale = 1.0 + abs(z)
     if abs(f) <= 1e-14 * scale:
         if on_axis:
@@ -67,28 +80,31 @@ def green_function(coeffs: RecursionCoefficients, z, tol: float = 1e-12,
     c = f
     d = 0.0 + 0.0j
     delta = math.inf
-    for depth in range(1, max_depth + 1):
-        an = coeffs.diag(depth)
-        bnm1 = coeffs.offdiag(depth - 1)
-        num = -(bnm1 * bnm1)
-        den = z - an
-        d_new = den + num * d
-        if abs(d_new) <= 1e-14 * scale:
-            if on_axis:
-                raise SpectrumProximity(f"vanishing partial denominator at depth {depth}, z={z}")
-            d_new = complex(_TINY)
-        c_new = den + num / c
-        if abs(c_new) <= 1e-14 * scale:
-            if on_axis:
-                raise SpectrumProximity(f"vanishing partial denominator at depth {depth}, z={z}")
-            c_new = complex(_TINY)
-        d = 1.0 / d_new
-        ratio = c_new * d
-        f = f * ratio
-        c = c_new
-        delta = abs(ratio - 1.0)
-        if delta < tol:
-            return ResolventEstimate(z=z, value=1.0 / f, depth=depth, converged=True, last_delta=delta)
+    for lo in range(1, max_depth + 1, _BLOCK):
+        hi = min(lo + _BLOCK, max_depth + 1)
+        a, b = coeffs.block(lo - 1, hi)
+        # Python scalars, not numpy ones, so the complex rounding below is
+        # that of the per-level expressions
+        dens = (z - a[1:]).tolist()
+        nums = (-(b[:-1] * b[:-1])).tolist()
+        for depth, den, num in zip(range(lo, hi), dens, nums):
+            d_new = den + num * d
+            if abs(d_new) <= 1e-14 * scale:
+                if on_axis:
+                    raise SpectrumProximity(f"vanishing partial denominator at depth {depth}, z={z}")
+                d_new = complex(_TINY)
+            c_new = den + num / c
+            if abs(c_new) <= 1e-14 * scale:
+                if on_axis:
+                    raise SpectrumProximity(f"vanishing partial denominator at depth {depth}, z={z}")
+                c_new = complex(_TINY)
+            d = 1.0 / d_new
+            ratio = c_new * d
+            f = f * ratio
+            c = c_new
+            delta = abs(ratio - 1.0)
+            if delta < tol:
+                return ResolventEstimate(z=z, value=1.0 / f, depth=depth, converged=True, last_delta=delta)
     raise NoConvergence(f"continued fraction did not reach tol={tol} within depth {max_depth}")
 
 
@@ -96,16 +112,25 @@ def green_function_truncated(coeffs: RecursionCoefficients, z, depth: int):
     """Finite continued fraction with the tail dropped after `depth`
     levels; identical to <0|(z - J_depth)^{-1}|0> for the depth x depth
     truncation J_depth.  `z` may be a scalar or an ndarray (vectorized
-    backward evaluation)."""
+    backward evaluation; the result keeps the shape of `z`)."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
     zs = np.asarray(z, dtype=complex)
-    tail = np.zeros_like(zs)
-    for k in range(depth - 1, 0, -1):
-        bk = coeffs.offdiag(k - 1)
-        tail = bk * bk / (zs - coeffs.diag(k) - tail)
-    out = 1.0 / (zs - coeffs.diag(0) - tail)
-    return complex(out) if np.isscalar(z) or np.asarray(z).ndim == 0 else out
+    flat = zs.reshape(-1)
+    tail = np.zeros_like(flat)
+    den = np.empty_like(flat)
+    levels = max(1, min(_BLOCK, _BLOCK_ELEMS // max(1, flat.size)))
+    # level k (a_k, b_{k-1}) for k = depth-1 .. 1, one block of levels at a time
+    for hi in range(depth, 1, -levels):
+        lo = max(1, hi - levels)
+        a, b = coeffs.block(lo - 1, hi)
+        shifted = flat[None, :] - a[1:, None]
+        squares = (b[:-1] * b[:-1]).tolist()
+        for row, square in zip(shifted[::-1], squares[::-1]):
+            np.subtract(row, tail, out=den)
+            np.divide(square, den, out=tail)
+    out = 1.0 / (flat - coeffs.block(0, 1)[0] - tail)
+    return complex(out[0]) if np.isscalar(z) or zs.ndim == 0 else out.reshape(zs.shape)
 
 
 def solution_pair(coeffs: RecursionCoefficients, z, n_max: int):
@@ -114,15 +139,12 @@ def solution_pair(coeffs: RecursionCoefficients, z, n_max: int):
     initials (1, (z-a_0)/b_0) and the associated initials (0, 1/b_0).
     Their ratio P*_n/P_n tends to G(z) off the real axis."""
     z = complex(z)
-    b0 = coeffs.offdiag(0)
-    p = [1.0 + 0.0j, (z - coeffs.diag(0)) / b0]
-    q = [0.0 + 0.0j, 1.0 / b0]
+    a, b = (v.tolist() for v in coeffs.block(0, max(1, n_max)))
+    p = [1.0 + 0.0j, (z - a[0]) / b[0]]
+    q = [0.0 + 0.0j, 1.0 / b[0]]
     for n in range(1, n_max):
-        an = coeffs.diag(n)
-        bn = coeffs.offdiag(n)
-        bnm1 = coeffs.offdiag(n - 1)
-        p.append(((z - an) * p[n] - bnm1 * p[n - 1]) / bn)
-        q.append(((z - an) * q[n] - bnm1 * q[n - 1]) / bn)
+        p.append(((z - a[n]) * p[n] - b[n - 1] * p[n - 1]) / b[n])
+        q.append(((z - a[n]) * q[n] - b[n - 1] * q[n - 1]) / b[n])
     return np.array(p[: n_max + 1]), np.array(q[: n_max + 1])
 
 
@@ -130,8 +152,7 @@ def casoratian(coeffs: RecursionCoefficients, first, second):
     """b_n (P_n P*_{n+1} - P_{n+1} P*_n) for n = 0..len-2; constant
     (equal to 1 for the solution_pair initials) when both sequences
     solve the same recursion."""
-    n = len(first) - 1
-    b = np.array([coeffs.offdiag(k) for k in range(n)])
+    b = coeffs.block(0, len(first) - 1)[1]
     first = np.asarray(first)
     second = np.asarray(second)
     return b * (first[:-1] * second[1:] - first[1:] * second[:-1])
@@ -139,7 +160,9 @@ def casoratian(coeffs: RecursionCoefficients, first, second):
 
 def spectral_density(coeffs: RecursionCoefficients, x: float, eta: float,
                      tol: float = 1e-9, max_depth: int = 400_000) -> float:
-    """rho_eta(x) = -Im G(x + i eta) / pi for eta > 0."""
+    """rho_eta(x) = -Im G(x + i eta) / pi for eta > 0.  Raises ValueError
+    for eta <= 0 and for a tol/max_depth budget that green_function
+    rejects."""
     if eta <= 0:
         raise ValueError("eta must be positive")
     est = green_function(coeffs, complex(x, eta), tol=tol, max_depth=max_depth)

@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, RepulsiveError, ThresholdError
-from .model import DerivedParams, PhysicalParams, derive, energy_point, map_to_pollaczek
+from .model import DerivedParams, PhysicalParams, derive, energy_point, map_to_pollaczek, recursion_coefficients
 
 __all__ = [
     "SpectrumEntry",
@@ -140,16 +140,14 @@ def minimal_solution_defect(d: DerivedParams, eps: float, n_probe: int, guard: i
         raise DomainError("minimal-solution probing needs |eps| < 1")
     pol = map_to_pollaczek(d, energy_point(eps))
     x, b = pol.x, pol.b
-    g = d.gamma_eff
-    a_ = lambda n: n + g + 1.0
-    b_ = lambda n: 0.5 * math.sqrt((n + 1.0) * (n + 2.0 * g + 2.0))
     w = abs(x) + math.sqrt(x * x - 1.0)  # per-step solution ratio is w^2
     guard = max(guard, min(100_000, int(10.0 / math.log(max(w, 1.0 + 1e-12))) + 40))
     top = n_probe + guard
+    diag, off = (v.tolist() for v in recursion_coefficients(d).block(0, top + 1))
     f_hi = 0.0
     f = 1.0
     for n in range(top, 0, -1):
-        f_lo = ((a_(n) * x + b) * f - b_(n) * f_hi) / b_(n - 1)
+        f_lo = ((diag[n] * x + b) * f - off[n] * f_hi) / off[n - 1]
         f_hi, f = f, f_lo
         if abs(f) > 1e100:  # rescale; only the ratio matters
             scale = abs(f)
@@ -158,7 +156,7 @@ def minimal_solution_defect(d: DerivedParams, eps: float, n_probe: int, guard: i
     if f == 0.0:
         return math.inf
     ratio_back = f_hi / f
-    ratio_forward = (a_(0) * x + b) / b_(0)
+    ratio_forward = (diag[0] * x + b) / off[0]
     return abs(ratio_back - ratio_forward) / (1.0 + abs(ratio_forward))
 
 

@@ -45,6 +45,7 @@ from .model import (
     energy_point,
     eps_sq_minus_one,
     map_to_pollaczek,
+    recursion_coefficients,
     rotation_angle,
     theta_phi,
 )
@@ -188,14 +189,13 @@ def coefficients_recursion(d: DerivedParams, eps: float, n_max: int) -> Coeffici
     """
     e = energy_point(eps)
     pol = map_to_pollaczek(d, e)
-    g = d.gamma_eff
-    a_ = lambda n: n + g + 1.0
-    b_ = lambda n: 0.5 * math.sqrt((n + 1.0) * (n + 2.0 * g + 2.0))
+    # Python floats, so the mpmath branch multiplies mpf by float
+    diag, off = (v.tolist() for v in recursion_coefficients(d).block(0, n_max))
     if abs(pol.x) <= 1.0:
         vals = [1.0]
         prev = 0.0
         for n in range(n_max):
-            nxt = ((a_(n) * pol.x + pol.b) * vals[n] - (b_(n - 1) * prev if n > 0 else 0.0)) / b_(n)
+            nxt = ((diag[n] * pol.x + pol.b) * vals[n] - (off[n - 1] * prev if n > 0 else 0.0)) / off[n]
             prev = vals[n]
             vals.append(nxt)
         return CoefficientVector(values=np.asarray(vals, dtype=complex), eps=eps, source="recursion")
@@ -206,7 +206,7 @@ def coefficients_recursion(d: DerivedParams, eps: float, n_max: int) -> Coeffici
         vals_mp = [mp.mpf(1)]
         prev = mp.mpf(0)
         for n in range(n_max):
-            nxt = ((a_(n) * x + b) * vals_mp[n] - (b_(n - 1) * prev if n > 0 else 0)) / b_(n)
+            nxt = ((diag[n] * x + b) * vals_mp[n] - (off[n - 1] * prev if n > 0 else 0)) / off[n]
             prev = vals_mp[n]
             vals_mp.append(nxt)
         vals = [_mp_to_complex(v) for v in vals_mp]
@@ -229,10 +229,8 @@ def coefficients_bound_state(d: DerivedParams, eps: float, n_max: int, guard: in
     if e.regime is not Regime.BOUND:
         raise DomainError("bound-state coefficients need |eps| < 1")
     pol = map_to_pollaczek(d, e)
-    g = d.gamma_eff
-    a_ = lambda n: n + g + 1.0
-    b_ = lambda n: 0.5 * math.sqrt((n + 1.0) * (n + 2.0 * g + 2.0))
     top = n_max + guard
+    diag, off = (v.tolist() for v in recursion_coefficients(d).block(0, top + 1))
     with mp.workdps(30):
         x = mp.mpf(pol.x)
         b = mp.mpf(pol.b)
@@ -240,7 +238,7 @@ def coefficients_bound_state(d: DerivedParams, eps: float, n_max: int, guard: in
         f[top + 1] = mp.mpf(0)
         f[top] = mp.mpf(1)
         for n in range(top, 0, -1):
-            f[n - 1] = ((a_(n) * x + b) * f[n] - b_(n) * f[n + 1]) / b_(n - 1)
+            f[n - 1] = ((diag[n] * x + b) * f[n] - off[n] * f[n + 1]) / off[n - 1]
         scale = f[0]
         vals = [_mp_to_complex(f[n] / scale) for n in range(n_max + 1)]
     return CoefficientVector(values=np.asarray(vals, dtype=complex), eps=eps, source="miller")
@@ -410,7 +408,7 @@ def verify_tridiagonal(d: DerivedParams, eps: float, n_basis: int,
     lag = np.array(list(specfun.laguerre_rows(n_basis, nu, rule.nodes)))
     norms = np.array([BasisElement(n, g, w).normalization for n in range(n_basis)])
     cc = _radial_constant(d, eps) - 0.25 * w * w
-    a_n = np.arange(n_basis) + g + 1.0
+    a_n, b_n = recursion_coefficients(d).block(0, n_basis)
     bracket = (w * w * a_n[None, :] + 2.0 * d.z * eps * w) + cc * rule.nodes[:, None]
     weighted = lag * rule.weights
     matrix = np.empty((n_basis, n_basis))
@@ -430,7 +428,7 @@ def verify_tridiagonal(d: DerivedParams, eps: float, n_basis: int,
     diag_expected = a_n * pol.x + pol.b
     diag_got = np.diag(matrix) / scale
     diag_dev = float(np.max(np.abs(diag_got - diag_expected) / (1.0 + np.abs(diag_expected))))
-    b_n = 0.5 * np.sqrt((np.arange(n_basis - 1) + 1.0) * (np.arange(n_basis - 1) + 2.0 * g + 2.0))
+    b_n = b_n[:-1]
     off_got = np.diag(matrix, 1) / scale
     off_dev = float(np.max(np.abs(off_got - (-b_n)) / (1.0 + np.abs(b_n))))
     return TridiagonalityReport(

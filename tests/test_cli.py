@@ -198,6 +198,7 @@ def _case_id(argv):
 class TestInvalidInput:
     WAVE = ["wavefunction", "--z", "-1", "--kappa", "1", "--compton", "0.05", "--eps", "1.3"]
     DENSITY = ["density", "--z", "-1", "--kappa", "1", "--compton", "0.02", "--eps", "1.25"]
+    GREEN = ["green", "--z", "-1", "--kappa", "1", "--zre", "3", "--zim", "0.5"]
     CASES = [
         (["spectrum", "--kappa", "1", "--n-max", "1", "--z", "nan"], "ConfigError"),
         (["spectrum", "--z", "-1", "--kappa", "1", "--compton", "inf"], "ConfigError"),
@@ -216,6 +217,12 @@ class TestInvalidInput:
         (DENSITY + ["--x-grid", "-0.5", "0.5", "0"], "ConfigError"),
         # ranges the library itself checks: its ValueError is exit 1 too
         (DENSITY + ["--eta", "-1"], "ValueError"),
+        (GREEN + ["--depth", "-5"], "ValueError"),
+        (GREEN + ["--depth", "0"], "ValueError"),
+        (GREEN + ["--tol", "0"], "ValueError"),
+        (GREEN + ["--tol", "-1"], "ValueError"),
+        (GREEN + ["--tol", "nan"], "ValueError"),
+        (GREEN + ["--tol", "inf"], "ValueError"),
         (["verify", "--z", "-1", "--kappa", "1", "--eps", "0.99", "--n", "2"], "ValueError"),
     ]
 

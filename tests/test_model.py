@@ -209,6 +209,42 @@ class TestRecursionCoefficients:
             assert_allclose(coeffs.offdiag(n) ** 2, 0.25 * (n + 1) * (n + 2 * g + 2), rtol=1e-13)
 
 
+class TestCoefficientBlocks:
+    """`block(lo, hi)` equals one scalar call per level, and both builders
+    keep the values of their former math.sqrt definitions bit for bit."""
+
+    @staticmethod
+    def builders():
+        d = model.derive(PhysicalParams(z=-1.2, kappa=-2, compton=0.06))
+        g = d.gamma_eff
+        params = pollaczek.PollaczekParams(lam=1.6, a=0.3, b=-0.2)
+        lam, a, b = params.lam, params.a, params.b
+        return [
+            (model.recursion_coefficients(d),
+             lambda n: n + g + 1.0,
+             lambda n: 0.5 * math.sqrt((n + 1.0) * (n + 2.0 * g + 2.0))),
+            (pollaczek.jacobi_coefficients(params),
+             lambda n: -b / (n + lam + a),
+             lambda n: 0.5 * math.sqrt((n + 1.0) * (n + 2.0 * lam) / ((n + lam + a) * (n + lam + a + 1.0)))),
+        ]
+
+    @pytest.mark.parametrize("lo,hi", [(0, 1), (0, 600), (511, 1025), (99_990, 100_000), (7, 7)])
+    def test_block_equals_scalar_calls(self, lo, hi):
+        for coeffs, old_diag, old_offdiag in self.builders():
+            diag, offdiag = coeffs.block(lo, hi)
+            assert diag.dtype == offdiag.dtype == np.float64
+            assert diag.shape == offdiag.shape == (hi - lo,)
+            assert diag.tolist() == [coeffs.diag(n) for n in range(lo, hi)]
+            assert offdiag.tolist() == [coeffs.offdiag(n) for n in range(lo, hi)]
+            assert diag.tolist() == [old_diag(n) for n in range(lo, hi)]
+            assert offdiag.tolist() == [old_offdiag(n) for n in range(lo, hi)]
+
+    def test_arrays_are_leading_blocks(self):
+        for coeffs, _, _ in self.builders():
+            assert np.array_equal(coeffs.diag_array(40), coeffs.block(0, 40)[0])
+            assert np.array_equal(coeffs.offdiag_array(39), coeffs.block(0, 39)[1])
+
+
 class TestSpinorRotation:
     def test_identity(self):
         assert model.spinor_rotation(0.0, 1.2, -0.7) == (1.2, -0.7)

@@ -1,4 +1,6 @@
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +16,7 @@ def coeffs_for_gamma(gamma):
 
     return RecursionCoefficients(
         diag=lambda n: n + gamma + 1.0,
-        offdiag=lambda n: 0.5 * math.sqrt((n + 1.0) * (n + 2.0 * gamma + 2.0)),
+        offdiag=lambda n: 0.5 * np.sqrt((n + 1.0) * (n + 2.0 * gamma + 2.0)),
     )
 
 
@@ -170,3 +172,199 @@ class TestSpectralDensity:
         ) / (2 * h)
         assert_allclose(rho_eps, rho_x * jac, rtol=1e-5)  # independent step size
         assert rho_x > 0
+
+
+# --- block-fed evaluation against the former per-level loops ----------------
+
+def _lentz_levels(coeffs, z):
+    """The former per-level modified Lentz loop, one coefficient-map call
+    per level, as a generator of (depth, f, delta).  The float() calls
+    keep Python scalars, as math.sqrt maps gave."""
+    z = complex(z)
+    on_axis = z.imag == 0.0
+    a0 = float(coeffs.diag(0))
+    f = z - a0
+    scale = 1.0 + abs(z)
+    if abs(f) <= 1e-14 * scale:
+        if on_axis:
+            raise SpectrumProximity(f"vanishing partial denominator at z={z}")
+        f = complex(1e-30)
+    c = f
+    d = 0.0 + 0.0j
+    depth = 0
+    while True:
+        depth += 1
+        an = float(coeffs.diag(depth))
+        bnm1 = float(coeffs.offdiag(depth - 1))
+        num = -(bnm1 * bnm1)
+        den = z - an
+        d_new = den + num * d
+        if abs(d_new) <= 1e-14 * scale:
+            if on_axis:
+                raise SpectrumProximity(f"vanishing partial denominator at depth {depth}, z={z}")
+            d_new = complex(1e-30)
+        c_new = den + num / c
+        if abs(c_new) <= 1e-14 * scale:
+            if on_axis:
+                raise SpectrumProximity(f"vanishing partial denominator at depth {depth}, z={z}")
+            c_new = complex(1e-30)
+        d = 1.0 / d_new
+        ratio = c_new * d
+        f = f * ratio
+        c = c_new
+        yield depth, f, abs(ratio - 1.0)
+
+
+def _lentz_per_level(coeffs, z, tol, max_depth):
+    for depth, f, delta in _lentz_levels(coeffs, z):
+        if delta < tol:
+            return 1.0 / f, depth, delta
+        if depth == max_depth:
+            raise NoConvergence(f"continued fraction did not reach tol={tol} within depth {max_depth}")
+
+
+def _truncated_per_level(coeffs, z, depth):
+    """The former per-level backward sweep."""
+    zs = np.asarray(z, dtype=complex)
+    tail = np.zeros_like(zs)
+    for k in range(depth - 1, 0, -1):
+        bk = coeffs.offdiag(k - 1)
+        tail = bk * bk / (zs - coeffs.diag(k) - tail)
+    out = 1.0 / (zs - coeffs.diag(0) - tail)
+    return complex(out) if np.isscalar(z) or np.asarray(z).ndim == 0 else out
+
+
+def _wave_coeffs():
+    return model.recursion_coefficients(model.derive(PhysicalParams(z=-1.0, kappa=1, compton=0.05)))
+
+
+def _parabolic_coeffs(k):
+    """z = 0 is an eigenvalue of this operator's (k+1) x (k+1) truncation,
+    so at z = 0 the Lentz denominator vanishes at depth k: before it,
+    D_j = 2 - 1/D_{j-1} = (j+1)/j (a parabolic orbit, so rounding does not
+    build up), and at depth k, -a_k - 1/D_{k-1} = 0 up to rounding."""
+    return model.RecursionCoefficients(
+        diag=lambda n: np.where(n == k, -(k - 1.0) / k, np.where(n == 0, -3.0, -2.0)),
+        offdiag=lambda n: 1.0 + 0.0 * n,
+    )
+
+
+class TestBlockFedLentz:
+    def _estimate(self, coeffs, z, tol, max_depth=200_000):
+        est = resolvent.green_function(coeffs, z, tol=tol, max_depth=max_depth)
+        return est.value, est.depth, est.last_delta
+
+    @pytest.mark.parametrize("target", [511, 512, 513, 1023, 1024, 1025])
+    def test_converges_at_block_edges_like_per_level(self, target):
+        coeffs = _wave_coeffs()
+        z = 3.0 + 0.5j
+        deltas = {depth: delta for depth, _, delta in itertools.islice(_lentz_levels(coeffs, z), target)}
+        tol = float(np.nextafter(deltas[target], np.inf))
+        assert all(deltas[k] >= tol for k in range(1, target))  # `target` is the first level below tol
+        got = self._estimate(coeffs, z, tol)
+        assert got == _lentz_per_level(coeffs, z, tol, 200_000)
+        assert got[1] == target
+        with pytest.raises(NoConvergence):
+            resolvent.green_function(coeffs, z, tol=tol, max_depth=target - 1)
+
+    def test_deep_fraction_like_per_level(self):
+        # about 86k levels, 167 blocks
+        coeffs = _wave_coeffs()
+        got = self._estimate(coeffs, 3.0 + 0.05j, 1e-12)
+        assert got == _lentz_per_level(coeffs, 3.0 + 0.05j, 1e-12, 200_000)
+        assert got[1] > 80_000
+
+    def test_bounded_family_like_per_level(self):
+        coeffs = pollaczek.jacobi_coefficients(pollaczek.PollaczekParams(lam=1.6, a=0.0, b=-0.2))
+        for z in (0.3 + 0.01j, -0.7 + 0.2j, 1.5 - 0.001j):
+            assert self._estimate(coeffs, z, 1e-12) == _lentz_per_level(coeffs, z, 1e-12, 200_000)
+
+    @pytest.mark.parametrize("k", [1, 511, 512, 513, 1500])
+    def test_spectrum_proximity_like_per_level(self, k):
+        coeffs = _parabolic_coeffs(k)
+        with pytest.raises(SpectrumProximity) as per_level:
+            _lentz_per_level(coeffs, 0.0, 1e-13, 200_000)
+        with pytest.raises(SpectrumProximity) as blocked:
+            resolvent.green_function(coeffs, 0.0, tol=1e-13)
+        assert str(blocked.value) == str(per_level.value) == f"vanishing partial denominator at depth {k}, z=0j"
+
+    def test_floor_off_axis_like_per_level(self):
+        # the same vanishing denominator just off the axis takes the 1e-30 floor
+        coeffs = _parabolic_coeffs(700)
+        z = 1e-20j
+        assert self._estimate(coeffs, z, 1e-5) == _lentz_per_level(coeffs, z, 1e-5, 200_000)
+
+    def test_no_convergence_like_per_level(self):
+        coeffs = _wave_coeffs()
+        with pytest.raises(NoConvergence) as per_level:
+            _lentz_per_level(coeffs, 5.0 + 1e-5j, 1e-13, 50)
+        with pytest.raises(NoConvergence) as blocked:
+            resolvent.green_function(coeffs, 5.0 + 1e-5j, tol=1e-13, max_depth=50)
+        assert str(blocked.value) == str(per_level.value)
+
+    @pytest.mark.parametrize("tol,max_depth", [(0.0, 100), (-1.0, 100), (math.nan, 100), (math.inf, 100),
+                                               (1e-12, 0), (1e-12, -5)])
+    def test_rejects_bad_budget(self, tol, max_depth):
+        coeffs = _wave_coeffs()
+        with pytest.raises(ValueError):
+            resolvent.green_function(coeffs, 3.0 + 0.5j, tol=tol, max_depth=max_depth)
+        with pytest.raises(ValueError):
+            resolvent.spectral_density(coeffs, 3.0, 0.5, tol=tol, max_depth=max_depth)
+
+
+class TestBlockFedTruncation:
+    # block edges: 512 levels for up to 32 points, 16384 // size levels
+    # for more (99 points: 165 levels; 300 points: 54 levels)
+    DEPTHS = [1, 2, 3, 54, 55, 56, 165, 166, 167, 511, 512, 513, 514, 1500]
+    POINTS = {
+        "scalar": 3.0 + 0.05j,
+        "numpy scalar": np.complex128(0.4 + 0.01j),
+        "0-d": np.asarray(0.4 + 0.01j),
+        "1-D": np.linspace(-0.99, 0.99, 99) + 1e-3j,
+        "1-D long": np.linspace(-3.0, 8.0, 300) + 0.02j,
+        "2-D": (np.linspace(-1.0, 4.0, 12) + 0.05j).reshape(3, 4),
+        "2-D wide": (np.linspace(-1.0, 4.0, 198) + 0.05j).reshape(2, 99),
+        "empty": np.zeros(0, dtype=complex),
+    }
+
+    @pytest.mark.parametrize("label", list(POINTS))
+    def test_matches_per_level_sweep(self, label):
+        z = self.POINTS[label]
+        for coeffs in (_wave_coeffs(), pollaczek.jacobi_coefficients(pollaczek.PollaczekParams(lam=1.6, b=-0.2))):
+            for depth in self.DEPTHS:
+                got = resolvent.green_function_truncated(coeffs, z, depth)
+                want = _truncated_per_level(coeffs, z, depth)
+                assert type(got) is type(want)
+                assert np.shape(got) == np.shape(want) == np.shape(z)
+                assert np.array_equal(got, want), (label, depth)
+
+    def test_deep_scalar_like_per_level(self):
+        coeffs = _wave_coeffs()
+        got = resolvent.green_function_truncated(coeffs, 3.0 + 0.05j, 172_000)
+        assert got == _truncated_per_level(coeffs, 3.0 + 0.05j, 172_000)
+
+
+class TestBlockFedMemory:
+    """Blocks bound the temporaries: a deep fraction costs no memory that
+    grows with its depth."""
+
+    def _peak(self, fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_truncated_peak(self):
+        coeffs = _wave_coeffs()
+        assert self._peak(lambda: resolvent.green_function_truncated(coeffs, 3.0 + 0.05j, 200_000)) < 1e6
+
+    def test_truncated_grid_peak(self):
+        coeffs = _wave_coeffs()
+        xs = np.linspace(-0.99, 0.99, 2000) + 1e-3j  # the grid itself is 32 kB
+        assert self._peak(lambda: resolvent.green_function_truncated(coeffs, xs, 2_000)) < 1e6
+
+    def test_lentz_peak(self):
+        coeffs = _wave_coeffs()
+        assert self._peak(lambda: resolvent.green_function(coeffs, 3.0 + 0.05j, max_depth=200_000)) < 1e6
