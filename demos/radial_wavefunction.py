@@ -10,7 +10,7 @@ Run:  python3 demos/radial_wavefunction.py
 
 import numpy as np
 
-from tridirac import model, spectrum, wavefunction
+from tridirac import cli, model, spectrum, wavefunction
 from tridirac.model import PhysicalParams
 
 p = PhysicalParams(z=-1.0, kappa=1, compton=0.05, omega=1.0)
@@ -45,7 +45,8 @@ print("\n" + "=" * 72)
 print("Sampled spinor (CSV-ready)")
 print("=" * 72)
 sample = slice(0, len(r), 590)
-print("\n" + wavefunction.samples_to_csv(r[sample], phi_plus[sample], phi_minus[sample]))
+rows = zip(r[sample].tolist(), phi_plus[sample].tolist(), phi_minus[sample].tolist())
+print("\n" + cli.rows_to_csv(["r", "phi_plus", "phi_minus"], rows))
 
 print("=" * 72)
 print("Tridiagonality of the wave-operator matrix (N = 20)")

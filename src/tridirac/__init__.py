@@ -13,7 +13,7 @@ spectral density.
 
 __version__ = "0.1.0"
 
-from . import model, pollaczek, resolvent, scattering, specfun, spectrum, wavefunction
+from . import model, pollaczek, recurrence, resolvent, scattering, specfun, spectrum, wavefunction
 from .model import (
     FINE_STRUCTURE,
     DerivedParams,
@@ -35,6 +35,7 @@ __all__ = [
     "energy_point",
     "model",
     "pollaczek",
+    "recurrence",
     "resolvent",
     "scattering",
     "specfun",

@@ -70,19 +70,22 @@ def _eps_grid(args):
     return grid
 
 
-def _rows_to_csv(header, rows) -> str:
+def rows_to_csv(header, rows) -> str:
+    """CSV text: the header line, then one line per row with floats as
+    %.16e; the one table serializer of the package."""
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(_FMT.format(v) if isinstance(v, float) else str(v) for v in row))
     return "\n".join(lines) + "\n"
 
 
-def _rows_to_json(header, rows) -> str:
+def rows_to_json(header, rows) -> str:
+    """JSON text: a list of {header: value} objects, indent 2."""
     return json.dumps([dict(zip(header, row)) for row in rows], indent=2) + "\n"
 
 
 def _emit(args, header, rows) -> None:
-    text = _rows_to_json(header, rows) if args.format == "json" else _rows_to_csv(header, rows)
+    text = rows_to_json(header, rows) if args.format == "json" else rows_to_csv(header, rows)
     if args.output:
         with open(args.output, "w", newline="") as fh:
             fh.write(text)

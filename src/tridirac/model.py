@@ -43,8 +43,6 @@ __all__ = [
     "recursion_coefficients",
     "spinor_rotation",
     "negative_energy_map",
-    "params_to_config",
-    "params_from_config",
 ]
 
 FINE_STRUCTURE = 7.2973525693e-3  # CODATA alpha; the physical Compton length in Bohr radii
@@ -279,40 +277,9 @@ def rotation_angle(d: DerivedParams) -> float:
 
 
 def negative_energy_map(p: PhysicalParams, e: EnergyPoint | None = None):
-    """Map to the partner problem: Z -> -Z, kappa -> -kappa, eps -> -eps,
-    plus a flag instructing wavefunction assembly to exchange the spinor
-    components.  Applying the map twice is the identity."""
+    """Map to the partner problem: Z -> -Z, kappa -> -kappa, eps -> -eps;
+    the partner's spinor components are exchanged.  Applying the map
+    twice is the identity."""
     mapped = PhysicalParams(z=-p.z, kappa=-p.kappa, compton=p.compton, omega=p.omega)
     mapped_e = None if e is None else EnergyPoint(eps=-e.eps, regime=e.regime)
-    return mapped, mapped_e, True
-
-
-# --- flat key-value config round trip ---------------------------------------
-
-_CONFIG_KEYS = ("z", "kappa", "compton", "omega")
-
-
-def params_to_config(p: PhysicalParams) -> str:
-    """Serialize to `key = value` lines; values are shortest round-trip
-    decimal strings, so parsing reproduces the exact floats."""
-    vals = {"z": repr(p.z), "kappa": repr(p.kappa), "compton": repr(p.compton), "omega": repr(p.omega)}
-    return "".join(f"{k} = {vals[k]}\n" for k in _CONFIG_KEYS)
-
-
-def params_from_config(text: str) -> PhysicalParams:
-    fields = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, _, value = line.partition("=")
-        fields[key.strip()] = value.strip()
-    missing = [k for k in _CONFIG_KEYS if k not in fields]
-    if missing:
-        raise ConfigError(f"config missing keys: {missing}")
-    return PhysicalParams(
-        z=float(fields["z"]),
-        kappa=int(fields["kappa"]),
-        compton=float(fields["compton"]),
-        omega=float(fields["omega"]),
-    )
+    return mapped, mapped_e

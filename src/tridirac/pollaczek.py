@@ -13,13 +13,14 @@ floats there (plain doubles on request).
 from __future__ import annotations
 
 import cmath
+import contextlib
 import math
 from dataclasses import dataclass
 
 import mpmath as mp
 import numpy as np
 
-from . import specfun
+from . import recurrence, specfun
 from .errors import BranchError, DegenerateError, PoleError, RadiusError
 from .model import RecursionCoefficients
 
@@ -36,6 +37,7 @@ __all__ = [
     "generating_closed_form",
     "phase_parameter",
     "scattering_amplitude_phase",
+    "drifting_phase",
     "asymptotic_scattering",
     "asymptotic_bound",
     "asymptotic_bound_log",
@@ -77,8 +79,51 @@ class PolynomialSequence:
         return self.values[n]
 
 
-def _wants_extended(x) -> bool:
-    return not isinstance(x, complex) and abs(x) > 1.0
+def _recursion(params: PollaczekParams, x, n_max: int, symmetric: bool):
+    """(A, B, C) for rows 0..max(1, n_max)-1 of the standard recursion
+
+        (n+1) P_{n+1} = 2[(n+lam+a)x + b] P_n - (n+2lam-1) P_{n-1}
+
+    or of the symmetrized one,
+
+        b_n Q_{n+1} = [(n+lam+a)x + b] Q_n - b_{n-1} Q_{n-1},
+        b_n = sqrt((n+1)(n+2lam))/2,
+
+    in the arithmetic of x (a double, a complex or an mpmath number)."""
+    lam, a, b = params.lam, params.a, params.b
+    k = np.arange(max(1, n_max), dtype=float)
+    diag = (k + lam + a).tolist()
+    if symmetric:
+        off = (0.5 * np.sqrt((k + 1.0) * (k + 2.0 * lam))).tolist()
+        return [d * x + b for d in diag], off, [0.0] + off[:-1]
+    return [2 * (d * x + b) for d in diag], (k + 1.0).tolist(), (k + 2 * lam - 1).tolist()
+
+
+def _forward(params: PollaczekParams, x, n_max: int, extended: bool | None, dps: int,
+             second_kind: bool) -> PolynomialSequence:
+    """Forward solution from the polynomial initials (1, P_1) or, for the
+    second kind, from (0, 1/b_0) in the symmetrized recursion.  Runs in
+    mpmath at `dps` digits when `extended`, else in (complex) doubles;
+    extended=None picks mpmath for real |x| > 1."""
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
+    if extended is None:
+        extended = not isinstance(x, complex) and abs(x) > 1.0
+    with mp.workdps(dps) if extended else contextlib.nullcontext():
+        if extended:
+            xw, one = mp.mpmathify(x), mp.mpf(1)
+        else:
+            xw, one = x, complex(1.0) if isinstance(x, complex) else 1.0
+        A, B, C = _recursion(params, xw, n_max, second_kind)
+        if second_kind:
+            if B[0] == 0.0:
+                raise DegenerateError("symmetric off-diagonal b_0 vanishes")
+            u0, u1 = 0 * one, one.real / B[0]  # 1/b_0 stays real for complex x
+        else:
+            u0, u1 = one, 2 * (params.lam + params.a) * xw + 2 * params.b
+        vals = recurrence.forward(A, B, C, u0, u1, n_max)
+    name = "second_kind" if second_kind else "standard"
+    return PolynomialSequence(vals if extended else np.asarray(vals), x, name, params)
 
 
 def evaluate(params: PollaczekParams, x, n_max: int, extended: bool | None = None,
@@ -92,32 +137,7 @@ def evaluate(params: PollaczekParams, x, n_max: int, extended: bool | None = Non
     extended=None switches to mpmath automatically for real |x| > 1;
     complex arguments always use plain complex arithmetic.
     """
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
-    lam, a, b = params.lam, params.a, params.b
-    if extended is None:
-        extended = _wants_extended(x)
-    if extended:
-        with mp.workdps(dps):
-            xm = mp.mpmathify(x)
-            vals = [mp.mpf(1)]
-            if n_max >= 1:
-                vals.append(2 * (lam + a) * xm + 2 * b)
-            for n in range(1, n_max):
-                vals.append((2 * ((n + lam + a) * xm + b) * vals[n] - (n + 2 * lam - 1) * vals[n - 1]) / (n + 1))
-        return PolynomialSequence(vals, x, "standard", params)
-    one = complex(1.0) if isinstance(x, complex) else 1.0
-    vals = [one]
-    if n_max >= 1:
-        vals.append(2 * (lam + a) * x + 2 * b)
-    for n in range(1, n_max):
-        vals.append((2 * ((n + lam + a) * x + b) * vals[n] - (n + 2 * lam - 1) * vals[n - 1]) / (n + 1))
-    return PolynomialSequence(np.asarray(vals), x, "standard", params)
-
-
-def _symmetric_offdiag(params: PollaczekParams, n: int) -> float:
-    # off-diagonal of the symmetrized recursion, b_n = sqrt((n+1)(n+2lam))/2
-    return 0.5 * math.sqrt((n + 1.0) * (n + 2.0 * params.lam))
+    return _forward(params, x, n_max, extended, dps, second_kind=False)
 
 
 def evaluate_second_kind(params: PollaczekParams, x, n_max: int, extended: bool | None = None,
@@ -125,33 +145,7 @@ def evaluate_second_kind(params: PollaczekParams, x, n_max: int, extended: bool 
     """Second solution of the symmetrized recursion, with initial values
     0 and 1/b_0 instead of the polynomial pair; emitted in the symmetric
     normalization.  The two solutions have constant Casoratian 1."""
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
-    b0 = _symmetric_offdiag(params, 0)
-    if b0 == 0.0:
-        raise DegenerateError("symmetric off-diagonal b_0 vanishes")
-    lam, a, b = params.lam, params.a, params.b
-    if extended is None:
-        extended = _wants_extended(x)
-
-    def run(xv, zero, inv_b0):
-        vals = [zero]
-        if n_max >= 1:
-            vals.append(inv_b0)
-        for n in range(1, n_max):
-            cn = (n + lam + a) * xv + b
-            bn = _symmetric_offdiag(params, n)
-            bnm1 = _symmetric_offdiag(params, n - 1)
-            vals.append((cn * vals[n] - bnm1 * vals[n - 1]) / bn)
-        return vals
-
-    if extended:
-        with mp.workdps(dps):
-            vals = run(mp.mpmathify(x), mp.mpf(0), 1 / mp.mpf(b0))
-        return PolynomialSequence(vals, x, "second_kind", params)
-    zero = complex(0.0) if isinstance(x, complex) else 0.0
-    vals = run(x, zero, 1.0 / b0)
-    return PolynomialSequence(np.asarray(vals), x, "second_kind", params)
+    return _forward(params, x, n_max, extended, dps, second_kind=True)
 
 
 def _symmetric_scale(params: PollaczekParams, n: int) -> float:
@@ -206,26 +200,11 @@ def symmetric_pair(params: PollaczekParams, x, n_max: int):
 def recursion_residual(seq: PolynomialSequence) -> float:
     """Max over n of |LHS - RHS| / (1 + |LHS|) of the recursion the
     sequence is supposed to satisfy (standard or symmetric form)."""
-    lam, a, b = seq.params.lam, seq.params.a, seq.params.b
-    x = seq.argument
-    vals = seq.values
-    worst = 0.0
-    if seq.normalization == "standard":
-        for n in range(1, len(vals) - 1):
-            lhs = 2 * ((n + lam + a) * x + b) * vals[n]
-            rhs = (n + 2 * lam - 1) * vals[n - 1] + (n + 1) * vals[n + 1]
-            worst = max(worst, float(abs(lhs - rhs) / (1 + abs(lhs))))
-        return worst
-    if seq.normalization in ("symmetric", "second_kind"):
-        for n in range(1, len(vals) - 1):
-            lhs = ((n + lam + a) * x + b) * vals[n]
-            rhs = (
-                _symmetric_offdiag(seq.params, n - 1) * vals[n - 1]
-                + _symmetric_offdiag(seq.params, n) * vals[n + 1]
-            )
-            worst = max(worst, float(abs(lhs - rhs) / (1 + abs(lhs))))
-        return worst
-    raise ValueError(f"no recursion residual for normalization {seq.normalization!r}")
+    if seq.normalization not in ("standard", "symmetric", "second_kind"):
+        raise ValueError(f"no recursion residual for normalization {seq.normalization!r}")
+    symmetric = seq.normalization != "standard"
+    A, B, C = _recursion(seq.params, seq.argument, len(seq.values) - 1, symmetric)
+    return recurrence.residual(A, B, C, seq.values)
 
 
 # --- generating function -----------------------------------------------------
@@ -278,18 +257,24 @@ def scattering_amplitude_phase(params: PollaczekParams, theta: float):
     return amplitude, psi, phi
 
 
-def oscillation_phase(params: PollaczekParams, theta: float, n: int) -> float:
+def drifting_phase(psi: float, lam: float, theta: float, phi: float, n: int) -> float:
     """Slowly drifting phase psi_n of the cos(n theta + psi_n)
-    approximant:
+    approximant, given the Gamma phase psi:
 
         psi_n = psi + lam (theta - pi/2) - phi ln(2 n sin theta).
 
-    The ln(sin theta) constant comes from the (2 e^{-i pi/2} sin
-    theta)^{-(lam - i phi)} factor of the singular expansion; dropping it
-    leaves an O(1) phase offset that does not decay with n.
+    The n-dependence is exactly -phi ln n.  The ln(sin theta) constant
+    comes from the (2 e^{-i pi/2} sin theta)^{-(lam - i phi)} factor of
+    the singular expansion; dropping it leaves an O(1) phase offset that
+    does not decay with n.
     """
+    return psi + lam * (theta - 0.5 * math.pi) - phi * math.log(2.0 * n * math.sin(theta))
+
+
+def oscillation_phase(params: PollaczekParams, theta: float, n: int) -> float:
+    """psi_n (see drifting_phase) of the family at x = cos(theta)."""
     _, psi, phi = scattering_amplitude_phase(params, theta)
-    return psi + params.lam * (theta - 0.5 * math.pi) - phi * math.log(2.0 * n * math.sin(theta))
+    return drifting_phase(psi, params.lam, theta, phi, n)
 
 
 def asymptotic_scattering(params: PollaczekParams, theta: float, n: int) -> float:
@@ -298,8 +283,7 @@ def asymptotic_scattering(params: PollaczekParams, theta: float, n: int) -> floa
     if n < 1:
         raise ValueError("n must be >= 1")
     amplitude, psi, phi = scattering_amplitude_phase(params, theta)
-    psi_n = psi + params.lam * (theta - 0.5 * math.pi) - phi * math.log(2.0 * n * math.sin(theta))
-    return amplitude * math.cos(n * theta + psi_n)
+    return amplitude * math.cos(n * theta + drifting_phase(psi, params.lam, theta, phi, n))
 
 
 def _bound_branch(params: PollaczekParams, x: float):

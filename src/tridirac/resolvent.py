@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import recurrence
 from .errors import NoConvergence, SpectrumProximity
 from .model import DerivedParams, RecursionCoefficients, energy_point, map_to_pollaczek
 
@@ -140,12 +141,11 @@ def solution_pair(coeffs: RecursionCoefficients, z, n_max: int):
     Their ratio P*_n/P_n tends to G(z) off the real axis."""
     z = complex(z)
     a, b = (v.tolist() for v in coeffs.block(0, max(1, n_max)))
-    p = [1.0 + 0.0j, (z - a[0]) / b[0]]
-    q = [0.0 + 0.0j, 1.0 / b[0]]
-    for n in range(1, n_max):
-        p.append(((z - a[n]) * p[n] - b[n - 1] * p[n - 1]) / b[n])
-        q.append(((z - a[n]) * q[n] - b[n - 1] * q[n - 1]) / b[n])
-    return np.array(p[: n_max + 1]), np.array(q[: n_max + 1])
+    A = [z - an for an in a]
+    C = [0.0] + b[:-1]
+    p = recurrence.forward(A, b, C, 1.0 + 0.0j, A[0] / b[0], n_max)
+    q = recurrence.forward(A, b, C, 0.0 + 0.0j, 1.0 / b[0], n_max)
+    return np.array(p), np.array(q)
 
 
 def casoratian(coeffs: RecursionCoefficients, first, second):

@@ -5,7 +5,6 @@ extractor that fits the asymptotic form to exact recursion output.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -21,8 +20,6 @@ __all__ = [
     "phase_shift",
     "phase_shift_sweep",
     "fit_asymptotics",
-    "results_to_csv",
-    "results_to_json",
 ]
 
 
@@ -41,14 +38,9 @@ class PhaseShiftResult:
     lam: float
 
     def psi_n(self, n: int) -> float:
-        """psi + lam (theta - pi/2) - phi ln(2 n sin theta).  The
-        n-dependence is exactly -phi ln n; the ln(sin theta) constant
-        keeps the approximant phase-faithful at finite n."""
-        return (
-            self.psi
-            + self.lam * (self.theta - 0.5 * math.pi)
-            - self.phi * math.log(2.0 * n * math.sin(self.theta))
-        )
+        """pollaczek.drifting_phase at this result's psi, lam, theta and
+        phi."""
+        return pollaczek.drifting_phase(self.psi, self.lam, self.theta, self.phi, n)
 
 
 @dataclass(frozen=True)
@@ -195,20 +187,3 @@ def fit_asymptotics(seq: pollaczek.PolynomialSequence, window) -> FitResult:
     )
     psi_est = (psi_est + math.pi) % (2.0 * math.pi) - math.pi
     return FitResult(theta=float(theta_est), amplitude=amplitude_est, psi=psi_est, residual=residual)
-
-
-def results_to_csv(results) -> str:
-    lines = ["eps,theta,Phi,psi,amplitude"]
-    for r in results:
-        lines.append(
-            f"{r.eps:.16e},{r.theta:.16e},{r.phi:.16e},{r.psi:.16e},{r.amplitude:.16e}"
-        )
-    return "\n".join(lines) + "\n"
-
-
-def results_to_json(results) -> str:
-    rows = [
-        {"eps": r.eps, "theta": r.theta, "Phi": r.phi, "psi": r.psi, "amplitude": r.amplitude}
-        for r in results
-    ]
-    return json.dumps(rows, indent=2) + "\n"

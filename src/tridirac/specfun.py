@@ -150,7 +150,8 @@ def laguerre_rows(n: int, nu: float, x):
     L_{n-1}^nu(x) in one pass of the forward three-term recurrence in the
     degree (stable for x >= 0); nothing for n <= 0.  x may be a scalar or
     an ndarray; each row has the shape of x.  Every basis sum runs over
-    these rows, so each degree is computed once per sum."""
+    these rows, so each degree is computed once per sum.  The loop is its
+    own, not recurrence.forward: it streams rows instead of holding them."""
     x = np.asarray(x, dtype=float) if isinstance(x, np.ndarray) else x
     if n <= 0:
         return
@@ -233,7 +234,8 @@ def tridiag_eigen_first_row(diag, offdiag):
     up to scale, so its first component is 1/sqrt(sum_n p_n(x_k)^2)
     (Golub & Welsch 1969; Gautschi 2004, section 3.1).  The recurrence
     runs vectorised over the nodes with power-of-two rescaling of the
-    sum, so nothing overflows.
+    sum, so nothing overflows; that rescaling, and summing over all nodes
+    at once, keep this loop out of recurrence.forward.
 
     Returns (values, first_components) sorted by eigenvalue; the first
     components are positive.  Raises ValueError for an empty matrix, a

@@ -5,7 +5,6 @@ minimal-solution (square-summability) detector.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -36,19 +35,6 @@ class SpectrumEntry:
 @dataclass(frozen=True)
 class SpectrumTable:
     entries: tuple
-
-    def to_csv(self) -> str:
-        lines = ["n,kappa,eps,oracle_residual"]
-        for e in self.entries:
-            lines.append(f"{e.n},{e.kappa},{e.eps:.16e},{e.oracle_residual:.16e}")
-        return "\n".join(lines) + "\n"
-
-    def to_json(self) -> str:
-        rows = [
-            {"n": e.n, "kappa": e.kappa, "eps": e.eps, "oracle_residual": e.oracle_residual}
-            for e in self.entries
-        ]
-        return json.dumps(rows, indent=2) + "\n"
 
 
 def sommerfeld_energy(z: float, kappa: int, compton: float, n_r: int) -> float:
@@ -134,7 +120,9 @@ def minimal_solution_defect(d: DerivedParams, eps: float, n_probe: int, guard: i
     guard no longer purifies the seed, so the actual guard scales with
     the local growth rate (capped at 100000 steps, which resolves levels
     whose growth ratio exceeds ~1 + 1e-4; energies even closer to the
-    threshold are outside the detector's resolvable range).
+    threshold are outside the detector's resolvable range).  The loop is
+    its own, not recurrence.backward: it rescales doubles at every step,
+    where a guard of up to 100000 levels would overflow the trial tail.
     """
     if abs(eps) >= 1.0:
         raise DomainError("minimal-solution probing needs |eps| < 1")

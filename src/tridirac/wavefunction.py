@@ -25,6 +25,7 @@ g -> -g-1, so either angular parameter gives the same operator.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 from dataclasses import dataclass
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 import mpmath as mp
 import numpy as np
 
-from . import specfun
+from . import recurrence, specfun
 from .errors import (
     DomainError,
     GridError,
@@ -67,8 +68,6 @@ __all__ = [
     "schrodinger_residual",
     "verify_tridiagonal",
     "coupled_system_residual",
-    "samples_to_csv",
-    "matrix_to_text",
 ]
 
 
@@ -174,6 +173,15 @@ def _mp_to_complex(v) -> complex:
         return complex(re, im)
 
 
+def _recursion(d: DerivedParams, x, b, rows: int):
+    """(A, B, C) for rows 0..rows-1 of the coefficient recursion
+    b_n f_{n+1} = (a_n x + b) f_n - b_{n-1} f_{n-1}, in the arithmetic of
+    x and b (the coefficients stay Python floats, so mpmath x and b give
+    mpf products)."""
+    diag, off = (v.tolist() for v in recursion_coefficients(d).block(0, rows))
+    return [an * x + b for an in diag], off, [0.0] + off[:-1]
+
+
 def coefficients_recursion(d: DerivedParams, eps: float, n_max: int) -> CoefficientVector:
     """Expansion coefficients f_0..f_{n_max} by forward recursion on
 
@@ -189,27 +197,12 @@ def coefficients_recursion(d: DerivedParams, eps: float, n_max: int) -> Coeffici
     """
     e = energy_point(eps)
     pol = map_to_pollaczek(d, e)
-    # Python floats, so the mpmath branch multiplies mpf by float
-    diag, off = (v.tolist() for v in recursion_coefficients(d).block(0, n_max))
-    if abs(pol.x) <= 1.0:
-        vals = [1.0]
-        prev = 0.0
-        for n in range(n_max):
-            nxt = ((diag[n] * pol.x + pol.b) * vals[n] - (off[n - 1] * prev if n > 0 else 0.0)) / off[n]
-            prev = vals[n]
-            vals.append(nxt)
-        return CoefficientVector(values=np.asarray(vals, dtype=complex), eps=eps, source="recursion")
+    extended = abs(pol.x) > 1.0
+    num = mp.mpf if extended else float
     digits = 30 + int(2.2 * (n_max + 1) * math.log10(_growth_factor(pol.x)))
-    with mp.workdps(digits):
-        x = mp.mpf(pol.x)
-        b = mp.mpf(pol.b)
-        vals_mp = [mp.mpf(1)]
-        prev = mp.mpf(0)
-        for n in range(n_max):
-            nxt = ((diag[n] * x + b) * vals_mp[n] - (off[n - 1] * prev if n > 0 else 0)) / off[n]
-            prev = vals_mp[n]
-            vals_mp.append(nxt)
-        vals = [_mp_to_complex(v) for v in vals_mp]
+    with mp.workdps(digits) if extended else contextlib.nullcontext():
+        A, B, C = _recursion(d, num(pol.x), num(pol.b), max(1, n_max))
+        vals = [_mp_to_complex(v) for v in recurrence.forward(A, B, C, num(1), A[0] / B[0], n_max)]
     return CoefficientVector(values=np.asarray(vals, dtype=complex), eps=eps, source="recursion")
 
 
@@ -230,15 +223,9 @@ def coefficients_bound_state(d: DerivedParams, eps: float, n_max: int, guard: in
         raise DomainError("bound-state coefficients need |eps| < 1")
     pol = map_to_pollaczek(d, e)
     top = n_max + guard
-    diag, off = (v.tolist() for v in recursion_coefficients(d).block(0, top + 1))
     with mp.workdps(30):
-        x = mp.mpf(pol.x)
-        b = mp.mpf(pol.b)
-        f = [mp.mpf(0)] * (top + 2)
-        f[top + 1] = mp.mpf(0)
-        f[top] = mp.mpf(1)
-        for n in range(top, 0, -1):
-            f[n - 1] = ((diag[n] * x + b) * f[n] - off[n] * f[n + 1]) / off[n - 1]
+        A, B, C = _recursion(d, mp.mpf(pol.x), mp.mpf(pol.b), top + 1)
+        f = recurrence.backward(A, B, C, top, mp.mpf(0), mp.mpf(1))
         scale = f[0]
         vals = [_mp_to_complex(f[n] / scale) for n in range(n_max + 1)]
     return CoefficientVector(values=np.asarray(vals, dtype=complex), eps=eps, source="miller")
@@ -490,19 +477,3 @@ def coupled_system_residual(coeffs: CoefficientVector, d: DerivedParams, eps: fl
     if scale == 0.0:
         return 0.0
     return float(np.max(np.abs(np.concatenate([row1, row2]))) / scale)
-
-
-def samples_to_csv(r_grid, phi_plus, phi_minus) -> str:
-    lines = ["r,phi_plus,phi_minus"]
-    for r, up, lo in zip(r_grid, phi_plus, phi_minus):
-        lines.append(f"{r:.16e},{up:.16e},{lo:.16e}")
-    return "\n".join(lines) + "\n"
-
-
-def matrix_to_text(matrix: np.ndarray, gamma: float, eps: float) -> str:
-    """Dense row-major text dump with a 3-line header (N, gamma, eps)."""
-    n = matrix.shape[0]
-    lines = [f"N {n}", f"gamma {gamma:.16e}", f"eps {eps:.16e}"]
-    for row in matrix:
-        lines.append(" ".join(f"{v:.16e}" for v in row))
-    return "\n".join(lines) + "\n"

@@ -254,11 +254,11 @@ def test_criterion_11_special_functions():
 def test_criterion_12_symmetry_maps():
     p = PhysicalParams(z=-1.0, kappa=2, compton=0.04, omega=1.1)
     e = model.energy_point(0.6)
-    p2, e2, swap = model.negative_energy_map(p, e)
-    p3, e3, _ = model.negative_energy_map(p2, e2)
-    assert p3 == p and e3.eps == e.eps and swap
+    p2, e2 = model.negative_energy_map(p, e)
+    p3, e3 = model.negative_energy_map(p2, e2)
+    assert p3 == p and e3.eps == e.eps
 
-    mapped, _, _ = model.negative_energy_map(p)
+    mapped, _ = model.negative_energy_map(p)
     negatives = spectrum.negative_energy_levels(mapped, 10)
     worst = max(
         abs(neg + spectrum.bound_energy(p, n)) / spectrum.bound_energy(p, n)

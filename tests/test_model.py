@@ -265,29 +265,15 @@ class TestNegativeEnergyMap:
     def test_involution(self):
         p = PhysicalParams(z=-1, kappa=2, compton=0.05, omega=1.1)
         e = model.energy_point(0.5)
-        p2, e2, swap = model.negative_energy_map(p, e)
-        p3, e3, _ = model.negative_energy_map(p2, e2)
+        p2, e2 = model.negative_energy_map(p, e)
+        p3, e3 = model.negative_energy_map(p2, e2)
         assert p3 == p
         assert e3.eps == e.eps
-        assert swap is True
 
     def test_documented_example(self):
         p = PhysicalParams(z=-1, kappa=1, compton=0.05)
-        mapped, e2, swap = model.negative_energy_map(p, model.energy_point(0.5))
+        mapped, e2 = model.negative_energy_map(p, model.energy_point(0.5))
         assert (mapped.z, mapped.kappa, e2.eps) == (1.0, -1, -0.5)
-        assert swap
-
-
-class TestConfigRoundTrip:
-    def test_exact_round_trip(self):
-        p = PhysicalParams(z=-1.375, kappa=-2, compton=1 / 137.035999, omega=0.7300000000000001)
-        text = model.params_to_config(p)
-        back = model.params_from_config(text)
-        assert back == p  # bitwise float equality via repr round trip
-
-    def test_missing_key(self):
-        with pytest.raises(ConfigError):
-            model.params_from_config("z = -1.0\nkappa = 1\n")
 
 
 class TestEnergyPoint:

@@ -128,7 +128,8 @@ class TestSecondKind:
         q, qstar = pollaczek.symmetric_pair(params, 0.37, 200)
         qv = np.asarray(q.values)
         sv = np.asarray(qstar.values)
-        b = np.array([pollaczek._symmetric_offdiag(params, n) for n in range(200)])
+        n = np.arange(200)
+        b = 0.5 * np.sqrt((n + 1.0) * (n + 2.0 * params.lam))
         w = b * (qv[:-1] * sv[1:] - qv[1:] * sv[:-1])
         assert_allclose(w[0], math.sqrt(2 * params.lam), rtol=1e-13)
         assert np.max(np.abs(w / w[0] - 1.0)) < 1e-9

@@ -126,19 +126,3 @@ class TestFitAsymptotics:
             scattering.fit_asymptotics(seq, (50, 300))
         with pytest.raises(ValueError):
             scattering.fit_asymptotics(seq, (100, 100))
-
-
-class TestSerialization:
-    def test_csv_header_and_digits(self):
-        results = [scattering.phase_shift(P_WEAK, 1.25)]
-        text = scattering.results_to_csv(results)
-        lines = text.strip().split("\n")
-        assert lines[0] == "eps,theta,Phi,psi,amplitude"
-        assert "e+00" in lines[1] or "e-0" in lines[1]
-
-    def test_json_fields(self):
-        import json
-
-        results = [scattering.phase_shift(P_WEAK, 1.25)]
-        rows = json.loads(scattering.results_to_json(results))
-        assert set(rows[0]) == {"eps", "theta", "Phi", "psi", "amplitude"}

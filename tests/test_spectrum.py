@@ -143,27 +143,11 @@ class TestSpectrumTable:
         assert len(table.entries) == 6
         assert all(e.oracle_residual < 1e-12 for e in table.entries)
 
-    def test_csv_shape(self):
-        table = spectrum.build_table(PHYSICAL, 2)
-        text = table.to_csv()
-        lines = text.strip().split("\n")
-        assert lines[0] == "n,kappa,eps,oracle_residual"
-        assert len(lines) == 4
-        assert len(lines[1].split(",")) == 4
-
-    def test_json_round_trip(self):
-        import json
-
-        table = spectrum.build_table(PHYSICAL, 2)
-        rows = json.loads(table.to_json())
-        assert rows[0]["n"] == 0
-        assert_allclose(rows[0]["eps"], spectrum.bound_energy(PHYSICAL, 0), rtol=0)
-
 
 class TestNegativeEnergyLevels:
     def test_mapped_spectrum_negates(self):
         p = PhysicalParams(z=-1.0, kappa=2, compton=0.03, omega=1.2)
-        mapped, _, _ = model.negative_energy_map(p)
+        mapped, _ = model.negative_energy_map(p)
         negatives = spectrum.negative_energy_levels(mapped, 8)
         originals = [spectrum.bound_energy(p, n) for n in range(9)]
         assert_allclose(negatives, [-e for e in originals], rtol=1e-12)

@@ -378,23 +378,6 @@ class TestLeftBranch:
         assert wavefunction.coupled_system_residual(coeffs, d, eps0, np.array([0.8, 2.0, 5.0]), 64) < 1e-6
 
 
-class TestSerialization:
-    def test_samples_csv(self):
-        text = wavefunction.samples_to_csv([1.0, 2.0], [0.5, 0.25], [0.1, 0.05])
-        lines = text.strip().split("\n")
-        assert lines[0] == "r,phi_plus,phi_minus"
-        assert len(lines) == 3
-
-    def test_matrix_text_header(self):
-        m = np.eye(3)
-        text = wavefunction.matrix_to_text(m, 0.5, 1.3)
-        lines = text.strip().split("\n")
-        assert lines[0] == "N 3"
-        assert lines[1].startswith("gamma ")
-        assert lines[2].startswith("eps ")
-        assert len(lines) == 6
-
-
 class TestExactGroundStateShape:
     """The nodeless ground level has the closed-form radial solution
     C r^{g+1} e^{-q r} with q = |Z| eps_0 / (n_level + g + 1); the full
