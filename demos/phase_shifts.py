@@ -21,12 +21,12 @@ print("=" * 72)
 print("Energy sweep of the scattering quantities (Z = -1, kappa = 1)")
 print("=" * 72)
 grid = np.linspace(1.1, 2.4, 8)
-results = scattering.phase_shift_sweep(p, grid)
+sweep = scattering.phase_shift_sweep(p, grid)  # one result of arrays
 print(f"\n  {'eps':>6} {'theta':>10} {'Phi':>10} {'psi':>12} {'amplitude':>12}")
-for r in results:
-    print(f"  {r.eps:>6.2f} {r.theta:>10.6f} {r.phi:>10.6f} {r.psi:>12.3e} {r.amplitude:>12.6f}")
+for eps, theta, phi, psi, amp in zip(sweep.eps, sweep.theta, sweep.phi, sweep.psi, sweep.amplitude):
+    print(f"  {eps:>6.2f} {theta:>10.6f} {phi:>10.6f} {psi:>12.3e} {amp:>12.6f}")
 print("\n  psi_n drifts logarithmically, the long-range Coulomb fingerprint:")
-r = results[2]
+r = scattering.phase_shift(p, float(grid[2]))
 for n in (10, 100, 1000, 10000):
     print(f"    n = {n:>6}:  psi_n = {r.psi_n(n):+.6f}")
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import sys
@@ -21,8 +22,6 @@ import numpy as np
 
 from . import __version__, model, pollaczek, resolvent, scattering, spectrum, wavefunction
 from .errors import ConfigError, ConvergenceFailure, DomainError
-
-_FMT = "{:.16e}"
 
 
 def _physical_params(args) -> model.PhysicalParams:
@@ -70,18 +69,56 @@ def _eps_grid(args):
     return grid
 
 
+def _json_value(v) -> str:
+    # json.dumps' text for one value: float.__repr__ plus NaN/Infinity for
+    # floats, int.__repr__ for ints
+    if isinstance(v, float):
+        if math.isfinite(v):
+            return float.__repr__(v)
+        return "NaN" if v != v else ("Infinity" if v > 0 else "-Infinity")
+    if type(v) is int:
+        return int.__repr__(v)
+    return json.dumps(v)
+
+
+def _float_kinds(column) -> set:
+    # {True} for a column of floats (np.float64 included), {False} for a
+    # column without floats, both for a mix
+    return {issubclass(t, float) for t in set(map(type, column))}
+
+
+def _json_column(values):
+    if _float_kinds(values) == {True} and all(map(math.isfinite, values)):
+        return map(float.__repr__, values)
+    return map(_json_value, values)
+
+
 def rows_to_csv(header, rows) -> str:
-    """CSV text: the header line, then one line per row with floats as
-    %.16e; the one table serializer of the package."""
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_FMT.format(v) if isinstance(v, float) else str(v) for v in row))
-    return "\n".join(lines) + "\n"
+    """CSV text: the header line, then one line per row with floats
+    (np.float64 included) as %.16e and every other value as str(); the
+    one table serializer of the package.  Every row has the header's
+    length.  Unless a column mixes floats with other values, one
+    %-format string writes every row."""
+    rows = [tuple(row) for row in rows]
+    kinds = [_float_kinds(column) for column in zip(*rows)]
+    if all(len(kind) == 1 for kind in kinds):
+        fmt = ",".join("%.16e" if True in kind else "%s" for kind in kinds)
+        lines = map(fmt.__mod__, rows)
+    else:
+        lines = (",".join("%.16e" % v if isinstance(v, float) else str(v) for v in row) for row in rows)
+    return "\n".join([",".join(header), *lines]) + "\n"
 
 
 def rows_to_json(header, rows) -> str:
-    """JSON text: a list of {header: value} objects, indent 2."""
-    return json.dumps([dict(zip(header, row)) for row in rows], indent=2) + "\n"
+    """JSON text: a list of {header: value} objects, indent 2.  Written
+    directly, byte for byte what `json.dumps(..., indent=2)` gives, for
+    rows with the length of the (distinct) header."""
+    fields = ",\n".join("    %s: %%s" % json.dumps(name).replace("%", "%%") for name in header)
+    template = "  {\n" + fields + "\n  }"
+    objects = list(map(template.__mod__, zip(*map(_json_column, zip(*rows)))))
+    if not objects:
+        return "[]\n"
+    return "[\n" + ",\n".join(objects) + "\n]\n"
 
 
 def _emit(args, header, rows) -> None:
@@ -100,7 +137,8 @@ def _emit(args, header, rows) -> None:
 def _cmd_spectrum(args) -> None:
     p = _physical_params(args)
     table = spectrum.build_table(p, args.n_max)
-    rows = [(e.n, e.kappa, e.eps, e.oracle_residual) for e in table.entries]
+    rows = zip(range(args.n_max + 1), itertools.repeat(table.kappa), table.eps.tolist(),
+               table.oracle_residual.tolist())
     _emit(args, ["n", "kappa", "eps", "oracle_residual"], rows)
 
 
@@ -111,8 +149,8 @@ def _cmd_phase_shift(args) -> None:
         # an explicitly split grid keeps only the points in the valid
         # regime; rows stay deterministic, just fewer
         grid = [eps for eps in grid if abs(eps) > 1.0]
-    results = scattering.phase_shift_sweep(p, grid)
-    rows = [(r.eps, r.theta, r.phi, r.psi, r.amplitude) for r in results]
+    r = scattering.phase_shift_sweep(p, grid)
+    rows = zip(*(v.tolist() for v in (r.eps, r.theta, r.phi, r.psi, r.amplitude)))
     _emit(args, ["eps", "theta", "Phi", "psi", "amplitude"], rows)
 
 

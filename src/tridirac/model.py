@@ -40,6 +40,7 @@ __all__ = [
     "eps_sq_minus_one",
     "map_to_pollaczek",
     "theta_phi",
+    "scattering_angles",
     "recursion_coefficients",
     "spinor_rotation",
     "negative_energy_map",
@@ -151,7 +152,8 @@ class PollaczekMap:
 
 @dataclass(frozen=True)
 class AngleParameters:
-    """theta/phi pair of the polynomial asymptotics at one energy.
+    """theta/phi pair of the polynomial asymptotics at one energy (or,
+    from `scattering_angles`, at each energy of an array).
 
     Scattering: theta real in (0, pi), phi real.  Bound: theta purely
     imaginary up to a possible real part pi (x < -1 branch), phi purely
@@ -243,6 +245,36 @@ def theta_phi(d: DerivedParams, e: EnergyPoint) -> AngleParameters:
     phi = pol.b / sin_theta
     branch = "bound_right" if x > 1.0 else "bound_left"
     return AngleParameters(theta=theta, phi=phi, exp_i_theta=complex(w), branch=branch)
+
+
+def scattering_angles(d: DerivedParams, eps) -> AngleParameters:
+    """The scattering-regime theta/phi pair from its closed forms, with
+    s = (eps-1)(eps+1) > 0:
+
+        tan(theta/2) = beta / sqrt(s),  i.e. theta = 2 atan2(beta, sqrt(s)),
+        e^{i theta} = (s - beta^2 + 2i beta sqrt(s)) / (s + beta^2),
+        phi = -compton Z eps / sqrt(s),
+
+    the last being the Sommerfeld parameter, which does not depend on
+    omega.  No step subtracts nearly equal numbers, whereas acos(x) of
+    x = (s - beta^2)/(s + beta^2) loses digits as beta = compton*omega/2
+    shrinks and x tends to 1.  (`theta_phi` keeps acos(x): there the
+    angle must match the recursion's own rounded x.)
+
+    Elementwise in eps, a float or a float ndarray of scattering
+    energies; the caller checks the regime.  Beyond |eps| ~ 1.3e154,
+    where s overflows, theta comes out 0 and e^{i theta} NaN, without a
+    warning; callers reject such values.
+    """
+    beta = d.beta
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = (eps - 1.0) * (eps + 1.0)
+        root = np.sqrt(s)
+        theta = 2.0 * np.arctan2(beta, root)
+        exp_i_theta = (s - beta * beta + 2j * beta * root) / (s + beta * beta)
+        # + 0.0 turns the -0.0 of the free case (Z = 0, eps > 1) into 0.0
+        phi = -(d.compton * d.z) * eps / root + 0.0
+    return AngleParameters(theta=theta, phi=phi, exp_i_theta=exp_i_theta, branch="scattering")
 
 
 def recursion_coefficients(d: DerivedParams) -> RecursionCoefficients:

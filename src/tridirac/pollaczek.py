@@ -22,7 +22,7 @@ import numpy as np
 
 from . import recurrence, specfun
 from .errors import BranchError, DegenerateError, PoleError, RadiusError
-from .model import RecursionCoefficients
+from .model import AngleParameters, RecursionCoefficients
 
 __all__ = [
     "PollaczekParams",
@@ -210,10 +210,10 @@ def recursion_residual(seq: PolynomialSequence) -> float:
 # --- generating function -----------------------------------------------------
 
 
-def phase_parameter(params: PollaczekParams, theta) -> complex:
-    """phi(theta) = (a cos(theta) + b) / sin(theta)."""
-    theta = complex(theta)
-    return (params.a * cmath.cos(theta) + params.b) / cmath.sin(theta)
+def phase_parameter(params: PollaczekParams, theta):
+    """phi(theta) = (a cos(theta) + b) / sin(theta), elementwise: theta
+    real or complex, a scalar or an ndarray."""
+    return (params.a * np.cos(theta) + params.b) / np.sin(theta)
 
 
 def generating_partial_sum(params: PollaczekParams, theta, t, n_max: int) -> complex:
@@ -244,17 +244,37 @@ def generating_closed_form(params: PollaczekParams, theta, t) -> complex:
 # --- Darboux approximants ----------------------------------------------------
 
 
-def scattering_amplitude_phase(params: PollaczekParams, theta: float):
+def scattering_amplitude_phase(params: PollaczekParams, theta):
     """Energy-dependent amplitude and Gamma phase of the oscillatory
-    approximant: amplitude = 2 e^{(pi/2-theta) phi} /
-    (|Gamma(lam+i phi)| (2 sin theta)^lam), psi = arg Gamma(lam+i phi)."""
-    if not 0.0 < theta < math.pi:
+    approximant, returned as (amplitude, psi, phi):
+
+        amplitude = 2 e^{(pi/2-theta) phi} / (|Gamma(lam+i phi)| (2 sin theta)^lam),
+        psi = arg Gamma(lam+i phi),
+
+    the amplitude summed in log space, so only a result beyond the double
+    range overflows (to inf, without a warning).
+
+    `theta` is either the angle in (0, pi), with phi and sin(theta) taken
+    from it (phi = phase_parameter(params, theta)), or a scattering
+    AngleParameters (model.scattering_angles), whose theta, phi and
+    sin theta = Im e^{i theta} are used as given and params supplies lam
+    only; the closed forms keep their digits where theta nears 0 or pi.
+
+    Elementwise: a float theta gives floats; an ndarray theta (params.b a
+    float or an ndarray of the same shape), or an AngleParameters of
+    ndarrays, gives ndarrays.  Either way specfun.log_gamma runs once.
+    """
+    if isinstance(theta, AngleParameters):
+        angle, phi, sin_theta = theta.theta, theta.phi, theta.exp_i_theta.imag
+    else:
+        angle, phi, sin_theta = theta, phase_parameter(params, theta), np.sin(theta)
+    if not np.all((0.0 < angle) & (angle < math.pi)):
         raise BranchError("scattering form needs theta in (0, pi)")
     lam = params.lam
-    phi = complex(phase_parameter(params, theta)).real
-    mod, psi = specfun.gamma_abs_arg(complex(lam, phi))
-    amplitude = 2.0 * math.exp((0.5 * math.pi - theta) * phi) / (mod * (2.0 * math.sin(theta)) ** lam)
-    return amplitude, psi, phi
+    lg = specfun.log_gamma(lam + 1j * phi)
+    with np.errstate(over="ignore"):
+        amplitude = 2.0 * np.exp((0.5 * math.pi - angle) * phi - lg.real - lam * np.log(2.0 * sin_theta))
+    return amplitude, lg.imag, phi
 
 
 def drifting_phase(psi: float, lam: float, theta: float, phi: float, n: int) -> float:

@@ -12,6 +12,10 @@ coefficients and initial values inside the caller's `mp.workdps`).
 
 from __future__ import annotations
 
+import math
+
+import numpy as np
+
 __all__ = ["forward", "backward", "residual"]
 
 
@@ -37,10 +41,20 @@ def backward(A, B, C, top: int, zero, one) -> list:
 
 def residual(A, B, C, u) -> float:
     """Max over the interior rows n = 1..len(u)-2 of
-    |A_n u_n - (C_n u_{n-1} + B_n u_{n+1})| / (1 + |A_n u_n|)."""
-    worst = 0.0
-    for n in range(1, len(u) - 1):
-        lhs = A[n] * u[n]
-        rhs = C[n] * u[n - 1] + B[n] * u[n + 1]
-        worst = max(worst, float(abs(lhs - rhs) / (1 + abs(lhs))))
+    |A_n u_n - (C_n u_{n-1} + B_n u_{n+1})| / (1 + |A_n u_n|).
+
+    A diverged sequence scores inf, without a warning: any non-finite u_n
+    (inf or NaN; v - v is 0 for every finite value, mpmath's included),
+    and any row whose score is NaN."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not all(v - v == 0 for v in u):
+            return math.inf
+        worst = 0.0
+        for n in range(1, len(u) - 1):
+            lhs = A[n] * u[n]
+            rhs = C[n] * u[n - 1] + B[n] * u[n + 1]
+            score = float(abs(lhs - rhs) / (1 + abs(lhs)))
+            if score != score:
+                return math.inf
+            worst = max(worst, score)
     return worst

@@ -6,13 +6,13 @@ extractor that fits the asymptotic form to exact recursion output.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import pollaczek
-from .errors import DomainError, FitError, ThresholdError
-from .model import PhysicalParams, Regime, derive, energy_point, map_to_pollaczek, theta_phi
+from .errors import DomainError, FitError, SingularMapError, ThresholdError
+from .model import PhysicalParams, Regime, derive, energy_point, scattering_angles
 
 __all__ = [
     "PhaseShiftResult",
@@ -25,21 +25,23 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PhaseShiftResult:
-    """Scattering quantities at one energy: the angle theta in (0, pi),
-    the phase parameter phi, the Gamma phase psi = arg Gamma(lam + i phi),
-    the positive amplitude, and the drifting phase psi_n of the
-    cos(n theta + psi_n) asymptotic form."""
+    """Scattering quantities at one energy, or at each energy of an
+    array: the angle theta in (0, pi), the phase parameter phi, the Gamma
+    phase psi = arg Gamma(lam + i phi), the positive amplitude, and the
+    drifting phase psi_n of the cos(n theta + psi_n) asymptotic form.
+    Fields are floats for one energy and ndarrays (lam excepted) for an
+    array of energies."""
 
-    eps: float
-    theta: float
-    phi: float
-    psi: float
-    amplitude: float
+    eps: object
+    theta: object
+    phi: object
+    psi: object
+    amplitude: object
     lam: float
 
     def psi_n(self, n: int) -> float:
-        """pollaczek.drifting_phase at this result's psi, lam, theta and
-        phi."""
+        """pollaczek.drifting_phase at this one-energy result's psi, lam,
+        theta and phi."""
         return pollaczek.drifting_phase(self.psi, self.lam, self.theta, self.phi, n)
 
 
@@ -51,43 +53,82 @@ class FitResult:
     residual: float
 
 
-def phase_shift(p: PhysicalParams, eps: float) -> PhaseShiftResult:
-    """Amplitude and phases of the oscillatory asymptotics at |eps| > 1."""
-    e = energy_point(eps)
-    if e.regime is Regime.THRESHOLD:
-        raise ThresholdError("phase shift undefined at |eps| = 1")
-    if e.regime is not Regime.SCATTERING:
-        raise DomainError("phase shift needs |eps| > 1")
+def _check_regime(energies: np.ndarray) -> None:
+    # the first energy (in order) outside the scattering regime raises;
+    # only |eps| <= 1 + 1e-14, a superset of the threshold band, can be one
+    for eps in energies[~(np.abs(energies) > 1.0 + 1e-14)].tolist():
+        regime = energy_point(eps).regime
+        if regime is Regime.THRESHOLD:
+            raise ThresholdError("phase shift undefined at |eps| = 1")
+        if regime is not Regime.SCATTERING:
+            raise DomainError("phase shift needs |eps| > 1")
+
+
+def _check_finite(name: str, values: np.ndarray, energies: np.ndarray) -> None:
+    bad = ~np.isfinite(values)
+    if bad.any():
+        raise SingularMapError(f"{name} is not finite at eps={float(energies[bad][0])!r}")
+
+
+def phase_shift(p: PhysicalParams, eps) -> PhaseShiftResult:
+    """Amplitude and phases of the oscillatory asymptotics at |eps| > 1.
+
+    theta and phi come from the closed forms of model.scattering_angles:
+    tan(theta/2) = beta/sqrt(eps^2-1) and phi = -compton Z eps /
+    sqrt(eps^2-1), the Sommerfeld parameter (independent of omega).
+    Amplitude and psi come from one pollaczek.scattering_amplitude_phase
+    call, and so from one log_gamma call, for all energies.
+
+    Elementwise: a float eps gives a result of floats; a float ndarray of
+    energies gives one result of ndarrays, from one `derive`.  Raises
+    ThresholdError or DomainError for the first energy at |eps| = 1 or
+    below it, and SingularMapError when theta leaves (0, pi) or phi, psi
+    or the amplitude is not finite (|eps| so large that eps^2 or the
+    amplitude overflows).
+    """
+    energies = np.atleast_1d(np.asarray(eps, dtype=float))
+    _check_regime(energies)
     d = derive(p)
-    pol = map_to_pollaczek(d, e)
-    angles = theta_phi(d, e)
-    theta = angles.theta.real
-    params = pollaczek.PollaczekParams(lam=pol.lam, a=pol.a, b=pol.b)
-    amplitude, psi, phi = pollaczek.scattering_amplitude_phase(params, theta)
-    return PhaseShiftResult(eps=eps, theta=theta, phi=phi, psi=psi, amplitude=amplitude, lam=pol.lam)
+    angles = scattering_angles(d, energies)
+    inside = (0.0 < angles.theta) & (angles.theta < math.pi)
+    if not inside.all():
+        bad = float(energies[~inside][0])
+        raise SingularMapError(f"theta degenerates at eps={bad!r}: eps^2 - 1 is not a finite double")
+    _check_finite("phi", angles.phi, energies)
+    params = pollaczek.PollaczekParams(lam=d.gamma_eff + 1.0)
+    amplitude, psi, phi = pollaczek.scattering_amplitude_phase(params, angles)
+    _check_finite("psi", psi, energies)
+    _check_finite("amplitude", amplitude, energies)
+    if np.ndim(eps) == 0:
+        return PhaseShiftResult(eps=eps, theta=float(angles.theta[0]), phi=float(phi[0]), psi=float(psi[0]),
+                                amplitude=float(amplitude[0]), lam=params.lam)
+    return PhaseShiftResult(eps=energies, theta=angles.theta, phi=phi, psi=psi, amplitude=amplitude,
+                            lam=params.lam)
 
 
-def phase_shift_sweep(p: PhysicalParams, eps_values) -> list:
-    """Phase shifts along an energy sweep with the Gamma phase kept on a
-    continuous branch: a 2 pi correction is applied only when the
-    discrete step between neighbors exceeds pi."""
-    out = []
-    offset = 0.0
-    prev = None
-    for eps in eps_values:
-        r = phase_shift(p, eps)
-        psi = r.psi + offset
-        if prev is not None:
-            while psi - prev > math.pi:
-                psi -= 2.0 * math.pi
-                offset -= 2.0 * math.pi
-            while prev - psi > math.pi:
-                psi += 2.0 * math.pi
-                offset += 2.0 * math.pi
-        out.append(PhaseShiftResult(eps=r.eps, theta=r.theta, phi=r.phi, psi=psi,
-                                    amplitude=r.amplitude, lam=r.lam))
-        prev = psi
-    return out
+def _continue_branch(psi: np.ndarray) -> np.ndarray:
+    """psi shifted by multiples of 2 pi onto a continuous branch: a step
+    d between neighbours with |d| > pi is corrected by
+    ceil((|d| - pi)/(2 pi)) turns against its sign, so it ends in
+    [-pi, pi]; a step of exactly +-pi is left alone.  Each shifted value
+    is (psi + earlier shifts) + its own shift, rounded in the order of
+    the per-energy loop this replaced, so single-turn steps match it bit
+    for bit."""
+    if psi.size < 2:
+        return psi + 0.0
+    step = np.diff(psi)
+    shift = -2.0 * math.pi * np.sign(step) * np.ceil((np.abs(step) - math.pi) / (2.0 * math.pi))
+    earlier = np.concatenate(([0.0, 0.0], np.cumsum(shift)[:-1]))
+    return psi + earlier + np.concatenate(([0.0], shift))
+
+
+def phase_shift_sweep(p: PhysicalParams, eps_values) -> PhaseShiftResult:
+    """Phase shifts along an energy sweep, as one PhaseShiftResult of
+    ndarrays, with the Gamma phase kept on a continuous branch: a 2 pi
+    correction is applied only when the step between neighbours exceeds
+    pi."""
+    r = phase_shift(p, np.asarray(eps_values, dtype=float).reshape(-1))
+    return replace(r, psi=_continue_branch(r.psi))
 
 
 def _drift(params: pollaczek.PollaczekParams, theta: float, n: np.ndarray) -> np.ndarray:

@@ -22,7 +22,6 @@ from .errors import BottomPoleError, PoleError
 __all__ = [
     "QuadratureRule",
     "log_gamma",
-    "gamma_abs_arg",
     "pochhammer",
     "laguerre_rows",
     "laguerre",
@@ -83,14 +82,14 @@ def _is_nonpositive_integer(z: complex) -> bool:
     )
 
 
-def _lanczos_log_gamma(z: complex) -> complex:
-    # valid for Re z >= 0.5
+def _lanczos_log_gamma(z, log=cmath.log):
+    # valid for Re z >= 0.5; z is a complex or a complex ndarray (log=np.log)
     zm1 = z - 1.0
     s = _LANCZOS_C[0]
     for k in range(1, len(_LANCZOS_C)):
         s += _LANCZOS_C[k] / (zm1 + k)
     t = zm1 + _LANCZOS_G + 0.5
-    return _LOG_SQRT_2PI + (zm1 + 0.5) * cmath.log(t) - t + cmath.log(s)
+    return _LOG_SQRT_2PI + (zm1 + 0.5) * log(t) - t + log(s)
 
 
 def _log_sin_pi(z: complex) -> complex:
@@ -102,13 +101,49 @@ def _log_sin_pi(z: complex) -> complex:
     return 1j * cmath.pi * z - 0.5j * cmath.pi - _LOG_2 + cmath.log(1.0 - cmath.exp(-2j * cmath.pi * z))
 
 
-def log_gamma(z) -> complex:
+def _log_sin_pi_array(z: np.ndarray) -> np.ndarray:
+    # _log_sin_pi per element; each formula sees only its own elements,
+    # so no sin overflows.  sign = +1 above the real axis, -1 below.
+    out = np.empty_like(z)
+    near = np.abs(z.imag) < 10.0
+    out[near] = np.log(np.sin(np.pi * z[near]))
+    far = z[~near]
+    sign = np.where(far.imag > 0, 1.0, -1.0)
+    out[~near] = (-1j * sign * np.pi * far + 0.5j * sign * np.pi - _LOG_2
+                  + np.log(1.0 - np.exp(2j * sign * np.pi * far)))
+    return out
+
+
+def _log_gamma_array(z: np.ndarray) -> np.ndarray:
+    pole = (np.abs(z.imag) <= _POLE_TOL) & (z.real <= 0.5) & (np.abs(z.real - np.round(z.real)) <= _POLE_TOL)
+    if pole.any():
+        raise PoleError(f"log_gamma pole at z={complex(z[pole][0])}")
+    left = z.real < 0.5
+    if not left.any():
+        return _lanczos_log_gamma(z, np.log)
+    out = np.empty_like(z)
+    out[~left] = _lanczos_log_gamma(z[~left], np.log)
+    zl = z[left]
+    out[left] = math.log(math.pi) - _log_sin_pi_array(zl) - _lanczos_log_gamma(1.0 - zl, np.log)
+    return out
+
+
+def log_gamma(z):
     """Principal branch of log Gamma(z).
 
     Lanczos sum for Re z >= 0.5, reflection otherwise.  Raises PoleError
     when z is within 1e-13 of a non-positive integer; callers that probe
     1/Gamma = 0 (the bound-state condition) rely on that signal.
+
+    Elementwise: a scalar gives a complex; an ndarray gives a complex
+    ndarray of its shape, each element from the same Lanczos table and
+    sum, the same reflection branch and the same pole check (the first
+    pole found is raised).  Array elements agree with the scalar call to
+    rounding (numpy's complex log, not cmath's); the scalar result is the
+    cmath one.
     """
+    if isinstance(z, np.ndarray):
+        return _log_gamma_array(z.astype(complex))
     z = complex(z)
     if _is_nonpositive_integer(z):
         raise PoleError(f"log_gamma pole at z={z}")
@@ -116,13 +151,6 @@ def log_gamma(z) -> complex:
         # reflection; exact mod 2*pi*i, principal on the right half plane
         return math.log(math.pi) - _log_sin_pi(z) - _lanczos_log_gamma(1.0 - z)
     return _lanczos_log_gamma(z)
-
-
-def gamma_abs_arg(z) -> tuple[float, float]:
-    """(|Gamma(z)|, arg Gamma(z)) via log_gamma; arg is principal for
-    Re z >= 0.5."""
-    lg = log_gamma(z)
-    return math.exp(lg.real), lg.imag
 
 
 def pochhammer(c, n: int):

@@ -8,6 +8,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DomainError, RepulsiveError, ThresholdError
 from .model import DerivedParams, PhysicalParams, derive, energy_point, map_to_pollaczek, recursion_coefficients
 
@@ -34,16 +36,38 @@ class SpectrumEntry:
 
 @dataclass(frozen=True)
 class SpectrumTable:
-    entries: tuple
+    """Levels n = 0..len(eps)-1 of one kappa as arrays: the energies and
+    their fine-structure oracle residuals."""
+
+    kappa: int
+    eps: np.ndarray
+    oracle_residual: np.ndarray
+
+    @property
+    def entries(self) -> tuple:
+        """One SpectrumEntry per level."""
+        return tuple(
+            SpectrumEntry(n=n, kappa=self.kappa, eps=eps, oracle_residual=res)
+            for n, (eps, res) in enumerate(zip(self.eps.tolist(), self.oracle_residual.tolist()))
+        )
 
 
-def sommerfeld_energy(z: float, kappa: int, compton: float, n_r: int) -> float:
+def _elementwise(value):
+    # a float for a scalar argument, the ndarray for an array argument
+    return value if isinstance(value, np.ndarray) else float(value)
+
+
+def sommerfeld_energy(z: float, kappa: int, compton: float, n_r):
     """Independent fine-structure oracle:
-    eps = [1 + (z*compton / (n_r + sqrt(kappa^2 - (z*compton)^2)))^2]^{-1/2}."""
+    eps = [1 + (z*compton / (n_r + sqrt(kappa^2 - (z*compton)^2)))^2]^{-1/2}.
+
+    Elementwise in n_r (an int, or an ndarray of radial quantum numbers);
+    IEEE +, -, *, / and sqrt only, so each array element equals the
+    scalar call bit for bit."""
     zc = z * compton
     gamma_s = math.sqrt(kappa * kappa - zc * zc)
     u = zc / (n_r + gamma_s)
-    return 1.0 / math.sqrt(1.0 + u * u)
+    return _elementwise(1.0 / np.sqrt(1.0 + u * u))
 
 
 def _check_attractive(z: float):
@@ -51,20 +75,24 @@ def _check_attractive(z: float):
         raise RepulsiveError("bound states require Z < 0")
 
 
-def bound_energy(p: PhysicalParams, n: int) -> float:
+def bound_energy(p: PhysicalParams, n):
     """n-th positive bound level (n = 0, 1, ...):
 
         eps_n = [1 + (compton*Z / (n + gamma_eff + 1))^2]^{-1/2},
 
     where gamma_eff + 1 equals gamma + 1 for kappa > 0 and -gamma for
     kappa < 0 (gamma carries the sign of kappa).
+
+    Elementwise in n, like `sommerfeld_energy`: an int gives a float, an
+    ndarray of levels an ndarray, each element bit for bit the scalar
+    call's.
     """
     _check_attractive(p.z)
-    if n < 0:
+    if np.any(np.asarray(n) < 0):
         raise ValueError("level index must be >= 0")
     d = derive(p)
     u = p.compton * p.z / (n + d.gamma_eff + 1.0)
-    return 1.0 / math.sqrt(1.0 + u * u)
+    return _elementwise(1.0 / np.sqrt(1.0 + u * u))
 
 
 def quantization_condition(d: DerivedParams, eps: float) -> float:
@@ -149,19 +177,15 @@ def minimal_solution_defect(d: DerivedParams, eps: float, n_probe: int, guard: i
 
 
 def build_table(p: PhysicalParams, n_max: int) -> SpectrumTable:
-    """Levels n = 0..n_max with their fine-structure oracle residuals.
-    The oracle's radial quantum number is n+1 for kappa > 0 and n for
-    kappa < 0 (the branch bookkeeping of the gamma -> -gamma-1
-    replacement; recorded, not interpreted)."""
-    entries = []
-    for n in range(n_max + 1):
-        eps = bound_energy(p, n)
-        n_r = n + 1 if p.kappa > 0 else n
-        oracle = sommerfeld_energy(p.z, p.kappa, p.compton, n_r)
-        entries.append(
-            SpectrumEntry(n=n, kappa=p.kappa, eps=eps, oracle_residual=abs(eps - oracle) / oracle)
-        )
-    return SpectrumTable(entries=tuple(entries))
+    """Levels n = 0..n_max with their fine-structure oracle residuals,
+    from one `bound_energy` call over the level array.  The oracle's
+    radial quantum number is n+1 for kappa > 0 and n for kappa < 0 (the
+    branch bookkeeping of the gamma -> -gamma-1 replacement; recorded,
+    not interpreted)."""
+    n = np.arange(n_max + 1, dtype=float)
+    eps = bound_energy(p, n)
+    oracle = sommerfeld_energy(p.z, p.kappa, p.compton, n + 1.0 if p.kappa > 0 else n)
+    return SpectrumTable(kappa=p.kappa, eps=eps, oracle_residual=np.abs(eps - oracle) / oracle)
 
 
 def negative_energy_levels(p: PhysicalParams, n_max: int) -> list:
@@ -172,4 +196,4 @@ def negative_energy_levels(p: PhysicalParams, n_max: int) -> list:
     if p.z <= 0:
         raise DomainError("negative-energy levels live on the Z > 0 side")
     partner = PhysicalParams(z=-p.z, kappa=-p.kappa, compton=p.compton, omega=p.omega)
-    return [-bound_energy(partner, n) for n in range(n_max + 1)]
+    return (-bound_energy(partner, np.arange(n_max + 1, dtype=float))).tolist()

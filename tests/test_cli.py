@@ -48,7 +48,7 @@ class TestPhaseShiftCommand:
         )
         assert code == 0
         row = out.strip().split("\n")[1].split(",")
-        assert float(row[2]) == 0.0  # Phi column
+        assert row[2] == "0.0000000000000000e+00"  # Phi column: 0.0, not -0.0
 
     def test_threshold_crossing_guard(self, capsys):
         code, _, err = run_cli(
@@ -77,6 +77,22 @@ class TestPhaseShiftCommand:
             code, single_out, _ = run_cli(capsys, "phase-shift", *base, "--eps", repr(float(eps)))
             assert code == 0
             assert single_out.strip().split("\n")[1] == row
+
+
+    def test_large_energy_gives_finite_row(self, capsys):
+        code, out, _ = run_cli(capsys, "phase-shift", "--z", "-1", "--kappa", "1", "--eps", "1e150")
+        assert code == 0
+        assert all(np.isfinite(float(v)) for v in out.strip().split("\n")[1].split(","))
+
+    @pytest.mark.parametrize("energy", [
+        ["--eps", "1e160"], ["--eps", "1e200"], ["--eps=-1e200"], ["--eps-grid", "1.5", "1e160", "3"],
+    ], ids=lambda a: "_".join(a))
+    def test_overflowing_energy_exits_2(self, capsys, energy):
+        code, out, err = run_cli(capsys, "phase-shift", "--z", "-1", "--kappa", "1", *energy)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: SingularMapError: theta degenerates at eps=")
+        assert err.count("\n") == 1
 
 
 class TestDeterminism:
@@ -305,3 +321,54 @@ class TestWavefunctionCommand:
         phi = np.array([float(r[1]) for r in rows])
         assert np.all(np.abs(phi) < 10.0)
         assert np.max(np.abs(phi)) > 1e-3
+
+
+# --- the serializers against the json.dumps-based writers they replaced -----
+
+
+def ref_rows_to_csv(header, rows):
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join("{:.16e}".format(v) if isinstance(v, float) else str(v) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def ref_rows_to_json(header, rows):
+    return json.dumps([dict(zip(header, row)) for row in rows], indent=2) + "\n"
+
+
+SPECIAL = [float("nan"), float("inf"), float("-inf"), -0.0, 5e-324, 1e300]
+
+
+class TestSerializers:
+    TABLES = {
+        "mixed_types": (["n", "a", "b"], [
+            (0, 1.5, np.float64(0.1)),
+            (1, np.float64(-2.0), 3),
+            (np.float64(7.0), 2, 1e-5),
+            (-4, 0.1 + 0.2, np.float64(1e16)),
+        ]),
+        "special_values": (["v", "w"], [(v, np.float64(v)) for v in SPECIAL] + [(0.0, 1)]),
+        "special_values_one_type": (["v", "w"], [(v, w) for v, w in zip(SPECIAL, SPECIAL[::-1])]),
+        "one_column": (["x"], [(v,) for v in (1.0, 2, -0.0, np.float64(3.5))]),
+        "one_column_floats": (["x"], [(v,) for v in SPECIAL]),
+        "int_columns": (["n", "kappa"], [(n, -1) for n in range(5)]),
+        "empty": (["eps", "theta"], []),
+    }
+
+    @pytest.mark.parametrize("name", sorted(TABLES))
+    def test_csv_matches_reference(self, name):
+        header, rows = self.TABLES[name]
+        assert cli.rows_to_csv(header, rows) == ref_rows_to_csv(header, rows)
+        assert cli.rows_to_csv(header, iter(rows)) == ref_rows_to_csv(header, rows)
+
+    @pytest.mark.parametrize("name", sorted(TABLES))
+    def test_json_matches_reference(self, name):
+        header, rows = self.TABLES[name]
+        assert cli.rows_to_json(header, rows) == ref_rows_to_json(header, rows)
+        assert cli.rows_to_json(header, iter(rows)) == ref_rows_to_json(header, rows)
+
+    def test_header_needing_escapes(self):
+        header, rows = ["a%s", 'q"uote', "\u00e9"], [(1.0, 2, 3.5)]
+        assert cli.rows_to_csv(header, rows) == ref_rows_to_csv(header, rows)
+        assert cli.rows_to_json(header, rows) == ref_rows_to_json(header, rows)

@@ -239,3 +239,25 @@ def test_backward_from_trial_tail():
     A, B, C = [2.0] * 4, [1.0] * 4, [1.0] * 4
     assert recurrence.backward(A, B, C, 3, 0.0, 1.0) == [4.0, 3.0, 2.0, 1.0]
     assert recurrence.backward(A, B, C, 0, 0.0, 1.0) == [1.0]
+
+
+def test_residual_of_diverged_doubles_is_inf():
+    # in doubles the forward pass at x = 3 overflows: 403 of the 801
+    # values are inf or NaN, which once scored 2.2e-16 (a NaN row kept the
+    # running max) and raised an overflow warning on the way
+    seq = pollaczek.evaluate(PollaczekParams(lam=1.5, b=-0.3), 3.0, 800, extended=False)
+    assert np.sum(~np.isfinite(seq.values)) == 403
+    assert pollaczek.recursion_residual(seq) == math.inf
+    # the extended-precision pass of the same sequence stays a roundoff residual
+    assert pollaczek.recursion_residual(pollaczek.evaluate(PollaczekParams(lam=1.5, b=-0.3), 3.0, 800)) < 1e-12
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(math.nan, 0.0), mp.mpf("inf")])
+def test_residual_scores_any_non_finite_value_inf(bad):
+    A, B, C = [1.0] * 6, [1.0] * 6, [1.0] * 6
+    for position in (0, 2, 5):
+        u = [0.5] * 6
+        u[position] = bad
+        assert recurrence.residual(A, B, C, u) == math.inf
+    # two values, no interior row: still not a finite sequence
+    assert recurrence.residual(A, B, C, [1.0, bad]) == math.inf

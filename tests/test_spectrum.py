@@ -137,11 +137,48 @@ class TestMinimalSolutionDefect:
             assert np.argmin(vals) == 4  # the center of the window
 
 
+def ref_build_table(p, n_max):
+    """The per-level loop build_table replaced: (eps, oracle_residual)
+    lists from scalar calls."""
+    eps_values, residuals = [], []
+    for n in range(n_max + 1):
+        u = p.compton * p.z / (n + model.derive(p).gamma_eff + 1.0)
+        eps = 1.0 / math.sqrt(1.0 + u * u)
+        zc = p.z * p.compton
+        n_r = n + 1 if p.kappa > 0 else n
+        oracle = 1.0 / math.sqrt(1.0 + (zc / (n_r + math.sqrt(p.kappa**2 - zc * zc))) ** 2)
+        eps_values.append(eps)
+        residuals.append(abs(eps - oracle) / oracle)
+    return eps_values, residuals
+
+
 class TestSpectrumTable:
     def test_residual_column(self):
         table = spectrum.build_table(PHYSICAL, 5)
         assert len(table.entries) == 6
         assert all(e.oracle_residual < 1e-12 for e in table.entries)
+
+    @pytest.mark.parametrize("kappa", [1, -1, -2, 3])
+    def test_arrays_equal_the_scalar_loop(self, kappa):
+        p = PhysicalParams(z=-1.0, kappa=kappa, compton=7.297e-3)
+        table = spectrum.build_table(p, 2000)
+        eps_values, residuals = ref_build_table(p, 2000)
+        assert table.eps.tolist() == eps_values
+        assert table.oracle_residual.tolist() == residuals
+        assert [e.n for e in table.entries] == list(range(2001))
+        assert table.entries[7].eps == eps_values[7]
+
+    def test_bound_energy_is_elementwise(self):
+        n = np.arange(50, dtype=float)
+        levels = spectrum.bound_energy(DESK, n)
+        assert isinstance(levels, np.ndarray) and levels.shape == (50,)
+        assert levels.tolist() == [spectrum.bound_energy(DESK, k) for k in range(50)]
+        assert type(spectrum.bound_energy(DESK, 3)) is float
+        oracle = spectrum.sommerfeld_energy(DESK.z, DESK.kappa, DESK.compton, n + 1.0)
+        assert oracle.tolist() == [spectrum.sommerfeld_energy(DESK.z, DESK.kappa, DESK.compton, k + 1)
+                                   for k in range(50)]
+        with pytest.raises(ValueError):
+            spectrum.bound_energy(DESK, np.array([0.0, -1.0]))
 
 
 class TestNegativeEnergyLevels:
@@ -150,4 +187,4 @@ class TestNegativeEnergyLevels:
         mapped, _ = model.negative_energy_map(p)
         negatives = spectrum.negative_energy_levels(mapped, 8)
         originals = [spectrum.bound_energy(p, n) for n in range(9)]
-        assert_allclose(negatives, [-e for e in originals], rtol=1e-12)
+        assert negatives == [-e for e in originals]
