@@ -288,11 +288,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _is_number(token: str) -> bool:
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
+def _numbers_as_values(argv) -> list:
+    """argv with a space before each negative number (-1e-1, -inf) that
+    is not an --output path.  argparse takes -1e-1 for an option (it
+    passes only forms like -1 and -1.5), but any version takes a token
+    that starts with a space for a value, and float() skips the space."""
+    return [" " + token if token.startswith("-") and _is_number(token) and prev != "--output" else token
+            for prev, token in zip([None, *argv], argv)]
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     invocation = list(argv) if argv is not None else sys.argv[1:]
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_numbers_as_values(invocation))
     except SystemExit as exc:  # argparse reports its own message
         return 1 if exc.code not in (0, None) else 0
     args.invocation = invocation

@@ -40,10 +40,6 @@ class BottomPoleError(DomainError):
 
 # --- polynomial machinery ---------------------------------------------------
 
-class DegenerateError(DomainError):
-    """Second-solution initial value 1/b_0 undefined (b_0 = 0)."""
-
-
 class RadiusError(DomainError):
     """Generating-function argument outside the convergence disc."""
 

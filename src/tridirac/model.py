@@ -39,9 +39,12 @@ __all__ = [
     "energy_point",
     "eps_sq_minus_one",
     "map_to_pollaczek",
+    "angle_map",
     "theta_phi",
     "scattering_angles",
     "recursion_coefficients",
+    "wave_rows",
+    "growth_rate",
     "spinor_rotation",
     "negative_energy_map",
 ]
@@ -217,34 +220,40 @@ def map_to_pollaczek(d: DerivedParams, e: EnergyPoint) -> PollaczekMap:
     return PollaczekMap(x=x, a=0.0, b=b, lam=d.gamma_eff + 1.0)
 
 
-def theta_phi(d: DerivedParams, e: EnergyPoint) -> AngleParameters:
-    """Angle theta with cos(theta) = x and phase phi = b / sin(theta).
+def angle_map(x: float, a: float, b: float) -> AngleParameters:
+    """theta with cos(theta) = x, e^{i theta} and phi = (a x + b)/sin(theta)
+    at a real x with |x| != 1, for `theta_phi` and
+    `pollaczek.asymptotic_bound_log`.  |x| < 1: theta = acos(x).  |x| > 1:
+    e^{i theta} = x + sqrt(x^2-1) (positive root), so |e^{i theta}| > 1 for
+    x > 1 ("bound_right") and < 1 for x < -1 ("bound_left"), and
+    sin(theta) = -i sqrt(x^2-1) on both."""
+    num = a * x + b if a else b  # a = 0 (the physical map) keeps b's sign of zero
+    if abs(x) > 1.0:
+        root = math.sqrt(x * x - 1.0)
+        w = x + root  # real; in (-1,0) for x < -1, above 1 for x > 1
+        theta = -1j * cmath.log(complex(w))
+        phi = num / (-1j * root)
+        return AngleParameters(theta=theta, phi=phi, exp_i_theta=complex(w),
+                               branch="bound_right" if x > 1.0 else "bound_left")
+    theta = math.acos(x)
+    phi = num / math.sin(theta)
+    return AngleParameters(theta=complex(theta), phi=complex(phi), exp_i_theta=cmath.exp(1j * theta),
+                           branch="scattering")
 
-    The bound-regime branch is resolved by e^{i theta} = x + sqrt(x^2-1)
-    with the positive real square root, which lands on |e^{i theta}| > 1
-    for x > 1 and on the exchanged branch for x < -1.  In both bound
-    branches sin(theta) = -i sqrt(x^2-1).
+
+def theta_phi(d: DerivedParams, e: EnergyPoint) -> AngleParameters:
+    """`angle_map` at the energy's Pollaczek argument x and shift b.
+
+    Raises ThresholdError at |eps| = 1 and SingularMapError where x rounds
+    onto the band edge |x| = 1 (eps extreme), where sin(theta) = 0 and the
+    phase decomposition degenerates.
     """
     if e.regime is Regime.THRESHOLD:
         raise ThresholdError("theta/phi undefined at |eps| = 1")
     pol = map_to_pollaczek(d, e)
-    x = pol.x
-    if e.regime is Regime.SCATTERING:
-        theta = math.acos(max(-1.0, min(1.0, x)))
-        sin_theta = math.sin(theta)
-        if sin_theta == 0.0:
-            # |x| rounded onto the band edge (eps extreme); the phase
-            # decomposition degenerates there
-            raise SingularMapError(f"polynomial argument degenerate at x={x} (eps={e.eps})")
-        w = cmath.exp(1j * theta)
-        phi = pol.b / sin_theta
-        return AngleParameters(theta=complex(theta), phi=complex(phi), exp_i_theta=w, branch="scattering")
-    w = x + math.sqrt(x * x - 1.0)  # real; in (-1,0) for x < -1, above 1 for x > 1
-    theta = -1j * cmath.log(complex(w))
-    sin_theta = -1j * math.sqrt(x * x - 1.0)
-    phi = pol.b / sin_theta
-    branch = "bound_right" if x > 1.0 else "bound_left"
-    return AngleParameters(theta=theta, phi=phi, exp_i_theta=complex(w), branch=branch)
+    if abs(pol.x) == 1.0:
+        raise SingularMapError(f"polynomial argument degenerate at x={pol.x} (eps={e.eps})")
+    return angle_map(pol.x, pol.a, pol.b)
 
 
 def scattering_angles(d: DerivedParams, eps) -> AngleParameters:
@@ -290,12 +299,30 @@ def recursion_coefficients(d: DerivedParams) -> RecursionCoefficients:
     )
 
 
-def spinor_rotation(xi: float, upper: float, lower: float) -> tuple[float, float]:
+def wave_rows(d: DerivedParams, x, b, rows: int):
+    """(A, B, C) for rows 0..rows-1 of b_n f_{n+1} = (a_n x + b) f_n -
+    b_{n-1} f_{n-1}, the expansion-coefficient recursion of `wavefunction`
+    and `spectrum.minimal_solution_defect`, in the arithmetic of x and b
+    (a_n, b_n stay Python floats, so mpmath x and b give mpf products)."""
+    diag, off = (v.tolist() for v in recursion_coefficients(d).block(0, rows))
+    return [an * x + b for an in diag], off, [0.0] + off[:-1]
+
+
+def growth_rate(x: float) -> float:
+    """Per-step ratio |x| + sqrt(x^2-1) of the dominant to the minimal
+    recursion solution for |x| >= 1; 1 inside the band, where both
+    oscillate."""
+    return abs(x) + math.sqrt(x * x - 1.0) if abs(x) >= 1.0 else 1.0
+
+
+def spinor_rotation(xi: float, upper, lower):
     """Rotate a spinor pair by the real 2x2 matrix
-    [[cos xi/2, sin xi/2], [-sin xi/2, cos xi/2]].
+    [[cos xi/2, sin xi/2], [-sin xi/2, cos xi/2]]; upper and lower are
+    floats or ndarrays of one shape.
 
     With sin(xi) = compton*Z/kappa this maps the coupled radial pair onto
-    the uncoupled (phi+, phi-) pair; norm is preserved exactly.
+    the uncoupled (phi+, phi-) pair, and -xi maps it back; norm is
+    preserved exactly.
     """
     c = math.cos(0.5 * xi)
     s = math.sin(0.5 * xi)

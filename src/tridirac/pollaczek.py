@@ -21,8 +21,8 @@ import mpmath as mp
 import numpy as np
 
 from . import recurrence, specfun
-from .errors import BranchError, DegenerateError, PoleError, RadiusError
-from .model import AngleParameters, RecursionCoefficients
+from .errors import BranchError, PoleError, RadiusError
+from .model import AngleParameters, RecursionCoefficients, angle_map
 
 __all__ = [
     "PollaczekParams",
@@ -43,9 +43,6 @@ __all__ = [
     "asymptotic_bound_log",
     "jacobi_coefficients",
 ]
-
-NORMALIZATIONS = ("standard", "second_kind", "symmetric", "orthonormal")
-
 
 @dataclass(frozen=True)
 class PollaczekParams:
@@ -116,8 +113,6 @@ def _forward(params: PollaczekParams, x, n_max: int, extended: bool | None, dps:
             xw, one = x, complex(1.0) if isinstance(x, complex) else 1.0
         A, B, C = _recursion(params, xw, n_max, second_kind)
         if second_kind:
-            if B[0] == 0.0:
-                raise DegenerateError("symmetric off-diagonal b_0 vanishes")
             u0, u1 = 0 * one, one.real / B[0]  # 1/b_0 stays real for complex x
         else:
             u0, u1 = one, 2 * (params.lam + params.a) * xw + 2 * params.b
@@ -306,31 +301,19 @@ def asymptotic_scattering(params: PollaczekParams, theta: float, n: int) -> floa
     return amplitude * math.cos(n * theta + drifting_phase(psi, params.lam, theta, phi, n))
 
 
-def _bound_branch(params: PollaczekParams, x: float):
-    """Branch data for |x| > 1: w = e^{i theta} = x + sqrt(x^2 - 1)
-    (positive square root), so |w| > 1 for x > 1 and |w| < 1 for x < -1.
-    Returns (w, exponent) with exponent = lam -+ i phi, the combination
-    whose Gamma pole marks the quantization points of that branch."""
-    if abs(x) <= 1.0:
-        raise BranchError("bound-regime form needs |x| > 1")
-    root = math.sqrt(x * x - 1.0)
-    w = x + root
-    # sin(theta) = -i sqrt(x^2-1) on both branches; phi = i b' / sqrt(x^2-1)
-    phi_over_i = (params.a * x + params.b) / root  # phi = i * phi_over_i
-    if x > 1.0:
-        exponent = params.lam + phi_over_i   # lam - i phi
-    else:
-        exponent = params.lam - phi_over_i   # lam + i phi
-    return w, exponent
-
-
 def asymptotic_bound_log(params: PollaczekParams, x: float, n: int):
     """(log modulus, sign) of the leading bound-regime term; sign is the
     real phase factor (+-1).  Returns (-inf, 1.0) at quantization points
-    where the reciprocal Gamma kills the leading term."""
+    where the reciprocal Gamma kills the leading term.  w = e^{i theta}
+    and phi = i q come from model.angle_map; the exponent lam -+ i phi =
+    lam +- q has its Gamma poles at the branch's quantization points."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    w, exponent = _bound_branch(params, x)
+    if abs(x) <= 1.0:
+        raise BranchError("bound-regime form needs |x| > 1")
+    ang = angle_map(x, params.a, params.b)
+    w = ang.exp_i_theta.real
+    exponent = params.lam + ang.phi.imag if x > 1.0 else params.lam - ang.phi.imag
     lam = params.lam
     try:
         lg = specfun.log_gamma(exponent)

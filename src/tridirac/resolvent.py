@@ -43,6 +43,8 @@ __all__ = [
 ]
 
 _TINY = 1e-30
+_JACOBIAN_STEP = 1e-6  # relative step of the energy_density Jacobian
+MAX_DEFAULT_DEPTH = 2_000_000  # levels; the default depth 15/eta of spectral_density_grid stops here
 _BLOCK = 512  # levels per coefficient block
 _BLOCK_ELEMS = 16_384  # cap on the elements of one block's 2-D temporaries
 
@@ -171,32 +173,38 @@ def spectral_density(coeffs: RecursionCoefficients, x: float, eta: float,
 
 def spectral_density_grid(coeffs: RecursionCoefficients, xs, eta: float,
                           depth: int | None = None):
-    """Vectorized fixed-depth density scan.  The default depth grows
-    like 1/eta, which keeps the truncation error of the smeared density
-    below ~1e-6 for operators with bounded spectrum; pass an explicit
-    depth for unbounded families."""
+    """Vectorized fixed-depth density scan.  The default depth,
+    max(4000, 15/eta) levels, keeps the truncation error of the smeared
+    density below ~1e-6 for operators with bounded spectrum; pass an
+    explicit depth for unbounded families.  Raises ValueError for
+    eta <= 0, and when the default depth would exceed MAX_DEFAULT_DEPTH
+    (eta below 7.5e-6), which would take minutes to hours; an explicit
+    depth is not limited."""
     if eta <= 0:
         raise ValueError("eta must be positive")
     xs = np.asarray(xs, dtype=float)
     if depth is None:
-        depth = max(4000, int(15.0 / eta))
+        levels = 15.0 / eta
+        if levels > MAX_DEFAULT_DEPTH:
+            raise ValueError(f"eta={eta!r} needs a default depth of {levels:.3g} levels, "
+                             f"above the limit of {MAX_DEFAULT_DEPTH} levels")
+        depth = max(4000, int(levels))
     g = green_function_truncated(coeffs, xs + 1j * eta, depth)
     return -np.imag(g) / math.pi
 
 
-def energy_density(d: DerivedParams, eps: float, eta: float, tol: float = 1e-9,
-                   rel_step: float = 1e-6) -> tuple[float, float]:
+def energy_density(d: DerivedParams, eps: float, eta: float, tol: float = 1e-9) -> tuple[float, float]:
     """Density translated to the energy variable: the x-variable density
     of the energy's own polynomial parameter set times the numerical
-    Jacobian |dx/d eps| of the identification map.  Returns
-    (rho_x at x(eps), rho_eps)."""
+    Jacobian |dx/d eps| of the identification map, a central difference
+    with step h = 1e-6 (|eps| + 1).  Returns (rho_x at x(eps), rho_eps)."""
     from . import pollaczek  # local import; resolvent stays usable without it
 
     e = energy_point(eps)
     pol = map_to_pollaczek(d, e)
     params = pollaczek.PollaczekParams(lam=pol.lam, a=pol.a, b=pol.b)
     rho_x = spectral_density(pollaczek.jacobi_coefficients(params), pol.x, eta, tol=tol)
-    h = abs(eps) * rel_step + rel_step
+    h = abs(eps) * _JACOBIAN_STEP + _JACOBIAN_STEP
     x_plus = map_to_pollaczek(d, energy_point(eps + h)).x
     x_minus = map_to_pollaczek(d, energy_point(eps - h)).x
     jac = abs(x_plus - x_minus) / (2.0 * h)

@@ -132,8 +132,7 @@ def phase_shift_sweep(p: PhysicalParams, eps_values) -> PhaseShiftResult:
 
 
 def _drift(params: pollaczek.PollaczekParams, theta: float, n: np.ndarray) -> np.ndarray:
-    phi = (params.a * math.cos(theta) + params.b) / math.sin(theta)
-    return n * theta - phi * np.log(2.0 * n)
+    return n * theta - pollaczek.phase_parameter(params, theta) * np.log(2.0 * n)
 
 
 def _linear_fit(values: np.ndarray, g: np.ndarray, n: np.ndarray):
@@ -220,7 +219,7 @@ def fit_asymptotics(seq: pollaczek.PolynomialSequence, window) -> FitResult:
     (coef_c, coef_s), residual = _linear_fit(p, _drift(seq.params, theta_est, n), n)
     amplitude_est = math.hypot(coef_c, coef_s)
     delta = math.atan2(-coef_s, coef_c)
-    phi_est = (seq.params.a * math.cos(theta_est) + seq.params.b) / math.sin(theta_est)
+    phi_est = float(pollaczek.phase_parameter(seq.params, theta_est))
     psi_est = (
         delta
         - seq.params.lam * (theta_est - 0.5 * math.pi)

@@ -25,7 +25,6 @@ __all__ = [
     "pochhammer",
     "laguerre_rows",
     "laguerre",
-    "laguerre_derivative",
     "hyp2f1_terminating",
     "tridiag_eigen_first_row",
     "gauss_rule_from_jacobi",
@@ -202,13 +201,6 @@ def laguerre(n: int, nu: float, x):
     for row in laguerre_rows(n + 1, nu, x):
         pass
     return row
-
-
-def laguerre_derivative(n: int, nu: float, x):
-    """d/dx L_n^nu(x) = -L_{n-1}^{nu+1}(x); zero for n = 0."""
-    if n == 0:
-        return np.zeros_like(x) if isinstance(x, np.ndarray) else 0.0
-    return -laguerre(n - 1, nu + 1.0, x)
 
 
 def hyp2f1_terminating(n: int, b, c, z) -> complex:

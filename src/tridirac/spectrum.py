@@ -11,7 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, RepulsiveError, ThresholdError
-from .model import DerivedParams, PhysicalParams, derive, energy_point, map_to_pollaczek, recursion_coefficients
+from .model import (DerivedParams, PhysicalParams, Regime, derive, energy_point, growth_rate, map_to_pollaczek,
+                    wave_rows)
 
 __all__ = [
     "SpectrumEntry",
@@ -107,7 +108,7 @@ def quantization_condition(d: DerivedParams, eps: float) -> float:
     levels exponentially close to threshold keep full precision.
     """
     _check_attractive(d.z)
-    if abs(abs(eps) - 1.0) <= 1e-15:
+    if energy_point(eps).regime is Regime.THRESHOLD:
         raise ThresholdError("quantization condition undefined at |eps| = 1")
     if abs(eps) > 1.0:
         raise DomainError("quantization condition is a bound-regime quantity")
@@ -155,15 +156,14 @@ def minimal_solution_defect(d: DerivedParams, eps: float, n_probe: int, guard: i
     if abs(eps) >= 1.0:
         raise DomainError("minimal-solution probing needs |eps| < 1")
     pol = map_to_pollaczek(d, energy_point(eps))
-    x, b = pol.x, pol.b
-    w = abs(x) + math.sqrt(x * x - 1.0)  # per-step solution ratio is w^2
+    w = growth_rate(pol.x)  # per-step solution ratio is w^2
     guard = max(guard, min(100_000, int(10.0 / math.log(max(w, 1.0 + 1e-12))) + 40))
     top = n_probe + guard
-    diag, off = (v.tolist() for v in recursion_coefficients(d).block(0, top + 1))
+    A, B, C = wave_rows(d, pol.x, pol.b, top + 1)
     f_hi = 0.0
     f = 1.0
     for n in range(top, 0, -1):
-        f_lo = ((diag[n] * x + b) * f - off[n] * f_hi) / off[n - 1]
+        f_lo = (A[n] * f - B[n] * f_hi) / C[n]
         f_hi, f = f, f_lo
         if abs(f) > 1e100:  # rescale; only the ratio matters
             scale = abs(f)
@@ -172,7 +172,7 @@ def minimal_solution_defect(d: DerivedParams, eps: float, n_probe: int, guard: i
     if f == 0.0:
         return math.inf
     ratio_back = f_hi / f
-    ratio_forward = (diag[0] * x + b) / off[0]
+    ratio_forward = A[0] / B[0]
     return abs(ratio_back - ratio_forward) / (1.0 + abs(ratio_forward))
 
 

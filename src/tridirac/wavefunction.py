@@ -34,22 +34,9 @@ import mpmath as mp
 import numpy as np
 
 from . import recurrence, specfun
-from .errors import (
-    DomainError,
-    GridError,
-    KineticBalanceSingular,
-    QuadratureOrderError,
-)
-from .model import (
-    DerivedParams,
-    Regime,
-    energy_point,
-    eps_sq_minus_one,
-    map_to_pollaczek,
-    recursion_coefficients,
-    rotation_angle,
-    theta_phi,
-)
+from .errors import DomainError, GridError, KineticBalanceSingular, QuadratureOrderError
+from .model import (DerivedParams, Regime, energy_point, eps_sq_minus_one, growth_rate, map_to_pollaczek,
+                    recursion_coefficients, rotation_angle, spinor_rotation, theta_phi, wave_rows)
 
 __all__ = [
     "BasisElement",
@@ -102,66 +89,92 @@ class TridiagonalityReport:
     matrix: np.ndarray
 
 
-def _envelope(gamma: float, omega: float, r):
-    """(y, y^{g+1}, e^{-y/2}) with y = omega r: the degree-independent
-    factors of every basis element.  The basis sums take them once and
-    multiply them in the order basis_value does, so a sum equals the sum
-    of basis_value terms bit for bit."""
+def _expansion(values, g: float, omega: float, r, n_trunc: int, orders) -> list:
+    """The one basis sum: sum_{n<n_trunc} f_n zeta_n^(k)(r) for each k in
+    `orders` (0, 1, 2 for zeta_n and its first and second r-derivatives),
+    in that order, from one pass over the Laguerre rows; terms whose Re f_n
+    is zero or not finite are skipped, and only the requested sums are
+    formed.  With y = w r and nu = 2g+1,
+
+        zeta_n   = A_n y^{g+1} e^{-y/2} L_n^nu(y),
+        zeta_n'  = w A_n y^{g+1} e^{-y/2} [((g+1)/y - 1/2) L_n^nu(y) - L_{n-1}^{nu+1}(y)],
+        zeta_n'' = w^2 zeta_n [g(g+1)/y^2 - (n+g+1)/y + 1/4]
+
+    (d/dy L_n^nu = -L_{n-1}^{nu+1}, so the nu+1 rows run one degree behind
+    the nu rows, in lockstep).  The basis_* functions, both reconstructions
+    and coupled_system_residual are this sum."""
+    if n_trunc > len(values):
+        raise ValueError("n_trunc exceeds the available coefficients")
     y = omega * np.asarray(r, dtype=float)
-    return y, y ** (gamma + 1.0), np.exp(-0.5 * y)
+    power, decay = y ** (g + 1.0), np.exp(-0.5 * y)
+    nu = 2.0 * g + 1.0
+    sums = {k: np.zeros_like(y) for k in orders}
+    value, first, second = sums.get(0), sums.get(1), sums.get(2)
+    rows = specfun.laguerre_rows(n_trunc, nu, y)
+    lowered = itertools.repeat(None)
+    if first is not None:
+        slope = (g + 1.0) / y - 0.5
+        lowered = itertools.chain([0.0], specfun.laguerre_rows(n_trunc - 1, nu + 1.0, y))
+    if second is not None:
+        centrifugal = g * (g + 1.0) / y**2
+    for n, (lag, lag_shifted) in enumerate(zip(rows, lowered)):
+        f = values[n].real
+        if f == 0.0 or not math.isfinite(f):
+            continue
+        norm = BasisElement(n, g, omega).normalization
+        if value is not None or second is not None:
+            zeta = norm * power * decay * lag
+        if value is not None:
+            value += f * zeta
+        if first is not None:
+            first += f * (omega * norm * power * decay * (slope * lag - lag_shifted))
+        if second is not None:
+            second += f * (omega**2 * zeta * (centrifugal - (n + g + 1.0) / y + 0.25))
+    return [sums[k] for k in orders]
+
+
+def _basis_function(elem: BasisElement, r, k: int):
+    # the basis sum at the unit coefficient vector e_n
+    unit = np.zeros(elem.n + 1)
+    unit[elem.n] = 1.0
+    (out,) = _expansion(unit, elem.gamma, elem.omega, r, elem.n + 1, (k,))
+    return float(out) if np.ndim(r) == 0 else out
 
 
 def basis_value(elem: BasisElement, r):
     """zeta_n(r); r may be a scalar or an ndarray of positive radii."""
-    y, power, decay = _envelope(elem.gamma, elem.omega, r)
-    nu = 2.0 * elem.gamma + 1.0
-    out = elem.normalization * power * decay * specfun.laguerre(elem.n, nu, y)
-    return float(out) if np.ndim(r) == 0 else out
+    return _basis_function(elem, r, 0)
 
 
 def basis_derivative(elem: BasisElement, r):
-    """d zeta_n / dr, via the Laguerre derivative identity (analytic; no
-    differencing)."""
-    y, power, decay = _envelope(elem.gamma, elem.omega, r)
-    nu = 2.0 * elem.gamma + 1.0
-    lag = specfun.laguerre(elem.n, nu, y)
-    dlag = specfun.laguerre_derivative(elem.n, nu, y)
-    out = elem.omega * elem.normalization * power * decay * (((elem.gamma + 1.0) / y - 0.5) * lag + dlag)
-    return float(out) if np.ndim(r) == 0 else out
+    """d zeta_n / dr, analytic (no differencing)."""
+    return _basis_function(elem, r, 1)
 
 
 def basis_second_derivative(elem: BasisElement, r):
-    """d^2 zeta_n / dr^2 = w^2 zeta_n [g(g+1)/y^2 - (n+g+1)/y + 1/4];
-    the first-derivative term drops because the basis exponent matches
-    the Laguerre weight."""
-    y = elem.omega * np.asarray(r, dtype=float)
-    g = elem.gamma
-    out = (
-        elem.omega**2
-        * basis_value(elem, r)
-        * (g * (g + 1.0) / y**2 - (elem.n + g + 1.0) / y + 0.25)
-    )
-    return float(out) if np.ndim(r) == 0 else out
+    """d^2 zeta_n / dr^2, analytic."""
+    return _basis_function(elem, r, 2)
+
+
+def _gauss_basis(d: DerivedParams, n_basis: int, order: int):
+    """(rule, rows, norms) of gram_matrix and verify_tridiagonal: the Gauss
+    rule of `order` for the weight y^{2g+1} e^{-y}, the Laguerre rows
+    L_0..L_{n_basis-1} at its nodes, and A_0..A_{n_basis-1}."""
+    nu = 2.0 * d.gamma_eff + 1.0
+    rule = specfun.gauss_laguerre_rule(order, nu)
+    lag = np.array(list(specfun.laguerre_rows(n_basis, nu, rule.nodes)))
+    norms = np.array([BasisElement(n, d.gamma_eff, d.omega).normalization for n in range(n_basis)])
+    return rule, lag, norms
 
 
 def gram_matrix(d: DerivedParams, n_basis: int, order: int | None = None) -> np.ndarray:
     """Gram matrix of the first n_basis elements under the orthonormality
     measure dr/(w r), evaluated by the generalized Gauss rule for the
     weight y^{2g+1} e^{-y}; identity up to quadrature roundoff."""
-    g = d.gamma_eff
-    nu = 2.0 * g + 1.0
-    if order is None:
-        order = n_basis + 6
-    rule = specfun.gauss_laguerre_rule(order, nu)
-    lag = np.array(list(specfun.laguerre_rows(n_basis, nu, rule.nodes)))
-    norms = np.array([BasisElement(n, g, d.omega).normalization for n in range(n_basis)])
+    rule, lag, norms = _gauss_basis(d, n_basis, n_basis + 6 if order is None else order)
     core = lag * rule.weights  # broadcasts over nodes
     gram = core @ lag.T
     return (np.outer(norms, norms) / d.omega) * gram
-
-
-def _growth_factor(x: float) -> float:
-    return abs(x) + math.sqrt(x * x - 1.0) if abs(x) > 1.0 else 2.0
 
 
 def _mp_to_complex(v) -> complex:
@@ -171,15 +184,6 @@ def _mp_to_complex(v) -> complex:
         re = math.copysign(math.inf, float(mp.sign(mp.re(v)))) if mp.re(v) != 0 else 0.0
         im = math.copysign(math.inf, float(mp.sign(mp.im(v)))) if mp.im(v) != 0 else 0.0
         return complex(re, im)
-
-
-def _recursion(d: DerivedParams, x, b, rows: int):
-    """(A, B, C) for rows 0..rows-1 of the coefficient recursion
-    b_n f_{n+1} = (a_n x + b) f_n - b_{n-1} f_{n-1}, in the arithmetic of
-    x and b (the coefficients stay Python floats, so mpmath x and b give
-    mpf products)."""
-    diag, off = (v.tolist() for v in recursion_coefficients(d).block(0, rows))
-    return [an * x + b for an in diag], off, [0.0] + off[:-1]
 
 
 def coefficients_recursion(d: DerivedParams, eps: float, n_max: int) -> CoefficientVector:
@@ -199,9 +203,9 @@ def coefficients_recursion(d: DerivedParams, eps: float, n_max: int) -> Coeffici
     pol = map_to_pollaczek(d, e)
     extended = abs(pol.x) > 1.0
     num = mp.mpf if extended else float
-    digits = 30 + int(2.2 * (n_max + 1) * math.log10(_growth_factor(pol.x)))
+    digits = 30 + int(2.2 * (n_max + 1) * math.log10(growth_rate(pol.x)))
     with mp.workdps(digits) if extended else contextlib.nullcontext():
-        A, B, C = _recursion(d, num(pol.x), num(pol.b), max(1, n_max))
+        A, B, C = wave_rows(d, num(pol.x), num(pol.b), max(1, n_max))
         vals = [_mp_to_complex(v) for v in recurrence.forward(A, B, C, num(1), A[0] / B[0], n_max)]
     return CoefficientVector(values=np.asarray(vals, dtype=complex), eps=eps, source="recursion")
 
@@ -224,7 +228,7 @@ def coefficients_bound_state(d: DerivedParams, eps: float, n_max: int, guard: in
     pol = map_to_pollaczek(d, e)
     top = n_max + guard
     with mp.workdps(30):
-        A, B, C = _recursion(d, mp.mpf(pol.x), mp.mpf(pol.b), top + 1)
+        A, B, C = wave_rows(d, mp.mpf(pol.x), mp.mpf(pol.b), top + 1)
         f = recurrence.backward(A, B, C, top, mp.mpf(0), mp.mpf(1))
         scale = f[0]
         vals = [_mp_to_complex(f[n] / scale) for n in range(n_max + 1)]
@@ -264,18 +268,9 @@ def coefficients_closed_form(d: DerivedParams, eps: float, n_max: int) -> Coeffi
 def reconstruct_upper(coeffs: CoefficientVector, d: DerivedParams, r_grid, n_trunc: int):
     """Truncated expansion sum_{n<n_trunc} f_n zeta_n on the grid, plus
     the tail-norm fraction sum_{n>=n_trunc}|f_n|^2 / sum|f_n|^2 (None
-    when the vector holds no coefficients beyond the truncation)."""
-    if n_trunc > len(coeffs):
-        raise ValueError("n_trunc exceeds the available coefficients")
-    r = np.asarray(r_grid, dtype=float)
-    g = d.gamma_eff
-    y, power, decay = _envelope(g, d.omega, r)
-    out = np.zeros_like(r)
-    for n, lag in enumerate(specfun.laguerre_rows(n_trunc, 2.0 * g + 1.0, y)):
-        f = coeffs.values[n].real
-        if f == 0.0 or not math.isfinite(f):
-            continue
-        out += f * (BasisElement(n, g, d.omega).normalization * power * decay * lag)
+    when the vector holds no coefficients beyond the truncation).  Raises
+    ValueError when n_trunc exceeds the vector."""
+    (out,) = _expansion(coeffs.values, d.gamma_eff, d.omega, r_grid, n_trunc, (0,))
     tail = None
     if len(coeffs) > n_trunc:
         sq = np.abs(coeffs.values) ** 2
@@ -287,23 +282,19 @@ def reconstruct_upper(coeffs: CoefficientVector, d: DerivedParams, r_grid, n_tru
 
 def reconstruct_derivative(coeffs: CoefficientVector, d: DerivedParams, r_grid, n_trunc: int):
     """d/dr of the truncated expansion (analytic basis derivatives).
-
-    d/dy L_n^nu = -L_{n-1}^{nu+1}, so the nu+1 rows run one degree behind
-    the nu rows, in lockstep."""
-    r = np.asarray(r_grid, dtype=float)
-    g = d.gamma_eff
-    nu = 2.0 * g + 1.0
-    y, power, decay = _envelope(g, d.omega, r)
-    slope = (g + 1.0) / y - 0.5
-    out = np.zeros_like(r)
-    lowered = itertools.chain([0.0], specfun.laguerre_rows(n_trunc - 1, nu + 1.0, y))
-    for n, (lag, lag_shifted) in enumerate(zip(specfun.laguerre_rows(n_trunc, nu, y), lowered)):
-        f = coeffs.values[n].real
-        if f == 0.0 or not math.isfinite(f):
-            continue
-        scale = d.omega * BasisElement(n, g, d.omega).normalization
-        out += f * (scale * power * decay * (slope * lag - lag_shifted))
+    Raises ValueError when n_trunc exceeds the vector."""
+    (out,) = _expansion(coeffs.values, d.gamma_eff, d.omega, r_grid, n_trunc, (1,))
     return out
+
+
+def _kinetic_balance(d: DerivedParams, eps: float) -> float:
+    """The kinetic-balance prefactor compton/(eps + gamma/kappa) of
+    lower_component and coupled_system_residual; raises
+    KineticBalanceSingular when its denominator vanishes (within 1e-12)."""
+    denom = eps + d.gamma / d.kappa
+    if abs(denom) < 1e-12:
+        raise KineticBalanceSingular(f"eps + gamma/kappa = {denom:.3e}")
+    return d.compton / denom
 
 
 def lower_component(coeffs: CoefficientVector, d: DerivedParams, eps: float, r_grid,
@@ -316,15 +307,12 @@ def lower_component(coeffs: CoefficientVector, d: DerivedParams, eps: float, r_g
     sign-carrying parameter).  Raises KineticBalanceSingular when the
     prefactor denominator vanishes.
     """
-    denom = eps + d.gamma / d.kappa
-    if abs(denom) < 1e-12:
-        raise KineticBalanceSingular(f"eps + gamma/kappa = {denom:.3e}")
+    pref = _kinetic_balance(d, eps)
     if n_trunc is None:
         n_trunc = len(coeffs)
     r = np.asarray(r_grid, dtype=float)
     phi_plus, _ = reconstruct_upper(coeffs, d, r, n_trunc)
     dphi = reconstruct_derivative(coeffs, d, r, n_trunc)
-    pref = d.compton / denom
     out = pref * ((-d.z / d.kappa + d.gamma / r) * phi_plus + dphi)
     return float(out) if np.ndim(r_grid) == 0 else out
 
@@ -388,12 +376,8 @@ def verify_tridiagonal(d: DerivedParams, eps: float, n_basis: int,
         order = n_basis + 6
     if 2 * order - 1 < 2 * n_basis - 1 + 2:
         raise QuadratureOrderError(f"order {order} cannot integrate degree {2*n_basis+1} exactly")
-    g = d.gamma_eff
-    nu = 2.0 * g + 1.0
     w = d.omega
-    rule = specfun.gauss_laguerre_rule(order, nu)
-    lag = np.array(list(specfun.laguerre_rows(n_basis, nu, rule.nodes)))
-    norms = np.array([BasisElement(n, g, w).normalization for n in range(n_basis)])
+    rule, lag, norms = _gauss_basis(d, n_basis, order)
     cc = _radial_constant(d, eps) - 0.25 * w * w
     a_n, b_n = recursion_coefficients(d).block(0, n_basis)
     bracket = (w * w * a_n[None, :] + 2.0 * d.z * eps * w) + cc * rule.nodes[:, None]
@@ -408,8 +392,7 @@ def verify_tridiagonal(d: DerivedParams, eps: float, n_basis: int,
     offband_ratio = float(np.max(np.abs(offband)) / np.max(np.abs(tri)))
 
     # compare with the recursion form: row scaling -2 (eps^2-1+beta^2)/compton^2
-    e = energy_point(eps)
-    pol = map_to_pollaczek(d, e)
+    pol = map_to_pollaczek(d, energy_point(eps))
     den = eps_sq_minus_one(eps) + d.beta * d.beta
     scale = -2.0 * den / (d.compton * d.compton)
     diag_expected = a_n * pol.x + pol.b
@@ -444,32 +427,16 @@ def coupled_system_residual(coeffs: CoefficientVector, d: DerivedParams, eps: fl
         n_trunc = len(coeffs)
     r = np.asarray(r_values, dtype=float)
     lam = d.compton
-    denom = eps + d.gamma / d.kappa
-    if abs(denom) < 1e-12:
-        raise KineticBalanceSingular(f"eps + gamma/kappa = {denom:.3e}")
-    pref = lam / denom
+    pref = _kinetic_balance(d, eps)
 
-    phi_p, _ = reconstruct_upper(coeffs, d, r, n_trunc)
-    dphi_p = reconstruct_derivative(coeffs, d, r, n_trunc)
-    g = d.gamma_eff
-    y, power, decay = _envelope(g, d.omega, r)
-    d2phi_p = np.zeros_like(r)
-    for n, lag in enumerate(specfun.laguerre_rows(n_trunc, 2.0 * g + 1.0, y)):
-        f = coeffs.values[n].real
-        if f == 0.0 or not math.isfinite(f):
-            continue
-        zeta = BasisElement(n, g, d.omega).normalization * power * decay * lag
-        d2phi_p += f * (d.omega**2 * zeta * (g * (g + 1.0) / y**2 - (n + g + 1.0) / y + 0.25))
+    phi_p, dphi_p, d2phi_p = _expansion(coeffs.values, d.gamma_eff, d.omega, r, n_trunc, (0, 1, 2))
     op = -d.z / d.kappa + d.gamma / r
     phi_m = pref * (op * phi_p + dphi_p)
     dphi_m = pref * (op * dphi_p - d.gamma / r**2 * phi_p + d2phi_p)
 
     xi = rotation_angle(d)
-    c, s = math.cos(0.5 * xi), math.sin(0.5 * xi)
-    chi_p = c * phi_p - s * phi_m
-    chi_m = s * phi_p + c * phi_m
-    dchi_p = c * dphi_p - s * dphi_m
-    dchi_m = s * dphi_p + c * dphi_m
+    chi_p, chi_m = spinor_rotation(-xi, phi_p, phi_m)
+    dchi_p, dchi_m = spinor_rotation(-xi, dphi_p, dphi_m)
 
     row1 = (1.0 + lam * lam * d.z / r - eps) * chi_p + lam * (d.kappa / r * chi_m - dchi_m)
     row2 = lam * (d.kappa / r * chi_p + dchi_p) + (-1.0 + lam * lam * d.z / r - eps) * chi_m

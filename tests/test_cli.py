@@ -308,6 +308,66 @@ class TestEntryPoint:
         assert "RepulsiveError" in proc.stderr
 
 
+class TestNegativeExponentValues:
+    """Negative flag values written with an exponent, which argparse alone
+    reads as options; each must give what the same value in another
+    spelling gives."""
+
+    DENSITY = ["density", "--z", "-1", "--kappa", "1", "--compton", "0.02", "--eps", "1.25"]
+    CASES = {
+        "spectrum --z": (["spectrum", "--z", "-1e-1", "--kappa", "1", "--n-max", "1"],
+                         ["spectrum", "--z=-0.1", "--kappa", "1", "--n-max", "1"]),
+        "phase-shift --eps-grid": (["phase-shift", "--z", "-1", "--kappa", "1", "--eps-grid", "-3e0", "-1.5", "3"],
+                                   ["phase-shift", "--z", "-1", "--kappa", "1", "--eps-grid", "-3", "-1.5", "3"]),
+        "density --x-grid": (DENSITY + ["--x-grid", "-9e-1", "0.9", "3"], DENSITY + ["--x-grid", "-0.9", "0.9", "3"]),
+        "green --zre": (["green", "--z", "-1E0", "--kappa", "1", "--zre", "-3e0", "--zim", "5e-1"],
+                        ["green", "--z", "-1", "--kappa", "1", "--zre", "-3", "--zim", "0.5"]),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_same_output_as_plain_spelling(self, capsys, name):
+        argv, plain = self.CASES[name]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out and (code, out, err) == run_cli(capsys, *plain)
+
+    def test_overflowing_negative_energy_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "phase-shift", "--z", "-1", "--kappa", "1", "--eps", "-1e200")
+        assert (code, out) == (2, "")
+        assert err == "error: SingularMapError: theta degenerates at eps=-1e+200: eps^2 - 1 is not a finite double\n"
+
+    def test_negative_infinity_gets_the_finite_value_message(self, capsys):
+        code, out, err = run_cli(capsys, "spectrum", "--z", "-inf", "--kappa", "1")
+        assert (code, out, err) == (1, "", "error: ConfigError: z, compton and omega must be finite\n")
+        code, out, err = run_cli(capsys, *self.DENSITY, "--eta", "-1e-3")
+        assert (code, out, err) == (1, "", "error: ValueError: eta must be positive\n")
+
+    def test_output_path_is_not_rewritten(self, capsys):
+        code, out, err = run_cli(capsys, "spectrum", "--z", "-1", "--kappa", "1", "--output", "-1e5")
+        assert (code, out) == (1, "")
+        assert "--output: expected one argument" in err
+
+
+def test_band_edge_argument_exits_2(capsys):
+    # x = (eps^2-1-beta^2)/(eps^2-1+beta^2) rounds to 1 at compton 1e-9;
+    # the closed form's angle map raised ZeroDivisionError there
+    code, out, err = run_cli(capsys, "coefficients", "--z", "-1", "--kappa", "1", "--compton", "1e-9",
+                             "--eps", "0.5", "--n-max", "3")
+    assert (code, out) == (2, "")
+    assert err == "error: SingularMapError: polynomial argument degenerate at x=1.0 (eps=0.5)\n"
+
+
+class TestDensityDepthLimit:
+    def test_tiny_eta_exits_1(self, capsys):
+        for eta in ("1e-9", "5e-324"):
+            code, out, err = run_cli(capsys, "density", "--z", "-1", "--kappa", "1", "--compton", "0.02",
+                                     "--eps", "1.25", "--eta", eta)
+            assert (code, out) == (1, "")
+            assert err.startswith(f"error: ValueError: eta={float(eta)!r} needs a default depth of ")
+            assert err.endswith("above the limit of 2000000 levels\n")
+            assert "Traceback" not in err
+
+
 class TestWavefunctionCommand:
     def test_rounded_bound_energy_gives_normalizable_state(self, capsys):
         # a user-rounded level energy must still produce the physical

@@ -94,6 +94,20 @@ class TestThetaPhi:
         with pytest.raises(ThresholdError):
             model.theta_phi(d, model.energy_point(1.0))
 
+    @pytest.mark.parametrize("p,eps,x", [
+        # bound: beta^2 far below |eps^2 - 1| (this raised ZeroDivisionError)
+        (PhysicalParams(z=-1, kappa=1, compton=1e-9), 0.5, 1.0),
+        (PhysicalParams(z=-1, kappa=1, compton=0.05, omega=400.0), 1.0 - 2e-15, -1.0),
+        # scattering: beta^2 far above eps^2 - 1 (this gave theta = pi and phi = b / 1.2e-16)
+        (PhysicalParams(z=-1, kappa=1, compton=0.05, omega=400.0), 1.000000000000002, -1.0),
+    ])
+    def test_band_edge_argument_refused(self, p, eps, x):
+        d = model.derive(p)
+        e = model.energy_point(eps)
+        assert model.map_to_pollaczek(d, e).x == x
+        with pytest.raises(SingularMapError, match=f"degenerate at x={x}"):
+            model.theta_phi(d, e)
+
     def test_x_zero_gives_right_angle(self):
         d = model.derive(PhysicalParams(z=-1, kappa=1, compton=0.05))
         eps = math.sqrt(1 + d.beta**2)

@@ -106,7 +106,7 @@ def ref_coefficients_recursion(d, eps, n_max):
             prev = vals[n]
             vals.append(nxt)
         return np.asarray(vals, dtype=complex)
-    digits = 30 + int(2.2 * (n_max + 1) * math.log10(wavefunction._growth_factor(pol.x)))
+    digits = 30 + int(2.2 * (n_max + 1) * math.log10(abs(pol.x) + math.sqrt(pol.x * pol.x - 1.0)))
     with mp.workdps(digits):
         x = mp.mpf(pol.x)
         b = mp.mpf(pol.b)

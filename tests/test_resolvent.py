@@ -136,6 +136,19 @@ class TestSpectralDensity:
         assert abs(vals[1] - vals[0]) / vals[1] < 0.10
         assert abs(vals[2] - vals[1]) / vals[2] < 0.10
 
+    def test_default_depth_is_limited(self):
+        # the default depth is 15/eta levels: 1.5e10 at eta = 1e-9, hours of work
+        coeffs = pollaczek.jacobi_coefficients(pollaczek.PollaczekParams(lam=1.6, b=-0.2))
+        assert resolvent.MAX_DEFAULT_DEPTH == 2_000_000
+        with pytest.raises(ValueError, match=r"eta=1e-09 needs a default depth of 1.5e\+10 levels"):
+            resolvent.spectral_density_grid(coeffs, [0.3], 1e-9)
+        limit_eta = 15.0 / resolvent.MAX_DEFAULT_DEPTH
+        with pytest.raises(ValueError, match="above the limit"):
+            resolvent.spectral_density_grid(coeffs, [0.3], 0.999 * limit_eta, depth=None)
+        # an explicit depth is not limited by it
+        small = resolvent.spectral_density_grid(coeffs, [0.3], 1e-9, depth=50)
+        assert small.shape == (1,) and np.isfinite(small[0])
+
     def test_mass_normalization(self):
         # integral of the smeared density over a dominating window ~ 1
         params = pollaczek.PollaczekParams(lam=1.5, a=0.0, b=-0.1)

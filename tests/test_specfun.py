@@ -196,17 +196,19 @@ class TestLaguerre:
         scal = [specfun.laguerre(7, 1.5, float(v)) for v in x]
         assert_allclose(vec, scal, rtol=1e-14)
 
+    # d/dx L_n^nu = -L_{n-1}^{nu+1}: the basis sums of `wavefunction` take
+    # their derivative rows from the nu+1 family, one degree behind
+
     def test_derivative_identity(self):
-        assert specfun.laguerre_derivative(0, 1.0, 5.0) == 0.0
-        assert_allclose(specfun.laguerre_derivative(1, 0.0, 0.7), -1.0, rtol=1e-14)
+        assert_allclose(-specfun.laguerre(0, 1.0, 0.7), -1.0, rtol=1e-14)  # d/dx L_1^0 = -1
         # (2, 1, 1.5): -L_1^2(1.5) = -(3 - 1.5) = -1.5
-        assert_allclose(specfun.laguerre_derivative(2, 1.0, 1.5), -1.5, rtol=1e-14)
+        assert_allclose(-specfun.laguerre(1, 2.0, 1.5), -1.5, rtol=1e-14)
 
     def test_derivative_against_finite_differences(self):
         h = 1e-6
         for n, nu, x in [(3, 0.5, 2.0), (10, 2.0, 7.5), (25, 0.0, 0.9)]:
             fd = (specfun.laguerre(n, nu, x + h) - specfun.laguerre(n, nu, x - h)) / (2 * h)
-            assert abs(specfun.laguerre_derivative(n, nu, x) - fd) < 1e-8 * max(1.0, abs(fd))
+            assert abs(-specfun.laguerre(n - 1, nu + 1.0, x) - fd) < 1e-8 * max(1.0, abs(fd))
 
 
 class TestHyp2F1Terminating:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import reference_forms
 from tridirac import model, spectrum, wavefunction
 from tridirac.errors import GridError, KineticBalanceSingular
 from tridirac.model import PhysicalParams
@@ -194,24 +195,37 @@ class TestReconstruction:
 
     @pytest.mark.parametrize("bound", [True, False], ids=["bound", "scattering"])
     def test_one_pass_sums_equal_per_element_sums(self, bound):
-        # same products in the same order as basis_value/basis_derivative,
-        # so the one-pass sums must agree bit for bit
+        # same products in the same order as the per-element forms of
+        # zeta_n, zeta_n' and zeta_n'' kept in reference_forms, so the
+        # one-pass sums must agree bit for bit
         d = model.derive(DESK)
         if bound:
             coeffs = wavefunction.coefficients_bound_state(d, spectrum.bound_energy(DESK, 2), 64)
         else:
             coeffs = wavefunction.coefficients_recursion(d, 1.3, 64)
         r = np.linspace(0.5, 60.0, 500)
-        for fast, element in ((lambda: wavefunction.reconstruct_upper(coeffs, d, r, 64)[0],
-                               wavefunction.basis_value),
-                              (lambda: wavefunction.reconstruct_derivative(coeffs, d, r, 64),
-                               wavefunction.basis_derivative)):
-            ref = np.zeros_like(r)
-            for n in range(64):
-                f = coeffs.values[n].real
-                if f != 0.0 and math.isfinite(f):
-                    ref += f * element(BasisElement(n, d.gamma_eff, d.omega), r)
-            assert np.array_equal(fast(), ref)
+        value, first, second = (reference_forms.expansion(coeffs, d, r, 64, element) for element in (
+            reference_forms.basis_value, reference_forms.basis_derivative, reference_forms.basis_second_derivative))
+        assert np.array_equal(wavefunction.reconstruct_upper(coeffs, d, r, 64)[0], value)
+        assert np.array_equal(wavefunction.reconstruct_derivative(coeffs, d, r, 64), first)
+        sums = wavefunction._expansion(coeffs.values, d.gamma_eff, d.omega, r, 64, (0, 1, 2))
+        for got, want in zip(sums, (value, first, second)):
+            assert np.array_equal(got, want)
+        (alone,) = wavefunction._expansion(coeffs.values, d.gamma_eff, d.omega, r, 64, (2,))
+        assert np.array_equal(alone, second)
+
+    def test_truncation_beyond_vector_refused(self):
+        d = model.derive(DESK)
+        coeffs = wavefunction.coefficients_recursion(d, 1.3, 8)  # 9 coefficients
+        r = np.linspace(0.5, 5.0, 4)
+        with pytest.raises(ValueError, match="n_trunc"):
+            wavefunction.reconstruct_upper(coeffs, d, r, 10)
+        with pytest.raises(ValueError, match="n_trunc"):
+            wavefunction.reconstruct_derivative(coeffs, d, r, 10)
+        with pytest.raises(ValueError, match="n_trunc"):
+            wavefunction.lower_component(coeffs, d, 1.3, r, 10)
+        with pytest.raises(ValueError, match="n_trunc"):
+            wavefunction.coupled_system_residual(coeffs, d, 1.3, r, 10)
 
     def test_tail_fraction_reported(self):
         d = model.derive(DESK)
