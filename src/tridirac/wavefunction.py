@@ -108,8 +108,7 @@ def _expansion(values, g: float, omega: float, r, n_trunc: int, orders) -> list:
     y = omega * np.asarray(r, dtype=float)
     power, decay = y ** (g + 1.0), np.exp(-0.5 * y)
     nu = 2.0 * g + 1.0
-    sums = {k: np.zeros_like(y) for k in orders}
-    value, first, second = sums.get(0), sums.get(1), sums.get(2)
+    value, first, second = (np.zeros_like(y) if k in orders else None for k in range(3))
     rows = specfun.laguerre_rows(n_trunc, nu, y)
     lowered = itertools.repeat(None)
     if first is not None:
@@ -130,7 +129,7 @@ def _expansion(values, g: float, omega: float, r, n_trunc: int, orders) -> list:
             first += f * (omega * norm * power * decay * (slope * lag - lag_shifted))
         if second is not None:
             second += f * (omega**2 * zeta * (centrifugal - (n + g + 1.0) / y + 0.25))
-    return [sums[k] for k in orders]
+    return [(value, first, second)[k] for k in orders]
 
 
 def _basis_function(elem: BasisElement, r, k: int):
