@@ -310,8 +310,9 @@ def wave_rows(d: DerivedParams, x, b, rows: int):
 
 def growth_rate(x: float) -> float:
     """Per-step ratio |x| + sqrt(x^2-1) of the dominant to the minimal
-    recursion solution for |x| >= 1; 1 inside the band, where both
-    oscillate."""
+    recursion solution for |x| >= 1, 1 inside the band, where both
+    oscillate: the mpmath precision of wavefunction.coefficients_recursion
+    and the guard of spectrum.minimal_solution_defect."""
     return abs(x) + math.sqrt(x * x - 1.0) if abs(x) >= 1.0 else 1.0
 
 

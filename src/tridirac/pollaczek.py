@@ -207,7 +207,9 @@ def recursion_residual(seq: PolynomialSequence) -> float:
 
 def phase_parameter(params: PollaczekParams, theta):
     """phi(theta) = (a cos(theta) + b) / sin(theta), elementwise: theta
-    real or complex, a scalar or an ndarray."""
+    real or complex, a scalar or an ndarray.  The phi of
+    generating_closed_form, scattering_amplitude_phase and
+    scattering.fit_asymptotics (model.angle_map gives it from x)."""
     return (params.a * np.cos(theta) + params.b) / np.sin(theta)
 
 
