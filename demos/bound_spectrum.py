@@ -21,8 +21,8 @@ for kappa in (1, -1, 2):
     table = spectrum.build_table(p, 4)
     print(f"\n  kappa = {kappa:+d}   (oracle: fine-structure formula)")
     print(f"  {'n':>3} {'eps_n':>22} {'1 - eps_n':>14} {'oracle residual':>18}")
-    for e in table.entries:
-        print(f"  {e.n:>3} {e.eps:>22.16f} {1 - e.eps:>14.6e} {e.oracle_residual:>18.3e}")
+    for n, (eps, res) in enumerate(zip(table.eps.tolist(), table.oracle_residual.tolist())):
+        print(f"  {n:>3} {eps:>22.16f} {1 - eps:>14.6e} {res:>18.3e}")
 
 print("\n" + "=" * 72)
 print("Quantization function (desk-scale coupling: Compton = 0.05)")

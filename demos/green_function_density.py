@@ -22,7 +22,8 @@ coeffs = model.recursion_coefficients(d)
 print("=" * 72)
 print("Continued fraction vs Gauss-quadrature resolvent (same truncation)")
 print("=" * 72)
-rule = specfun.gauss_rule_from_jacobi(coeffs.diag_array(60), coeffs.offdiag_array(59), mass=1.0)
+diag, off = coeffs.block(0, 60)
+rule = specfun.gauss_rule_from_jacobi(diag, off[:-1], mass=1.0)
 print(f"\n  {'z':>12} {'CF depth 60':>28} {'|CF - quadrature|':>20}")
 for z in (3 + 0.5j, 1 + 1j, 10 + 2j, -2 + 0.7j):
     quad = complex(np.sum(rule.weights / (z - rule.nodes)))
@@ -61,7 +62,7 @@ print("Density over the polynomial argument at fixed energy (bounded band)")
 print("=" * 72)
 eps = 1.25
 pol = model.map_to_pollaczek(d, model.energy_point(eps))
-params = pollaczek.PollaczekParams(lam=pol.lam, a=pol.a, b=pol.b)
+params = pollaczek.PollaczekParams(lam=pol.lam, b=pol.b)
 xj = pollaczek.jacobi_coefficients(params)
 xs = np.linspace(-0.98, 0.98, 197)
 rho = resolvent.spectral_density_grid(xj, xs, 1e-3)

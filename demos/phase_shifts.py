@@ -36,7 +36,7 @@ print("=" * 72)
 eps = float(grid[2])
 d = model.derive(p)
 pol = model.map_to_pollaczek(d, model.energy_point(eps))
-params = pollaczek.PollaczekParams(lam=pol.lam, a=pol.a, b=pol.b)
+params = pollaczek.PollaczekParams(lam=pol.lam, b=pol.b)
 seq = pollaczek.to_orthonormal(pollaczek.evaluate(params, pol.x, 4100))
 vals = np.asarray(seq.values)
 theta = float(np.arccos(pol.x))

@@ -3,10 +3,11 @@ run with machine-readable CSV or JSON output.
 
 Exit codes: 0 success, 1 configuration error (a flag value that is not
 finite or out of range, or a ValueError from the library), 2 domain error
-(threshold / supercritical / repulsive / singular map), 3 convergence
-failure.  Every non-zero exit writes one `error: Type: message` line to
-stderr.  Identical inputs produce byte-identical data files; run
-metadata goes to a separate `.meta.json` sidecar next to --output.
+(threshold / supercritical / repulsive / singular map, or a result that
+is not finite), 3 convergence failure.  Every non-zero exit writes one
+`error: Type: message` line to stderr and no data.  Identical inputs
+produce byte-identical data files; run metadata goes to a separate
+`.meta.json` sidecar next to --output.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import sys
 import numpy as np
 
 from . import __version__, model, pollaczek, resolvent, scattering, spectrum, wavefunction
-from .errors import ConfigError, ConvergenceFailure, DomainError
+from .errors import BottomPoleError, ConfigError, ConvergenceFailure, DomainError, SingularMapError
 
 
 def _physical_params(args) -> model.PhysicalParams:
@@ -58,7 +59,11 @@ def _grid(flag: str, spec, positive: bool = False) -> np.ndarray:
     return np.linspace(start, stop, int(count))
 
 
-def _eps_grid(args):
+def _eps_grid(args, regimes=(model.Regime.BOUND, model.Regime.SCATTERING)):
+    """The energies of --eps, or of --eps-grid.  A grid that crosses
+    |eps| = 1 needs --split, and --split drops every grid point whose
+    `model.energy_point` regime is not in `regimes` (the threshold points
+    always)."""
     if getattr(args, "eps", None) is not None:
         return [args.eps]
     start, stop, _ = args.eps_grid
@@ -66,6 +71,8 @@ def _eps_grid(args):
     crossings = [t for t in (-1.0, 1.0) if (start - t) * (stop - t) < 0]
     if crossings and not args.split:
         raise DomainError(f"energy grid crosses |eps| = 1 at {crossings}; rerun with --split")
+    if args.split:
+        grid = [eps for eps in grid if model.energy_point(eps).regime in regimes]
     return grid
 
 
@@ -121,7 +128,20 @@ def rows_to_json(header, rows) -> str:
     return "[\n" + ",\n".join(objects) + "\n]\n"
 
 
+def _check_finite_columns(header, rows) -> None:
+    # one vectorised check per float column; row k counts data rows from 0
+    for name, column in zip(header, zip(*rows)):
+        if _float_kinds(column) == {True}:
+            finite = np.isfinite(np.array(column, dtype=float))
+            if not finite.all():
+                raise DomainError(f"{name} is not finite at row {int(np.argmin(finite))}")
+
+
 def _emit(args, header, rows) -> None:
+    """Write the table, or refuse it (DomainError, nothing written) when a
+    float column holds a NaN or an infinity."""
+    rows = list(rows)
+    _check_finite_columns(header, rows)
     text = rows_to_json(header, rows) if args.format == "json" else rows_to_csv(header, rows)
     if args.output:
         with open(args.output, "w", newline="") as fh:
@@ -144,11 +164,7 @@ def _cmd_spectrum(args) -> None:
 
 def _cmd_phase_shift(args) -> None:
     p = _physical_params(args)
-    grid = _eps_grid(args)
-    if getattr(args, "split", False):
-        # an explicitly split grid keeps only the points in the valid
-        # regime; rows stay deterministic, just fewer
-        grid = [eps for eps in grid if abs(eps) > 1.0]
+    grid = _eps_grid(args, (model.Regime.SCATTERING,))
     r = scattering.phase_shift_sweep(p, grid)
     rows = zip(*(v.tolist() for v in (r.eps, r.theta, r.phi, r.psi, r.amplitude)))
     _emit(args, ["eps", "theta", "Phi", "psi", "amplitude"], rows)
@@ -160,11 +176,13 @@ def _cmd_coefficients(args) -> None:
     rows = []
     for eps in _eps_grid(args):
         rec = wavefunction.coefficients_recursion(d, eps, args.n_max)
-        closed = wavefunction.coefficients_closed_form(d, eps, args.n_max)
+        try:
+            closed = wavefunction.coefficients_closed_form(d, eps, args.n_max).values
+        except (BottomPoleError, SingularMapError):
+            closed = None  # closed form undefined here: closed_rel_dev = -1
         for n in range(args.n_max + 1):
             fr = rec.values[n]
-            fc = closed.values[n]
-            dev = abs(fc - fr) / max(1e-300, abs(fr))
+            dev = -1.0 if closed is None else abs(closed[n] - fr) / max(1e-300, abs(fr))
             rows.append((eps, n, fr.real, fr.imag, dev))
     _emit(args, ["eps", "n", "f_re", "f_im", "closed_rel_dev"], rows)
 
@@ -183,7 +201,7 @@ def _cmd_density(args) -> None:
     d = model.derive(p)
     e = model.energy_point(args.eps)
     pol = model.map_to_pollaczek(d, e)
-    params = pollaczek.PollaczekParams(lam=pol.lam, a=pol.a, b=pol.b)
+    params = pollaczek.PollaczekParams(lam=pol.lam, b=pol.b)
     coeffs = pollaczek.jacobi_coefficients(params)
     xs = _grid("--x-grid", args.x_grid)
     rho = resolvent.spectral_density_grid(coeffs, xs, args.eta)
@@ -254,7 +272,9 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp, energy="grid")
     sp.set_defaults(func=_cmd_phase_shift)
 
-    sp = sub.add_parser("coefficients", help="expansion coefficients, recursion vs closed form")
+    about = ("expansion coefficients, recursion vs closed form; closed_rel_dev = -1 where the closed "
+             "form is undefined (a bottom Pochhammer pole, or x rounding to -1 or 1)")
+    sp = sub.add_parser("coefficients", help=about, description=about)
     common(sp, energy="grid", n_max=30)
     sp.set_defaults(func=_cmd_coefficients)
 
@@ -315,16 +335,13 @@ def main(argv=None) -> int:
     args.invocation = invocation
     try:
         _check_args(args)
-        args.func(args)
-    except (ConfigError, ValueError) as exc:
+        # numpy's floating-point warnings stay off: a NaN or an infinity
+        # they would flag cannot reach the output, since _emit refuses it
+        with np.errstate(all="ignore"):
+            args.func(args)
+    except (ConfigError, ValueError, ConvergenceFailure, DomainError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
-    except ConvergenceFailure as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
-    except DomainError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, ConvergenceFailure) else 2 if isinstance(exc, DomainError) else 1
     return 0
 
 

@@ -89,11 +89,6 @@ class GridError(DomainError):
     """Radial grid too short or not uniform."""
 
 
-class QuadratureOrderError(DomainError):
-    """Requested matrix size exceeds the exactness budget of the
-    configured quadrature order."""
-
-
 # --- scattering -------------------------------------------------------------
 
 class FitError(DomainError):

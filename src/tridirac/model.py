@@ -57,7 +57,8 @@ _THRESHOLD_TOL = 1e-15
 @dataclass(frozen=True)
 class PhysicalParams:
     """Model knobs. Z < 0 is attractive; kappa is a nonzero integer;
-    compton and omega are positive; z, compton and omega are finite."""
+    compton and omega are positive; z, compton and omega are finite, and
+    compton^2 (the radial constant's divisor) does not underflow to 0."""
 
     z: float
     kappa: int
@@ -71,6 +72,8 @@ class PhysicalParams:
             raise ConfigError("kappa must be a nonzero integer")
         if self.compton <= 0 or self.omega <= 0:
             raise ConfigError("compton and omega must be positive")
+        if self.compton * self.compton == 0.0:
+            raise ConfigError(f"compton^2 underflows to 0 at compton={self.compton!r}")
 
 
 @dataclass(frozen=True)
@@ -95,10 +98,6 @@ class DerivedParams:
     @property
     def gamma_eff(self) -> float:
         return self.gamma if self.kappa > 0 else -self.gamma - 1.0
-
-    @property
-    def lambda_pol(self) -> float:
-        return self.gamma_eff + 1.0
 
 
 class Regime(Enum):
@@ -135,20 +134,14 @@ class RecursionCoefficients:
         n = np.arange(lo, hi, dtype=float)
         return self.diag(n), self.offdiag(n)
 
-    def diag_array(self, n):
-        return self.block(0, n)[0]
-
-    def offdiag_array(self, n):
-        return self.block(0, n)[1]
-
 
 @dataclass(frozen=True)
 class PollaczekMap:
-    """Energy point mapped to the Pollaczek parameter set; x is the
-    polynomial argument, b the linear-shift parameter, lam = gamma_eff + 1."""
+    """Energy point mapped to the Pollaczek parameter set (a = 0); x is
+    the polynomial argument, b the linear-shift parameter,
+    lam = gamma_eff + 1."""
 
     x: float
-    a: float
     b: float
     lam: float
 
@@ -208,7 +201,7 @@ def eps_sq_minus_one(eps: float) -> float:
 
 def map_to_pollaczek(d: DerivedParams, e: EnergyPoint) -> PollaczekMap:
     """The energy-to-Pollaczek identification:
-    x = (eps^2-1-beta^2)/(eps^2-1+beta^2), a = 0,
+    x = (eps^2-1-beta^2)/(eps^2-1+beta^2),
     b = -alpha*eps/(eps^2-1+beta^2), lam = gamma_eff + 1."""
     s = eps_sq_minus_one(e.eps)
     den = s + d.beta * d.beta
@@ -217,26 +210,25 @@ def map_to_pollaczek(d: DerivedParams, e: EnergyPoint) -> PollaczekMap:
         raise SingularMapError(f"eps^2 = 1 - beta^2 at eps={e.eps}")
     x = (s - d.beta * d.beta) / den
     b = -d.alpha * e.eps / den
-    return PollaczekMap(x=x, a=0.0, b=b, lam=d.gamma_eff + 1.0)
+    return PollaczekMap(x=x, b=b, lam=d.gamma_eff + 1.0)
 
 
-def angle_map(x: float, a: float, b: float) -> AngleParameters:
-    """theta with cos(theta) = x, e^{i theta} and phi = (a x + b)/sin(theta)
+def angle_map(x: float, b: float) -> AngleParameters:
+    """theta with cos(theta) = x, e^{i theta} and phi = b/sin(theta)
     at a real x with |x| != 1, for `theta_phi` and
     `pollaczek.asymptotic_bound_log`.  |x| < 1: theta = acos(x).  |x| > 1:
     e^{i theta} = x + sqrt(x^2-1) (positive root), so |e^{i theta}| > 1 for
     x > 1 ("bound_right") and < 1 for x < -1 ("bound_left"), and
     sin(theta) = -i sqrt(x^2-1) on both."""
-    num = a * x + b if a else b  # a = 0 (the physical map) keeps b's sign of zero
     if abs(x) > 1.0:
         root = math.sqrt(x * x - 1.0)
         w = x + root  # real; in (-1,0) for x < -1, above 1 for x > 1
         theta = -1j * cmath.log(complex(w))
-        phi = num / (-1j * root)
+        phi = b / (-1j * root)
         return AngleParameters(theta=theta, phi=phi, exp_i_theta=complex(w),
                                branch="bound_right" if x > 1.0 else "bound_left")
     theta = math.acos(x)
-    phi = num / math.sin(theta)
+    phi = b / math.sin(theta)
     return AngleParameters(theta=complex(theta), phi=complex(phi), exp_i_theta=cmath.exp(1j * theta),
                            branch="scattering")
 
@@ -253,7 +245,7 @@ def theta_phi(d: DerivedParams, e: EnergyPoint) -> AngleParameters:
     pol = map_to_pollaczek(d, e)
     if abs(pol.x) == 1.0:
         raise SingularMapError(f"polynomial argument degenerate at x={pol.x} (eps={e.eps})")
-    return angle_map(pol.x, pol.a, pol.b)
+    return angle_map(pol.x, pol.b)
 
 
 def scattering_angles(d: DerivedParams, eps) -> AngleParameters:

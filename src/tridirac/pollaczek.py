@@ -1,13 +1,15 @@
-"""Pollaczek polynomial family: evaluation in all normalizations, the
-second (associated) solution, generating-function partial sums, and the
-large-degree Darboux approximants for the oscillatory (|x| < 1) and
-exponential (|x| > 1) regimes.
+"""Pollaczek polynomial family at a = 0 (the shift the physical map
+produces): evaluation in the standard, symmetric and orthonormal
+normalizations, generating-function partial sums, and the large-degree
+Darboux approximants for the oscillatory (|x| < 1) and exponential
+(|x| > 1) regimes.  The associated (second) solution of the recursion is
+`resolvent.solution_pair` on `jacobi_coefficients`.
 
 Forward recursion is the normative evaluator for |x| <= 1 where the
 polynomials are the dominant solution.  For |x| > 1 the sequences grow
 geometrically and overflow doubles quickly, and near quantization points
-the wanted solution is minimal, so the evaluator switches to mpmath
-floats there (plain doubles on request).
+the wanted solution is minimal, so the evaluator switches to 40-digit
+mpmath floats there.
 """
 
 from __future__ import annotations
@@ -28,10 +30,8 @@ __all__ = [
     "PollaczekParams",
     "PolynomialSequence",
     "evaluate",
-    "evaluate_second_kind",
     "to_symmetric",
     "to_orthonormal",
-    "symmetric_pair",
     "recursion_residual",
     "generating_partial_sum",
     "generating_closed_form",
@@ -46,11 +46,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PollaczekParams:
-    """Family parameters (lam > 0).  The physical map always produces
-    a = 0; general a is accepted for library completeness."""
+    """Family parameters (lam > 0) of the a = 0 family.  At one argument x
+    a shift a would only move b to b + a x."""
 
     lam: float
-    a: float = 0.0
     b: float = 0.0
 
     def __post_init__(self):
@@ -79,68 +78,45 @@ class PolynomialSequence:
 def _recursion(params: PollaczekParams, x, n_max: int, symmetric: bool):
     """(A, B, C) for rows 0..max(1, n_max)-1 of the standard recursion
 
-        (n+1) P_{n+1} = 2[(n+lam+a)x + b] P_n - (n+2lam-1) P_{n-1}
+        (n+1) P_{n+1} = 2[(n+lam)x + b] P_n - (n+2lam-1) P_{n-1}
 
     or of the symmetrized one,
 
-        b_n Q_{n+1} = [(n+lam+a)x + b] Q_n - b_{n-1} Q_{n-1},
+        b_n Q_{n+1} = [(n+lam)x + b] Q_n - b_{n-1} Q_{n-1},
         b_n = sqrt((n+1)(n+2lam))/2,
 
     in the arithmetic of x (a double, a complex or an mpmath number)."""
-    lam, a, b = params.lam, params.a, params.b
+    lam, b = params.lam, params.b
     k = np.arange(max(1, n_max), dtype=float)
-    diag = (k + lam + a).tolist()
+    diag = (k + lam).tolist()
     if symmetric:
         off = (0.5 * np.sqrt((k + 1.0) * (k + 2.0 * lam))).tolist()
         return [d * x + b for d in diag], off, [0.0] + off[:-1]
     return [2 * (d * x + b) for d in diag], (k + 1.0).tolist(), (k + 2 * lam - 1).tolist()
 
 
-def _forward(params: PollaczekParams, x, n_max: int, extended: bool | None, dps: int,
-             second_kind: bool) -> PolynomialSequence:
-    """Forward solution from the polynomial initials (1, P_1) or, for the
-    second kind, from (0, 1/b_0) in the symmetrized recursion.  Runs in
-    mpmath at `dps` digits when `extended`, else in (complex) doubles;
-    extended=None picks mpmath for real |x| > 1."""
+def evaluate(params: PollaczekParams, x, n_max: int) -> PolynomialSequence:
+    """Values P_0..P_{n_max} of the standard normalization by forward
+    recursion:
+
+        (n+1) P_{n+1} = 2[(n+lam)x + b] P_n - (n+2lam-1) P_{n-1},
+        P_0 = 1,  P_1 = 2 lam x + 2b.
+
+    Runs in 40-digit mpmath for real |x| > 1 (values: a list of mpf) and
+    in doubles otherwise (values: an ndarray); complex arguments always
+    use plain complex arithmetic.
+    """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    if extended is None:
-        extended = not isinstance(x, complex) and abs(x) > 1.0
-    with mp.workdps(dps) if extended else contextlib.nullcontext():
+    extended = not isinstance(x, complex) and abs(x) > 1.0
+    with mp.workdps(40) if extended else contextlib.nullcontext():
         if extended:
             xw, one = mp.mpmathify(x), mp.mpf(1)
         else:
             xw, one = x, complex(1.0) if isinstance(x, complex) else 1.0
-        A, B, C = _recursion(params, xw, n_max, second_kind)
-        if second_kind:
-            u0, u1 = 0 * one, one.real / B[0]  # 1/b_0 stays real for complex x
-        else:
-            u0, u1 = one, 2 * (params.lam + params.a) * xw + 2 * params.b
-        vals = recurrence.forward(A, B, C, u0, u1, n_max)
-    name = "second_kind" if second_kind else "standard"
-    return PolynomialSequence(vals if extended else np.asarray(vals), x, name, params)
-
-
-def evaluate(params: PollaczekParams, x, n_max: int, extended: bool | None = None,
-             dps: int = 40) -> PolynomialSequence:
-    """Values P_0..P_{n_max} of the standard normalization by forward
-    recursion:
-
-        (n+1) P_{n+1} = 2[(n+lam+a)x + b] P_n - (n+2lam-1) P_{n-1},
-        P_0 = 1,  P_1 = 2(lam+a)x + 2b.
-
-    extended=None switches to mpmath automatically for real |x| > 1;
-    complex arguments always use plain complex arithmetic.
-    """
-    return _forward(params, x, n_max, extended, dps, second_kind=False)
-
-
-def evaluate_second_kind(params: PollaczekParams, x, n_max: int, extended: bool | None = None,
-                         dps: int = 40) -> PolynomialSequence:
-    """Second solution of the symmetrized recursion, with initial values
-    0 and 1/b_0 instead of the polynomial pair; emitted in the symmetric
-    normalization.  The two solutions have constant Casoratian 1."""
-    return _forward(params, x, n_max, extended, dps, second_kind=True)
+        A, B, C = _recursion(params, xw, n_max, False)
+        vals = recurrence.forward(A, B, C, one, 2 * params.lam * xw + 2 * params.b, n_max)
+    return PolynomialSequence(vals if extended else np.asarray(vals), x, "standard", params)
 
 
 def _symmetric_scale(params: PollaczekParams, n: int) -> float:
@@ -150,9 +126,9 @@ def _symmetric_scale(params: PollaczekParams, n: int) -> float:
 
 
 def _orthonormal_scale(params: PollaczekParams, n: int) -> float:
-    # p_n = sqrt(Gamma(n+1)(lam+a+n) / Gamma(n+2lam)) P_n
-    lam, a = params.lam, params.a
-    return math.exp(0.5 * (math.lgamma(n + 1.0) + math.log(lam + a + n) - math.lgamma(n + 2.0 * lam)))
+    # p_n = sqrt(Gamma(n+1)(lam+n) / Gamma(n+2lam)) P_n
+    lam = params.lam
+    return math.exp(0.5 * (math.lgamma(n + 1.0) + math.log(lam + n) - math.lgamma(n + 2.0 * lam)))
 
 
 def _rescaled(seq: PolynomialSequence, scale, name: str) -> PolynomialSequence:
@@ -182,23 +158,12 @@ def to_orthonormal(seq: PolynomialSequence) -> PolynomialSequence:
     return _rescaled(seq, _orthonormal_scale, "orthonormal")
 
 
-def symmetric_pair(params: PollaczekParams, x, n_max: int):
-    """Both solutions of the symmetrized recursion: (Q, Q*).  Their
-    Casoratian b_n (Q_n Q*_{n+1} - Q_{n+1} Q*_n) is constant in n, equal
-    to its n = 0 value Q_0 = sqrt(2 lam); constancy certifies the two
-    solutions stay independent."""
-    first = to_symmetric(evaluate(params, x, n_max))
-    second = evaluate_second_kind(params, x, n_max)
-    return first, second
-
-
 def recursion_residual(seq: PolynomialSequence) -> float:
     """Max over n of |LHS - RHS| / (1 + |LHS|) of the recursion the
     sequence is supposed to satisfy (standard or symmetric form)."""
-    if seq.normalization not in ("standard", "symmetric", "second_kind"):
+    if seq.normalization not in ("standard", "symmetric"):
         raise ValueError(f"no recursion residual for normalization {seq.normalization!r}")
-    symmetric = seq.normalization != "standard"
-    A, B, C = _recursion(seq.params, seq.argument, len(seq.values) - 1, symmetric)
+    A, B, C = _recursion(seq.params, seq.argument, len(seq.values) - 1, seq.normalization == "symmetric")
     return recurrence.residual(A, B, C, seq.values)
 
 
@@ -206,11 +171,11 @@ def recursion_residual(seq: PolynomialSequence) -> float:
 
 
 def phase_parameter(params: PollaczekParams, theta):
-    """phi(theta) = (a cos(theta) + b) / sin(theta), elementwise: theta
+    """phi(theta) = b / sin(theta), elementwise: theta
     real or complex, a scalar or an ndarray.  The phi of
     generating_closed_form, scattering_amplitude_phase and
     scattering.fit_asymptotics (model.angle_map gives it from x)."""
-    return (params.a * np.cos(theta) + params.b) / np.sin(theta)
+    return params.b / np.sin(theta)
 
 
 def generating_partial_sum(params: PollaczekParams, theta, t, n_max: int) -> complex:
@@ -288,12 +253,6 @@ def drifting_phase(psi: float, lam: float, theta: float, phi: float, n: int) -> 
     return psi + lam * (theta - 0.5 * math.pi) - phi * math.log(2.0 * n * math.sin(theta))
 
 
-def oscillation_phase(params: PollaczekParams, theta: float, n: int) -> float:
-    """psi_n (see drifting_phase) of the family at x = cos(theta)."""
-    _, psi, phi = scattering_amplitude_phase(params, theta)
-    return drifting_phase(psi, params.lam, theta, phi, n)
-
-
 def asymptotic_scattering(params: PollaczekParams, theta: float, n: int) -> float:
     """Oscillatory-regime approximant of the orthonormal value p_n at
     x = cos(theta): amplitude * cos(n theta + psi_n)."""
@@ -313,7 +272,7 @@ def asymptotic_bound_log(params: PollaczekParams, x: float, n: int):
         raise ValueError("n must be >= 1")
     if abs(x) <= 1.0:
         raise BranchError("bound-regime form needs |x| > 1")
-    ang = angle_map(x, params.a, params.b)
+    ang = angle_map(x, params.b)
     w = ang.exp_i_theta.real
     exponent = params.lam + ang.phi.imag if x > 1.0 else params.lam - ang.phi.imag
     lam = params.lam
@@ -351,19 +310,19 @@ def jacobi_coefficients(params: PollaczekParams) -> RecursionCoefficients:
     polynomial argument:
 
         x p_n = atil_n p_n + btil_{n-1} p_{n-1} + btil_n p_{n+1},
-        atil_n = -b / (n+lam+a),
-        btil_n = sqrt((n+1)(n+2lam)) / (2 sqrt((n+lam+a)(n+lam+a+1))).
+        atil_n = -b / (n+lam),
+        btil_n = sqrt((n+1)(n+2lam)) / (2 sqrt((n+lam)(n+lam+1))).
 
     This is the operator whose spectral measure is the orthogonality
     measure of the family (continuous on [-1, 1] plus any discrete
     points outside).
     """
-    lam, a, b = params.lam, params.a, params.b
+    lam, b = params.lam, params.b
 
     def diag(n):
-        return -b / (n + lam + a)
+        return -b / (n + lam)
 
     def offdiag(n):
-        return 0.5 * np.sqrt((n + 1.0) * (n + 2.0 * lam) / ((n + lam + a) * (n + lam + a + 1.0)))
+        return 0.5 * np.sqrt((n + 1.0) * (n + 2.0 * lam) / ((n + lam) * (n + lam + 1.0)))
 
     return RecursionCoefficients(diag=diag, offdiag=offdiag)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import recurrence
+from . import pollaczek, recurrence
 from .errors import NoConvergence, SpectrumProximity
 from .model import DerivedParams, RecursionCoefficients, energy_point, map_to_pollaczek
 
@@ -140,7 +140,9 @@ def solution_pair(coeffs: RecursionCoefficients, z, n_max: int):
     """The two solutions (P_n(z), P*_n(z)) of the symmetric recursion
     z u_n = a_n u_n + b_{n-1} u_{n-1} + b_n u_{n+1} with the polynomial
     initials (1, (z-a_0)/b_0) and the associated initials (0, 1/b_0).
-    Their ratio P*_n/P_n tends to G(z) off the real axis."""
+    Their ratio P*_n/P_n tends to G(z) off the real axis.  On
+    `pollaczek.jacobi_coefficients(params)` they are the orthonormal
+    Pollaczek values p_n/p_0 and their associated solution."""
     z = complex(z)
     a, b = (v.tolist() for v in coeffs.block(0, max(1, n_max)))
     A = [z - an for an in a]
@@ -193,17 +195,14 @@ def spectral_density_grid(coeffs: RecursionCoefficients, xs, eta: float,
     return -np.imag(g) / math.pi
 
 
-def energy_density(d: DerivedParams, eps: float, eta: float, tol: float = 1e-9) -> tuple[float, float]:
+def energy_density(d: DerivedParams, eps: float, eta: float) -> tuple[float, float]:
     """Density translated to the energy variable: the x-variable density
-    of the energy's own polynomial parameter set times the numerical
-    Jacobian |dx/d eps| of the identification map, a central difference
-    with step h = 1e-6 (|eps| + 1).  Returns (rho_x at x(eps), rho_eps)."""
-    from . import pollaczek  # local import; resolvent stays usable without it
-
-    e = energy_point(eps)
-    pol = map_to_pollaczek(d, e)
-    params = pollaczek.PollaczekParams(lam=pol.lam, a=pol.a, b=pol.b)
-    rho_x = spectral_density(pollaczek.jacobi_coefficients(params), pol.x, eta, tol=tol)
+    (Lentz to 1e-9) of the energy's own polynomial parameter set times the
+    numerical Jacobian |dx/d eps| of the map, a central difference with
+    step h = 1e-6 (|eps| + 1).  Returns (rho_x at x(eps), rho_eps)."""
+    pol = map_to_pollaczek(d, energy_point(eps))
+    params = pollaczek.PollaczekParams(lam=pol.lam, b=pol.b)
+    rho_x = spectral_density(pollaczek.jacobi_coefficients(params), pol.x, eta, tol=1e-9)
     h = abs(eps) * _JACOBIAN_STEP + _JACOBIAN_STEP
     x_plus = map_to_pollaczek(d, energy_point(eps + h)).x
     x_minus = map_to_pollaczek(d, energy_point(eps - h)).x

@@ -307,13 +307,18 @@ def gauss_rule_from_jacobi(diag, offdiag, mass: float = 1.0) -> QuadratureRule:
 def gauss_laguerre_rule(order: int, nu: float = 0.0) -> QuadratureRule:
     """Generalized Gauss-Laguerre rule for the weight x^nu e^{-x} on
     [0, inf), built from its Jacobi matrix (a_k = 2k + nu + 1,
-    b_k = sqrt((k+1)(k+nu+1)), mass = Gamma(nu+1))."""
+    b_k = sqrt((k+1)(k+nu+1)), mass = Gamma(nu+1)).  Raises ValueError
+    when Gamma(nu+1) is beyond the double range (nu above ~170.6)."""
     if order < 1:
         raise ValueError("order must be >= 1")
     if nu <= -1:
         raise ValueError("weight exponent must exceed -1")
+    try:
+        mass = math.exp(math.lgamma(nu + 1.0))
+    except OverflowError:
+        raise ValueError(f"Gamma(nu+1) at nu={nu!r} is beyond the double range") from None
     k = np.arange(order, dtype=float)
     diag = 2 * k + nu + 1
     j = np.arange(1, order, dtype=float)
     offdiag = np.sqrt(j * (j + nu))
-    return gauss_rule_from_jacobi(diag, offdiag, mass=math.exp(math.lgamma(nu + 1.0)))
+    return gauss_rule_from_jacobi(diag, offdiag, mass=mass)

@@ -12,10 +12,9 @@ import numpy as np
 
 from .errors import DomainError, RepulsiveError, ThresholdError
 from .model import (DerivedParams, PhysicalParams, Regime, derive, energy_point, growth_rate, map_to_pollaczek,
-                    wave_rows)
+                    negative_energy_map, wave_rows)
 
 __all__ = [
-    "SpectrumEntry",
     "SpectrumTable",
     "sommerfeld_energy",
     "bound_energy",
@@ -28,14 +27,6 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class SpectrumEntry:
-    n: int
-    kappa: int
-    eps: float
-    oracle_residual: float
-
-
-@dataclass(frozen=True)
 class SpectrumTable:
     """Levels n = 0..len(eps)-1 of one kappa as arrays: the energies and
     their fine-structure oracle residuals."""
@@ -43,14 +34,6 @@ class SpectrumTable:
     kappa: int
     eps: np.ndarray
     oracle_residual: np.ndarray
-
-    @property
-    def entries(self) -> tuple:
-        """One SpectrumEntry per level."""
-        return tuple(
-            SpectrumEntry(n=n, kappa=self.kappa, eps=eps, oracle_residual=res)
-            for n, (eps, res) in enumerate(zip(self.eps.tolist(), self.oracle_residual.tolist()))
-        )
 
 
 def _elementwise(value):
@@ -97,7 +80,7 @@ def bound_energy(p: PhysicalParams, n):
 
 
 def quantization_condition(d: DerivedParams, eps: float) -> float:
-    """The real combination lambda_pol -+ i*phi whose values at the
+    """The real combination lam -+ i*phi whose values at the
     non-positive integers -n mark the bound levels.  On both bound
     branches it reduces to
 
@@ -133,7 +116,7 @@ def nonrelativistic_limit_check(p: PhysicalParams, n: int) -> float:
     return -(ratio * ratio) / (s * (1.0 + s))
 
 
-def minimal_solution_defect(d: DerivedParams, eps: float, n_probe: int, guard: int = 40) -> float:
+def minimal_solution_defect(d: DerivedParams, eps: float, n_probe: int) -> float:
     """Backward-recurrence (Miller) consistency defect of the expansion
     coefficients at one energy.
 
@@ -144,9 +127,9 @@ def minimal_solution_defect(d: DerivedParams, eps: float, n_probe: int, guard: i
     solution also satisfies the initial row, i.e. at the bound levels;
     away from them the defect is O(1).
 
-    `guard` is the minimum number of discarded tail indices; near the
-    threshold the dominant/minimal growth ratio approaches 1 and a fixed
-    guard no longer purifies the seed, so the actual guard scales with
+    At least 40 tail indices are discarded; near the threshold the
+    dominant/minimal growth ratio approaches 1 and a fixed guard no
+    longer purifies the seed, so the actual guard scales with
     the local growth rate (capped at 100000 steps, which resolves levels
     whose growth ratio exceeds ~1 + 1e-4; energies even closer to the
     threshold are outside the detector's resolvable range).  The loop is
@@ -157,7 +140,7 @@ def minimal_solution_defect(d: DerivedParams, eps: float, n_probe: int, guard: i
         raise DomainError("minimal-solution probing needs |eps| < 1")
     pol = map_to_pollaczek(d, energy_point(eps))
     w = growth_rate(pol.x)  # per-step solution ratio is w^2
-    guard = max(guard, min(100_000, int(10.0 / math.log(max(w, 1.0 + 1e-12))) + 40))
+    guard = max(40, min(100_000, int(10.0 / math.log(max(w, 1.0 + 1e-12))) + 40))
     top = n_probe + guard
     A, B, C = wave_rows(d, pol.x, pol.b, top + 1)
     f_hi = 0.0
@@ -195,5 +178,5 @@ def negative_energy_levels(p: PhysicalParams, n_max: int) -> list:
     problem's positive levels."""
     if p.z <= 0:
         raise DomainError("negative-energy levels live on the Z > 0 side")
-    partner = PhysicalParams(z=-p.z, kappa=-p.kappa, compton=p.compton, omega=p.omega)
+    partner, _ = negative_energy_map(p)
     return (-bound_energy(partner, np.arange(n_max + 1, dtype=float))).tolist()

@@ -34,7 +34,7 @@ import mpmath as mp
 import numpy as np
 
 from . import recurrence, specfun
-from .errors import DomainError, GridError, KineticBalanceSingular, QuadratureOrderError
+from .errors import DomainError, GridError, KineticBalanceSingular
 from .model import (DerivedParams, Regime, energy_point, eps_sq_minus_one, growth_rate, map_to_pollaczek,
                     recursion_coefficients, rotation_angle, spinor_rotation, theta_phi, wave_rows)
 
@@ -155,22 +155,22 @@ def basis_second_derivative(elem: BasisElement, r):
     return _basis_function(elem, r, 2)
 
 
-def _gauss_basis(d: DerivedParams, n_basis: int, order: int):
+def _gauss_basis(d: DerivedParams, n_basis: int):
     """(rule, rows, norms) of gram_matrix and verify_tridiagonal: the Gauss
-    rule of `order` for the weight y^{2g+1} e^{-y}, the Laguerre rows
-    L_0..L_{n_basis-1} at its nodes, and A_0..A_{n_basis-1}."""
+    rule of order n_basis + 6 for the weight y^{2g+1} e^{-y}, the Laguerre
+    rows L_0..L_{n_basis-1} at its nodes, and A_0..A_{n_basis-1}."""
     nu = 2.0 * d.gamma_eff + 1.0
-    rule = specfun.gauss_laguerre_rule(order, nu)
+    rule = specfun.gauss_laguerre_rule(n_basis + 6, nu)
     lag = np.array(list(specfun.laguerre_rows(n_basis, nu, rule.nodes)))
     norms = np.array([BasisElement(n, d.gamma_eff, d.omega).normalization for n in range(n_basis)])
     return rule, lag, norms
 
 
-def gram_matrix(d: DerivedParams, n_basis: int, order: int | None = None) -> np.ndarray:
+def gram_matrix(d: DerivedParams, n_basis: int) -> np.ndarray:
     """Gram matrix of the first n_basis elements under the orthonormality
     measure dr/(w r), evaluated by the generalized Gauss rule for the
     weight y^{2g+1} e^{-y}; identity up to quadrature roundoff."""
-    rule, lag, norms = _gauss_basis(d, n_basis, n_basis + 6 if order is None else order)
+    rule, lag, norms = _gauss_basis(d, n_basis)
     core = lag * rule.weights  # broadcasts over nodes
     gram = core @ lag.T
     return (np.outer(norms, norms) / d.omega) * gram
@@ -353,8 +353,7 @@ def schrodinger_residual(phi_values, r_grid, d: DerivedParams, eps: float) -> fl
     return float(resid / (scale * coeff_scale))
 
 
-def verify_tridiagonal(d: DerivedParams, eps: float, n_basis: int,
-                       order: int | None = None) -> TridiagonalityReport:
+def verify_tridiagonal(d: DerivedParams, eps: float, n_basis: int) -> TridiagonalityReport:
     """Wave-operator matrix in the basis by generalized Gauss-Laguerre
     quadrature, exact for the polynomial integrands.
 
@@ -365,18 +364,14 @@ def verify_tridiagonal(d: DerivedParams, eps: float, n_basis: int,
 
     so every matrix element is one integral of weight y^{2g+1} e^{-y}
     against the polynomial L_m L_n [(w^2 a_n + 2 Z eps w) + C y] of
-    degree <= 2 n_basis - 1; an order >= n_basis rule integrates it
+    degree <= 2 n_basis - 1, which the rule of `_gauss_basis` integrates
     exactly.  Returns the off-tridiagonal ratio and the deviation of the
     extracted diagonal/off-diagonal from the recursion coefficients.
     """
     if n_basis < 3:
         raise ValueError("n_basis must be >= 3")
-    if order is None:
-        order = n_basis + 6
-    if 2 * order - 1 < 2 * n_basis - 1 + 2:
-        raise QuadratureOrderError(f"order {order} cannot integrate degree {2*n_basis+1} exactly")
     w = d.omega
-    rule, lag, norms = _gauss_basis(d, n_basis, order)
+    rule, lag, norms = _gauss_basis(d, n_basis)
     cc = _radial_constant(d, eps) - 0.25 * w * w
     a_n, b_n = recursion_coefficients(d).block(0, n_basis)
     bracket = (w * w * a_n[None, :] + 2.0 * d.z * eps * w) + cc * rule.nodes[:, None]

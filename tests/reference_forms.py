@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from tridirac import specfun
-from tridirac.errors import BranchError, KineticBalanceSingular, PoleError, QuadratureOrderError, SingularMapError
+from tridirac.errors import BranchError, KineticBalanceSingular, PoleError, SingularMapError
 from tridirac.model import Regime, energy_point, map_to_pollaczek, recursion_coefficients, rotation_angle
 from tridirac.wavefunction import BasisElement
 
@@ -121,12 +121,10 @@ def coupled_system_residual(coeffs, d, eps, r_values, n_trunc=None):
     return float(np.max(np.abs(np.concatenate([row1, row2]))) / scale)
 
 
-def gram_matrix(d, n_basis, order=None):
+def gram_matrix(d, n_basis):
     g = d.gamma_eff
     nu = 2.0 * g + 1.0
-    if order is None:
-        order = n_basis + 6
-    rule = specfun.gauss_laguerre_rule(order, nu)
+    rule = specfun.gauss_laguerre_rule(n_basis + 6, nu)
     lag = np.array(list(specfun.laguerre_rows(n_basis, nu, rule.nodes)))
     norms = np.array([BasisElement(n, g, d.omega).normalization for n in range(n_basis)])
     core = lag * rule.weights
@@ -138,18 +136,14 @@ def _radial_constant(d, eps):
     return -((eps - 1.0) * (eps + 1.0)) / (d.compton * d.compton)
 
 
-def verify_tridiagonal(d, eps, n_basis, order=None):
+def verify_tridiagonal(d, eps, n_basis):
     """(offband_ratio, diag_deviation, offdiag_deviation, matrix)."""
     if n_basis < 3:
         raise ValueError("n_basis must be >= 3")
-    if order is None:
-        order = n_basis + 6
-    if 2 * order - 1 < 2 * n_basis - 1 + 2:
-        raise QuadratureOrderError(f"order {order} cannot integrate degree {2*n_basis+1} exactly")
     g = d.gamma_eff
     nu = 2.0 * g + 1.0
     w = d.omega
-    rule = specfun.gauss_laguerre_rule(order, nu)
+    rule = specfun.gauss_laguerre_rule(n_basis + 6, nu)
     lag = np.array(list(specfun.laguerre_rows(n_basis, nu, rule.nodes)))
     norms = np.array([BasisElement(n, g, w).normalization for n in range(n_basis)])
     cc = _radial_constant(d, eps) - 0.25 * w * w
@@ -201,7 +195,7 @@ def _bound_branch(params, x):
         raise BranchError("bound-regime form needs |x| > 1")
     root = math.sqrt(x * x - 1.0)
     w = x + root
-    phi_over_i = (params.a * x + params.b) / root
+    phi_over_i = params.b / root
     if x > 1.0:
         exponent = params.lam + phi_over_i
     else:
@@ -228,11 +222,11 @@ def asymptotic_bound_log(params, x, n):
     return log_mod, sign
 
 
-def minimal_solution_defect(d, eps, n_probe, guard=40):
+def minimal_solution_defect(d, eps, n_probe):
     pol = map_to_pollaczek(d, energy_point(eps))
     x, b = pol.x, pol.b
     w = abs(x) + math.sqrt(x * x - 1.0)
-    guard = max(guard, min(100_000, int(10.0 / math.log(max(w, 1.0 + 1e-12))) + 40))
+    guard = max(40, min(100_000, int(10.0 / math.log(max(w, 1.0 + 1e-12))) + 40))
     top = n_probe + guard
     diag, off = (v.tolist() for v in recursion_coefficients(d).block(0, top + 1))
     f_hi = 0.0

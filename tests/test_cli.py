@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tridirac import cli
+from tridirac import cli, model, wavefunction
 
 
 def run_cli(capsys, *argv):
@@ -348,13 +348,100 @@ class TestNegativeExponentValues:
         assert "--output: expected one argument" in err
 
 
-def test_band_edge_argument_exits_2(capsys):
-    # x = (eps^2-1-beta^2)/(eps^2-1+beta^2) rounds to 1 at compton 1e-9;
-    # the closed form's angle map raised ZeroDivisionError there
+def data_rows(out):
+    return [line.split(",") for line in out.strip().split("\n")[1:]]
+
+
+def test_band_edge_argument_keeps_recursion_rows(capsys):
+    # x = (eps^2-1-beta^2)/(eps^2-1+beta^2) rounds to 1 at compton 1e-9,
+    # where the closed form's angle map is undefined (it once raised
+    # ZeroDivisionError, then SingularMapError); the recursion rows stay
     code, out, err = run_cli(capsys, "coefficients", "--z", "-1", "--kappa", "1", "--compton", "1e-9",
                              "--eps", "0.5", "--n-max", "3")
-    assert (code, out) == (2, "")
-    assert err == "error: SingularMapError: polynomial argument degenerate at x=1.0 (eps=0.5)\n"
+    assert (code, err) == (0, "")
+    rows = data_rows(out)
+    assert [r[1] for r in rows] == ["0", "1", "2", "3"]
+    assert {r[4] for r in rows} == {"-1.0000000000000000e+00"}
+
+
+class TestClosedFormUndefined:
+    """coefficients writes the recursion rows with closed_rel_dev = -1 at
+    an energy where the closed form raises BottomPoleError or
+    SingularMapError."""
+
+    CASES = {
+        # level 0: a bottom Pochhammer factor vanishes at k=6, n=7
+        "bottom_pole": (["--eps", "0.9996872555384283", "--n-max", "20"], 0.9996872555384283, 20),
+        # x rounds to -1 at omega 400
+        "singular_map": (["--omega", "400", "--eps", "1.000000000000002", "--n-max", "2"], 1.000000000000002, 2),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_recursion_rows_kept(self, capsys, name):
+        flags, eps, n_max = self.CASES[name]
+        code, out, err = run_cli(capsys, "coefficients", "--z", "-1", "--kappa", "1", "--compton", "0.05", *flags)
+        assert (code, err) == (0, "")
+        p = model.PhysicalParams(z=-1.0, kappa=1, compton=0.05, omega=400.0 if "--omega" in flags else 1.0)
+        want = wavefunction.coefficients_recursion(model.derive(p), eps, n_max).values
+        rows = data_rows(out)
+        assert [float(r[2]) for r in rows] == want.real.tolist()
+        assert [float(r[3]) for r in rows] == want.imag.tolist()
+        assert {r[4] for r in rows} == {"-1.0000000000000000e+00"}
+
+    def test_grid_keeps_the_other_energies_deviations(self, capsys):
+        code, out, _ = run_cli(capsys, "coefficients", "--z", "-1", "--kappa", "1", "--compton", "0.05",
+                               "--eps-grid", "0.9996872555384283", "1.3", "2", "--split", "--n-max", "8")
+        assert code == 0
+        devs = {float(r[0]): float(r[4]) for r in data_rows(out) if r[1] == "8"}
+        assert devs[0.9996872555384283] == -1.0
+        assert 0.0 <= devs[1.3] < 1e-10
+
+
+class TestSplitDropsOutOfRegimePoints:
+    def test_coefficients_drops_the_threshold_point(self, capsys):
+        # the grid point eps = 1 once reached the closed form: ThresholdError, exit 2
+        code, out, err = run_cli(capsys, "coefficients", "--z", "-1", "--kappa", "1", "--compton", "0.05",
+                                 "--eps-grid", "0.5", "1.5", "3", "--split", "--n-max", "2")
+        assert (code, err) == (0, "")
+        assert sorted({float(r[0]) for r in data_rows(out)}) == [0.5, 1.5]
+
+    def test_phase_shift_drops_points_in_the_threshold_band(self, capsys):
+        # the middle point 1.0000000000000004 passed the old |eps| > 1
+        # filter but lies within 1e-15 of the threshold
+        code, out, err = run_cli(capsys, "phase-shift", "--z", "-1", "--kappa", "1", "--compton", "0.05",
+                                 "--eps-grid", "0.5", "1.5000000000000009", "3", "--split")
+        assert (code, err) == (0, "")
+        assert [float(r[0]) for r in data_rows(out)] == [1.5000000000000009]
+
+
+class TestNoTracebackAtExtremeParameters:
+    CASES = [
+        # Gamma(nu+1) of the Gauss rule overflows (nu ~ 171)
+        (["verify", "--z", "-1", "--kappa", "85", "--compton", "0.05", "--eps", "0.5", "--n", "5"],
+         1, "error: ValueError: Gamma(nu+1) at nu="),
+        (["verify", "--z", "-2.90749", "--kappa", "-79", "--compton", "0.101984", "--omega", "6.58698",
+          "--eps", "5.97473", "--n", "28"],
+         2, "error: DomainError: offband_ratio is not finite at row 0\n"),
+        (["wavefunction", "--z", "2.93284", "--kappa", "-88", "--compton", "6.11681e-05", "--omega", "97.5833",
+          "--eps", "0.0145481", "--trunc", "23", "--r-grid", "0.156211", "59.6239", "2"],
+         2, "error: DomainError: phi_plus is not finite at row 1\n"),
+        # compton^2 underflows to 0
+        (["verify", "--z", "0.05", "--kappa", "-1", "--compton", "1e-300", "--omega", "0.05", "--eps", "3",
+          "--n", "3"],
+         1, "error: ConfigError: compton^2 underflows to 0 at compton=1e-300\n"),
+    ]
+
+    @pytest.mark.parametrize("argv,code,message", CASES, ids=[c[0][0] + "_" + c[0][4] for c in CASES])
+    def test_documented_exit(self, capsys, argv, code, message):
+        got, out, err = run_cli(capsys, *argv)
+        assert (got, out) == (code, "")
+        assert err.startswith(message) and err.count("\n") == 1
+
+    def test_non_finite_table_writes_no_file(self, tmp_path, capsys):
+        target = tmp_path / "out.csv"
+        code, _, err = run_cli(capsys, *self.CASES[2][0], "--output", str(target))
+        assert code == 2 and err == self.CASES[2][2]
+        assert not target.exists() and not Path(str(target) + ".meta.json").exists()
 
 
 class TestDensityDepthLimit:

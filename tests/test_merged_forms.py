@@ -77,8 +77,8 @@ class TestBasisSide:
 
     def test_gram_matrix(self, name):
         d, _, _ = _state(name, 1)
-        for n_basis, order in ((2, None), (20, None), (15, 40)):
-            _same(wavefunction.gram_matrix(d, n_basis, order), ref.gram_matrix(d, n_basis, order))
+        for n_basis in (2, 15, 20):
+            _same(wavefunction.gram_matrix(d, n_basis), ref.gram_matrix(d, n_basis))
 
     def test_verify_tridiagonal(self, name):
         d, eps, _ = _state(name, 1)
@@ -141,12 +141,11 @@ def test_asymptotic_bound_log_random(side):
     rng = np.random.default_rng(71 if side == "right" else 73)
     for _ in range(1500):
         lam = float(rng.uniform(0.05, 6.0))
-        a = float(rng.choice([-1.0, 1.0]) * rng.uniform(0.01, 3.0))
         b = float(rng.uniform(-4.0, 4.0))
         x = float(rng.uniform(1.0 + 1e-9, 1.0 + 10.0 ** rng.uniform(-6, 1.5)))
         x = x if side == "right" else -x
         n = int(rng.integers(1, 2000))
-        params = pollaczek.PollaczekParams(lam=lam, a=a, b=b)
+        params = pollaczek.PollaczekParams(lam=lam, b=b)
         assert pollaczek.asymptotic_bound_log(params, x, n) == ref.asymptotic_bound_log(params, x, n)
 
 

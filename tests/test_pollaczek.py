@@ -5,39 +5,39 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from tridirac import pollaczek
+from tridirac import pollaczek, recurrence, resolvent
 from tridirac.errors import BranchError, RadiusError
 from tridirac.pollaczek import PollaczekParams
 
 
 class TestEvaluate:
     def test_initial_values(self):
-        params = PollaczekParams(lam=1.3, a=0.2, b=-0.5)
+        params = PollaczekParams(lam=1.3, b=-0.5)
         seq = pollaczek.evaluate(params, 0.4, 3)
         assert seq.values[0] == 1.0
-        assert_allclose(seq.values[1], 2 * (1.3 + 0.2) * 0.4 + 2 * (-0.5), rtol=1e-15)
+        assert_allclose(seq.values[1], 2 * 1.3 * 0.4 + 2 * (-0.5), rtol=1e-15)
 
     def test_hand_recursion_p2(self):
-        # lam=1, a=0, b=0, x=0.5: P_1 = 1, P_2 = [(2)(0.5)]*1 - 1 = 0
+        # lam=1, b=0, x=0.5: P_1 = 1, P_2 = [(2)(0.5)]*1 - 1 = 0
         seq = pollaczek.evaluate(PollaczekParams(lam=1.0), 0.5, 2)
         assert_allclose(seq.values[1], 1.0, rtol=1e-15)
         assert abs(seq.values[2]) < 1e-15
 
     def test_recursion_residual_inside_band(self):
-        params = PollaczekParams(lam=1.5, a=0.0, b=-0.3)
+        params = PollaczekParams(lam=1.5, b=-0.3)
         seq = pollaczek.evaluate(params, 0.2, 500)
         assert pollaczek.recursion_residual(seq) < 1e-10
 
     @pytest.mark.parametrize("x", [-5.0, -1.5, 0.9, 2.0, 5.0])
     def test_recursion_residual_wide_range(self, x):
         # |x| > 1 runs in extended precision; residual checked there
-        params = PollaczekParams(lam=0.8, a=0.1, b=0.4)
+        params = PollaczekParams(lam=0.8, b=0.4)
         seq = pollaczek.evaluate(params, x, 500)
         assert pollaczek.recursion_residual(seq) < 1e-10
 
     def test_degree_property_forward_differences(self):
         # P_n has degree n in x: the (n+1)-th forward difference vanishes
-        params = PollaczekParams(lam=1.2, a=0.0, b=-0.4)
+        params = PollaczekParams(lam=1.2, b=-0.4)
         h = 0.25
         for n in [3, 5, 8]:
             grid = np.array([-1.0 + k * h for k in range(n + 2)])
@@ -48,20 +48,14 @@ class TestEvaluate:
             scale = np.max(np.abs(vals))
             assert abs(diffs[0]) < 1e-8 * max(scale, 1.0)
 
-    def test_degree_property_in_a_and_b(self):
+    def test_degree_property_in_b(self):
         h = 0.3
         n = 4
-        for vary in ("a", "b"):
-            vals = []
-            for k in range(n + 2):
-                a = 0.1 + k * h if vary == "a" else 0.1
-                b = -0.2 + k * h if vary == "b" else -0.2
-                seq = pollaczek.evaluate(PollaczekParams(lam=1.1, a=a, b=b), 0.3, n)
-                vals.append(seq.values[n])
-            diffs = np.array(vals)
-            for _ in range(n + 1):
-                diffs = np.diff(diffs)
-            assert abs(diffs[0]) < 1e-8 * max(np.max(np.abs(vals)), 1.0)
+        vals = [pollaczek.evaluate(PollaczekParams(lam=1.1, b=-0.2 + k * h), 0.3, n).values[n] for k in range(n + 2)]
+        diffs = np.array(vals)
+        for _ in range(n + 1):
+            diffs = np.diff(diffs)
+        assert abs(diffs[0]) < 1e-8 * max(np.max(np.abs(vals)), 1.0)
 
 
 class TestNormalizations:
@@ -77,21 +71,21 @@ class TestNormalizations:
         assert_allclose(sym.values[0], seq.values[0], rtol=1e-14)
 
     def test_symmetric_recursion_residual(self):
-        params = PollaczekParams(lam=1.5, a=0.0, b=-0.3)
+        params = PollaczekParams(lam=1.5, b=-0.3)
         sym = pollaczek.to_symmetric(pollaczek.evaluate(params, 0.2, 50))
         assert pollaczek.recursion_residual(sym) < 1e-10
 
     def test_orthonormal_p0(self):
-        # p_0 = sqrt((lam+a)/Gamma(2 lam)); equals 1 for lam=1, a=0
+        # p_0 = sqrt(lam/Gamma(2 lam)); equals 1 for lam=1
         seq = pollaczek.to_orthonormal(pollaczek.evaluate(PollaczekParams(lam=1.0), 0.3, 1))
         assert_allclose(seq.values[0], 1.0, rtol=1e-14)
-        lam, a = 1.7, 0.3
-        seq = pollaczek.to_orthonormal(pollaczek.evaluate(PollaczekParams(lam=lam, a=a), 0.3, 1))
-        assert_allclose(seq.values[0], math.sqrt((lam + a) / math.gamma(2 * lam)), rtol=1e-13)
+        lam = 1.7
+        seq = pollaczek.to_orthonormal(pollaczek.evaluate(PollaczekParams(lam=lam), 0.3, 1))
+        assert_allclose(seq.values[0], math.sqrt(lam / math.gamma(2 * lam)), rtol=1e-13)
 
     def test_orthonormal_bounded_standard_grows(self):
         # p_n stays bounded at fixed |x| < 1 while P_n grows like n^{lam-1}
-        params = PollaczekParams(lam=1.8, a=0.0, b=-0.2)
+        params = PollaczekParams(lam=1.8, b=-0.2)
         seq = pollaczek.evaluate(params, 0.3, 3000)
         orth = pollaczek.to_orthonormal(seq)
         p_small = np.max(np.abs(np.asarray(orth.values[100:200])))
@@ -103,7 +97,7 @@ class TestNormalizations:
 
     def test_amplitude_window_invariance(self):
         # running max of |p_n| over [n, 2n] varies by < 5% for n >= 500
-        params = PollaczekParams(lam=1.5, a=0.0, b=-0.4)
+        params = PollaczekParams(lam=1.5, b=-0.4)
         orth = pollaczek.to_orthonormal(pollaczek.evaluate(params, math.cos(1.1), 4000))
         vals = np.abs(np.asarray(orth.values))
         w1 = vals[500:1000].max()
@@ -114,30 +108,34 @@ class TestNormalizations:
 
 
 class TestSecondKind:
+    """The associated solution of the family: resolvent.solution_pair on
+    its Jacobi matrix."""
+
     def test_initials(self):
         params = PollaczekParams(lam=1.0)  # physical gamma = 0 data
-        seq = pollaczek.evaluate_second_kind(params, 0.4, 3)
-        assert seq.values[0] == 0.0
-        # b_0 = sqrt(2)/2 -> 1/b_0 = sqrt(2)
-        assert_allclose(seq.values[1], math.sqrt(2.0), rtol=1e-14)
+        coeffs = pollaczek.jacobi_coefficients(params)
+        p, q = resolvent.solution_pair(coeffs, 0.4, 3)
+        assert q[0] == 0.0
+        # btil_0 = sqrt(2)/(2 sqrt(2)) = 1/2 -> 1/btil_0 = 2
+        assert_allclose(q[1], 2.0, rtol=1e-14)
+        # the first solution is p_n/p_0 of the orthonormal normalization
+        orth = pollaczek.to_orthonormal(pollaczek.evaluate(params, 0.4, 3)).values
+        assert_allclose(p.real, orth / orth[0], rtol=1e-14)
 
     def test_casoratian_constancy(self):
-        # b_n (Q_n Q*_{n+1} - Q_{n+1} Q*_n) constant, equal to its n=0
-        # value (= Q_0 = sqrt(2 lam)), to 1e-9 relative for n <= 200
-        params = PollaczekParams(lam=1.5, a=0.0, b=-0.3)
-        q, qstar = pollaczek.symmetric_pair(params, 0.37, 200)
-        qv = np.asarray(q.values)
-        sv = np.asarray(qstar.values)
-        n = np.arange(200)
-        b = 0.5 * np.sqrt((n + 1.0) * (n + 2.0 * params.lam))
-        w = b * (qv[:-1] * sv[1:] - qv[1:] * sv[:-1])
-        assert_allclose(w[0], math.sqrt(2 * params.lam), rtol=1e-13)
+        # btil_n (p_n q_{n+1} - p_{n+1} q_n) constant, equal to its n=0
+        # value 1, to 1e-9 relative for n <= 200
+        coeffs = pollaczek.jacobi_coefficients(PollaczekParams(lam=1.5, b=-0.3))
+        p, q = resolvent.solution_pair(coeffs, 0.37, 200)
+        w = resolvent.casoratian(coeffs, p, q)
+        assert_allclose(w[0], 1.0, rtol=1e-13)
         assert np.max(np.abs(w / w[0] - 1.0)) < 1e-9
 
     def test_second_kind_satisfies_recursion(self):
-        params = PollaczekParams(lam=0.9, a=0.2, b=0.1)
-        seq = pollaczek.evaluate_second_kind(params, 0.1, 80)
-        assert pollaczek.recursion_residual(seq) < 1e-10
+        coeffs = pollaczek.jacobi_coefficients(PollaczekParams(lam=0.9, b=0.1))
+        _, q = resolvent.solution_pair(coeffs, 0.1, 80)
+        a, b = (v.tolist() for v in coeffs.block(0, 80))
+        assert recurrence.residual([0.1 - an for an in a], b, [0.0] + b[:-1], q.tolist()) < 1e-10
 
 
 class TestGeneratingFunction:
@@ -151,14 +149,14 @@ class TestGeneratingFunction:
             pollaczek.generating_partial_sum(params, 1.0, 0.999, 5)
 
     def test_partial_sums_converge_to_closed_form(self):
-        params = PollaczekParams(lam=1.2, a=0.0, b=-0.4)
+        params = PollaczekParams(lam=1.2, b=-0.4)
         theta, t = 1.0, 0.3
         closed = pollaczek.generating_closed_form(params, theta, t)
         partial = pollaczek.generating_partial_sum(params, theta, t, 120)
         assert abs(partial - closed) < 1e-9
 
     def test_geometric_error_decay(self):
-        params = PollaczekParams(lam=1.2, a=0.0, b=-0.4)
+        params = PollaczekParams(lam=1.2, b=-0.4)
         theta, t = 1.0, 0.3
         closed = pollaczek.generating_closed_form(params, theta, t)
         errs = [abs(pollaczek.generating_partial_sum(params, theta, t, n) - closed) for n in (10, 20, 30)]
@@ -167,7 +165,7 @@ class TestGeneratingFunction:
 
     def test_phase_parameter_reduces_to_b_over_sin(self):
         # a = 0: phi enters only through b / sin(theta)
-        params = PollaczekParams(lam=1.2, a=0.0, b=-0.4)
+        params = PollaczekParams(lam=1.2, b=-0.4)
         theta = 0.8
         assert_allclose(
             complex(pollaczek.phase_parameter(params, theta)).real,
@@ -179,14 +177,14 @@ class TestGeneratingFunction:
 class TestScatteringAsymptotics:
     def test_free_case_amplitude(self):
         # phi = 0 (b = 0): psi = 0, amplitude = 2/(Gamma(lam) (2 sin theta)^lam)
-        params = PollaczekParams(lam=2.0, a=0.0, b=0.0)
+        params = PollaczekParams(lam=2.0, b=0.0)
         amp, psi, phi = pollaczek.scattering_amplitude_phase(params, 1.1)
         assert phi == 0.0
         assert abs(psi) < 1e-14
         assert_allclose(amp, 2.0 / (math.gamma(2.0) * (2 * math.sin(1.1)) ** 2.0), rtol=1e-13)
 
     def test_windowed_error_decays(self):
-        params = PollaczekParams(lam=1.5, a=0.0, b=-0.4)
+        params = PollaczekParams(lam=1.5, b=-0.4)
         theta = 1.1
         orth = pollaczek.to_orthonormal(pollaczek.evaluate(params, math.cos(theta), 2150))
         amp, _, _ = pollaczek.scattering_amplitude_phase(params, theta)
@@ -202,12 +200,12 @@ class TestScatteringAsymptotics:
 
     def test_phase_advances_by_theta(self):
         # cos argument advances by theta per unit n, minus the slow ln drift
-        params = PollaczekParams(lam=1.5, a=0.0, b=-0.4)
+        params = PollaczekParams(lam=1.5, b=-0.4)
         theta = 1.1
         n = 500
         _, psi, phi = pollaczek.scattering_amplitude_phase(params, theta)
-        arg_n = n * theta + pollaczek.oscillation_phase(params, theta, n)
-        arg_n1 = (n + 1) * theta + pollaczek.oscillation_phase(params, theta, n + 1)
+        arg_n = n * theta + pollaczek.drifting_phase(psi, params.lam, theta, phi, n)
+        arg_n1 = (n + 1) * theta + pollaczek.drifting_phase(psi, params.lam, theta, phi, n + 1)
         assert_allclose(arg_n1 - arg_n, theta - phi * math.log((n + 1) / n), rtol=1e-12)
 
 
@@ -226,10 +224,10 @@ class TestBoundAsymptotics:
 
     @pytest.mark.parametrize("x", [1.5, -1.5])
     def test_ratio_tends_to_one(self, x):
-        # extended-precision recursion oracle: |P_n / approximant| -> 1,
-        # within 2% at n = 100 vs 1000
-        params = PollaczekParams(lam=1.0, a=0.0, b=-0.7)
-        seq = pollaczek.evaluate(params, x, 1000, extended=True, dps=40)
+        # extended-precision recursion oracle (|x| > 1 runs in 40-digit
+        # mpmath): |P_n / approximant| -> 1, within 2% at n = 100 vs 1000
+        params = PollaczekParams(lam=1.0, b=-0.7)
+        seq = pollaczek.evaluate(params, x, 1000)
         for n, tol in [(100, 0.02), (1000, 0.002)]:
             log_mod, sign = pollaczek.asymptotic_bound_log(params, x, n)
             exact = seq.values[n]
@@ -238,22 +236,22 @@ class TestBoundAsymptotics:
             assert sign == mp.sign(exact)
 
     def test_moderate_n_complex_value(self):
-        params = PollaczekParams(lam=1.0, a=0.0, b=-0.7)
-        seq = pollaczek.evaluate(params, 1.5, 60, extended=True, dps=40)
+        params = PollaczekParams(lam=1.0, b=-0.7)
+        seq = pollaczek.evaluate(params, 1.5, 60)
         approx = pollaczek.asymptotic_bound(params, 1.5, 60)
         assert abs(complex(approx).real / float(seq.values[60]) - 1.0) < 0.01
 
 
 class TestJacobiCoefficients:
     def test_offdiag_limit(self):
-        params = PollaczekParams(lam=1.5, a=0.0, b=-0.2)
+        params = PollaczekParams(lam=1.5, b=-0.2)
         coeffs = pollaczek.jacobi_coefficients(params)
         assert abs(coeffs.offdiag(10_000) - 0.5) < 1e-3
         assert abs(coeffs.diag(10_000)) < 1e-3
 
     def test_orthonormal_solves_jacobi_recursion(self):
         # x p_n = atil_n p_n + btil_{n-1} p_{n-1} + btil_n p_{n+1}
-        params = PollaczekParams(lam=1.4, a=0.0, b=0.3)
+        params = PollaczekParams(lam=1.4, b=0.3)
         x = 0.25
         orth = pollaczek.to_orthonormal(pollaczek.evaluate(params, x, 60))
         coeffs = pollaczek.jacobi_coefficients(params)
@@ -264,21 +262,28 @@ class TestJacobiCoefficients:
             assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(lhs))
 
 
+def mp_standard_values(params, x, n_max):
+    """P_0..P_{n_max} by the standard recursion in 40-digit mpmath."""
+    with mp.workdps(40):
+        lam, b, xm = mp.mpf(params.lam), mp.mpf(params.b), mp.mpf(x)
+        vals = [mp.mpf(1), 2 * lam * xm + 2 * b]
+        for n in range(1, n_max):
+            vals.append((2 * ((n + lam) * xm + b) * vals[n] - (n + 2 * lam - 1) * vals[n - 1]) / (n + 1))
+    return vals
+
+
 class TestFloatPathAccuracy:
     def test_double_recursion_against_extended(self):
         # forward recursion in doubles vs 40-digit arithmetic at |x| < 1
         rng = np.random.default_rng(51)
         for _ in range(6):
-            params = PollaczekParams(
-                lam=float(rng.uniform(0.4, 3.0)),
-                a=float(rng.uniform(-0.3, 0.3)),
-                b=float(rng.uniform(-0.8, 0.8)),
-            )
+            params = PollaczekParams(lam=float(rng.uniform(0.4, 3.0)), b=float(rng.uniform(-0.8, 0.8)))
             x = float(rng.uniform(-0.95, 0.95))
             fast = pollaczek.evaluate(params, x, 300)
-            slow = pollaczek.evaluate(params, x, 300, extended=True, dps=40)
-            scale = max(float(abs(v)) for v in slow.values)
+            assert isinstance(fast.values, np.ndarray)
+            slow = mp_standard_values(params, x, 300)
+            scale = max(float(abs(v)) for v in slow)
             worst = max(
-                float(abs(fast.values[n] - float(slow.values[n]))) for n in range(301)
+                float(abs(fast.values[n] - float(slow[n]))) for n in range(301)
             )
             assert worst < 1e-12 * scale

@@ -38,9 +38,8 @@ class TestContinuedFraction:
         # depth-60 continued fraction against the eigen-decomposition of
         # the 60x60 truncation: two independent algorithms, same object
         coeffs = coeffs_for_gamma(0.0)
-        diag = coeffs.diag_array(60)
-        off = coeffs.offdiag_array(59)
-        rule = specfun.gauss_rule_from_jacobi(diag, off, mass=1.0)
+        diag, off = coeffs.block(0, 60)
+        rule = specfun.gauss_rule_from_jacobi(diag, off[:-1], mass=1.0)
         z = 3.0 + 0.5j
         quad = np.sum(rule.weights / (z - rule.nodes))
         cf = resolvent.green_function_truncated(coeffs, z, 60)
@@ -127,7 +126,7 @@ class TestSpectralDensity:
             assert abs(extrap - exact) / exact < 0.01
 
     def test_eta_stabilization_bounded_family(self):
-        params = pollaczek.PollaczekParams(lam=1.6, a=0.0, b=-0.2)
+        params = pollaczek.PollaczekParams(lam=1.6, b=-0.2)
         coeffs = pollaczek.jacobi_coefficients(params)
         vals = [
             resolvent.spectral_density_grid(coeffs, [0.3], eta)[0]
@@ -151,7 +150,7 @@ class TestSpectralDensity:
 
     def test_mass_normalization(self):
         # integral of the smeared density over a dominating window ~ 1
-        params = pollaczek.PollaczekParams(lam=1.5, a=0.0, b=-0.1)
+        params = pollaczek.PollaczekParams(lam=1.5, b=-0.1)
         coeffs = pollaczek.jacobi_coefficients(params)
         xs = np.linspace(-1.6, 1.6, 321)
         rho = resolvent.spectral_density_grid(coeffs, xs, 1e-2)
@@ -163,9 +162,8 @@ class TestSpectralDensity:
         # the truncation eigenvalues
         coeffs = coeffs_for_gamma(0.0)
         depth = 60
-        diag = coeffs.diag_array(depth)
-        off = coeffs.offdiag_array(depth - 1)
-        nodes, first = specfun.tridiag_eigen_first_row(diag, off)
+        diag, off = coeffs.block(0, depth)
+        nodes, first = specfun.tridiag_eigen_first_row(diag, off[:-1])
         target = nodes[3]
         spacing = 0.5 * (nodes[4] - nodes[2])
         xs = np.linspace(target - spacing, target + spacing, 201)
@@ -288,7 +286,7 @@ class TestBlockFedLentz:
         assert got[1] > 80_000
 
     def test_bounded_family_like_per_level(self):
-        coeffs = pollaczek.jacobi_coefficients(pollaczek.PollaczekParams(lam=1.6, a=0.0, b=-0.2))
+        coeffs = pollaczek.jacobi_coefficients(pollaczek.PollaczekParams(lam=1.6, b=-0.2))
         for z in (0.3 + 0.01j, -0.7 + 0.2j, 1.5 - 0.001j):
             assert self._estimate(coeffs, z, 1e-12) == _lentz_per_level(coeffs, z, 1e-12, 200_000)
 

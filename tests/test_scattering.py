@@ -23,7 +23,7 @@ P_CRIT6 = PhysicalParams(z=-1.0, kappa=1, compton=0.02, omega=30.0)
 def orthonormal_sequence(p, eps, n_max):
     d = model.derive(p)
     pol = model.map_to_pollaczek(d, model.energy_point(eps))
-    params = pollaczek.PollaczekParams(lam=pol.lam, a=pol.a, b=pol.b)
+    params = pollaczek.PollaczekParams(lam=pol.lam, b=pol.b)
     return pollaczek.to_orthonormal(pollaczek.evaluate(params, pol.x, n_max))
 
 
@@ -123,7 +123,7 @@ class TestFitAsymptotics:
     def test_bound_regime_rejected(self):
         d = model.derive(PhysicalParams(z=-1.0, kappa=1, compton=0.05, omega=0.6))
         pol = model.map_to_pollaczek(d, model.energy_point(0.9993))
-        params = pollaczek.PollaczekParams(lam=pol.lam, a=pol.a, b=pol.b)
+        params = pollaczek.PollaczekParams(lam=pol.lam, b=pol.b)
         seq = pollaczek.to_orthonormal(pollaczek.evaluate(params, pol.x, 1400))
         with pytest.raises(FitError):
             scattering.fit_asymptotics(seq, (1000, 300))

@@ -332,13 +332,6 @@ class TestTridiagonality:
         with pytest.raises(ValueError):
             wavefunction.verify_tridiagonal(d, 1.3, 2)
 
-    def test_quadrature_budget_guard(self):
-        from tridirac.errors import QuadratureOrderError
-
-        d = model.derive(DESK)
-        with pytest.raises(QuadratureOrderError):
-            wavefunction.verify_tridiagonal(d, 1.3, 20, order=10)
-
 
 class TestCoupledSystem:
     @pytest.mark.parametrize("kappa", [1, -1, 2])
