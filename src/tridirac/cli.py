@@ -22,7 +22,7 @@ import sys
 import numpy as np
 
 from . import __version__, model, pollaczek, resolvent, scattering, spectrum, wavefunction
-from .errors import BottomPoleError, ConfigError, ConvergenceFailure, DomainError, SingularMapError
+from .errors import BottomPoleError, ConfigError, ConvergenceFailure, DomainError, SingularMapError, ThresholdError
 
 
 def _physical_params(args) -> model.PhysicalParams:
@@ -59,18 +59,29 @@ def _grid(flag: str, spec, positive: bool = False) -> np.ndarray:
     return np.linspace(start, stop, int(count))
 
 
+def _off_threshold(args) -> float:
+    """--eps of a single-energy command that is undefined at |eps| = 1
+    (density, wavefunction): ThresholdError where `model.energy_point`
+    puts it at the threshold, as coefficients and phase-shift raise."""
+    if model.energy_point(args.eps).regime is model.Regime.THRESHOLD:
+        raise ThresholdError(f"{args.command} undefined at |eps| = 1")
+    return args.eps
+
+
 def _eps_grid(args, regimes=(model.Regime.BOUND, model.Regime.SCATTERING)):
     """The energies of --eps, or of --eps-grid.  A grid that crosses
-    |eps| = 1 needs --split, and --split drops every grid point whose
-    `model.energy_point` regime is not in `regimes` (the threshold points
-    always)."""
+    |eps| = 1, or has an end that `model.energy_point` puts at the
+    threshold, needs --split, and --split drops every grid point whose
+    regime is not in `regimes` (the threshold points always)."""
     if getattr(args, "eps", None) is not None:
         return [args.eps]
     start, stop, _ = args.eps_grid
     grid = list(_grid("--eps-grid", args.eps_grid))
-    crossings = [t for t in (-1.0, 1.0) if (start - t) * (stop - t) < 0]
+    ends = {math.copysign(1.0, v) for v in (start, stop)
+            if model.energy_point(v).regime is model.Regime.THRESHOLD}
+    crossings = sorted(ends.union(t for t in (-1.0, 1.0) if (start - t) * (stop - t) < 0))
     if crossings and not args.split:
-        raise DomainError(f"energy grid crosses |eps| = 1 at {crossings}; rerun with --split")
+        raise DomainError(f"energy grid crosses or ends at |eps| = 1 at {crossings}; rerun with --split")
     if args.split:
         grid = [eps for eps in grid if model.energy_point(eps).regime in regimes]
     return grid
@@ -199,7 +210,7 @@ def _cmd_green(args) -> None:
 def _cmd_density(args) -> None:
     p = _physical_params(args)
     d = model.derive(p)
-    e = model.energy_point(args.eps)
+    e = model.energy_point(_off_threshold(args))
     pol = model.map_to_pollaczek(d, e)
     params = pollaczek.PollaczekParams(lam=pol.lam, b=pol.b)
     coeffs = pollaczek.jacobi_coefficients(params)
@@ -213,15 +224,16 @@ def _cmd_wavefunction(args) -> None:
     p = _physical_params(args)
     d = model.derive(p)
     r = _grid("--r-grid", args.r_grid, positive=True)
+    eps = _off_threshold(args)
     # bound regime: the square-summable vector (backward generator), so a
     # user-rounded level energy still yields the physical state; the
     # forward recursion is the scattering-regime evaluator
-    if abs(args.eps) < 1.0:
-        coeffs = wavefunction.coefficients_bound_state(d, args.eps, args.trunc)
+    if abs(eps) < 1.0:
+        coeffs = wavefunction.coefficients_bound_state(d, eps, args.trunc)
     else:
-        coeffs = wavefunction.coefficients_recursion(d, args.eps, args.trunc)
+        coeffs = wavefunction.coefficients_recursion(d, eps, args.trunc)
     phi_plus, _ = wavefunction.reconstruct_upper(coeffs, d, r, args.trunc)
-    phi_minus = wavefunction.lower_component(coeffs, d, args.eps, r, args.trunc)
+    phi_minus = wavefunction.lower_component(coeffs, d, eps, r, args.trunc)
     rows = [(float(rr), float(up), float(lo)) for rr, up, lo in zip(r, phi_plus, phi_minus)]
     _emit(args, ["r", "phi_plus", "phi_minus"], rows)
 
@@ -260,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
             group.add_argument("--eps-grid", nargs=3, type=float, metavar=("START", "STOP", "COUNT"),
                                help="uniform energy grid")
             sp.add_argument("--split", action="store_true",
-                            help="allow grids crossing |eps| = 1; out-of-regime points are dropped")
+                            help="allow grids crossing or ending at |eps| = 1; out-of-regime points are dropped")
         if n_max is not None:
             sp.add_argument("--n-max", type=int, default=n_max)
 

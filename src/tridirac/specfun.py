@@ -26,6 +26,7 @@ __all__ = [
     "laguerre_rows",
     "laguerre",
     "hyp2f1_terminating",
+    "hyp2f1_terminating_rows",
     "tridiag_eigen_first_row",
     "gauss_rule_from_jacobi",
     "gauss_laguerre_rule",
@@ -55,6 +56,7 @@ _LANCZOS_C = (
 _LOG_SQRT_2PI = 0.91893853320467274178
 _LOG_2 = 0.69314718055994530942
 _POLE_TOL = 1e-13
+_BLOCK_ELEMS = 4_096  # cap on the term ratios of one block of terminating-series rows
 
 
 @dataclass(frozen=True)
@@ -203,34 +205,63 @@ def laguerre(n: int, nu: float, x):
     return row
 
 
+def hyp2f1_terminating_rows(n, b, c, z) -> np.ndarray:
+    """The terminating Gauss sums 2F1(-n[i], b; c[i]; z) of one b and z,
+    one row per pair (n[i], c[i]) of the non-negative ints n and the
+    bottom parameters c, as a complex ndarray.
+
+    One array pass: row i holds the term ratios
+    (k-n) (b+k) z / ((c+k) (k+1)) for k < n (entries k >= n are masked
+    to 0 and never divide), the cumulative product along k gives the
+    terms, and the row sums give the series.  The rows run in blocks of
+    at most _BLOCK_ELEMS ratios (or of one row, when a row alone is
+    longer), so the temporaries stay small whatever the length.  The sums
+    agree with a term-by-term scalar loop to rounding, not bit for bit:
+    numpy's complex multiply and divide round differently from CPython's.
+
+    Raises ValueError for a negative n, and BottomPoleError(n, k) for the
+    first row (then the first k) at which c + k vanishes for some k < n,
+    i.e. a bottom-parameter pole is hit before the series terminates; no
+    row is summed then.
+    """
+    ns = np.asarray(n, dtype=int).reshape(-1)
+    cs = np.asarray(c, dtype=complex).reshape(-1)
+    b, z = complex(b), complex(z)
+    out = np.ones(ns.size, dtype=complex)
+    if not ns.size:
+        return out
+    if ns.min() < 0:
+        raise ValueError("top parameter -n requires n >= 0")
+    top = int(ns.max())
+    k = np.arange(top)
+    num = (b + k) * z
+    tol = _POLE_TOL * np.maximum(1.0, np.abs(cs))
+    step = max(1, _BLOCK_ELEMS // max(1, top))
+    for lo in range(0, ns.size, step):
+        rows = ns[lo:lo + step, None]
+        width = int(rows.max())
+        den = cs[lo:lo + step, None] + k[:width]
+        live = k[:width] < rows
+        pole = live & (np.abs(den) <= tol[lo:lo + step, None])
+        if pole.any():
+            row, col = np.unravel_index(np.argmax(pole), pole.shape)
+            raise BottomPoleError(int(rows[row, 0]), int(col))
+        den *= k[:width] + 1
+        ratio = np.divide((k[:width] - rows) * num[:width], den, out=np.zeros(den.shape, dtype=complex), where=live)
+        out[lo:lo + step] += np.cumprod(ratio, axis=1, out=ratio).sum(axis=1)
+    return out
+
+
 def hyp2f1_terminating(n: int, b, c, z) -> complex:
     """Terminating Gauss sum 2F1(-n, b; c; z) = sum_{k=0}^{n}
-    (-n)_k (b)_k / ((c)_k k!) z^k, accumulated with Kahan compensation.
+    (-n)_k (b)_k / ((c)_k k!) z^k: the one-row case of
+    `hyp2f1_terminating_rows`.
 
-    Raises BottomPoleError if c + k vanishes for some k in 0..n-1, i.e.
-    a bottom-parameter pole is hit before the series terminates.
+    Raises ValueError for n < 0, and BottomPoleError if c + k vanishes
+    for some k in 0..n-1, i.e. a bottom-parameter pole is hit before the
+    series terminates.
     """
-    if n < 0:
-        raise ValueError("top parameter -n requires n >= 0")
-    b = complex(b)
-    c = complex(c)
-    z = complex(z)
-    scale = max(1.0, abs(c))
-    total = 0.0 + 0.0j
-    comp = 0.0 + 0.0j  # Kahan carry
-    term = 1.0 + 0.0j
-    for k in range(n + 1):
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        if k == n:
-            break
-        ck = c + k
-        if abs(ck) <= _POLE_TOL * scale:
-            raise BottomPoleError(n, k)
-        term = term * (-n + k) * (b + k) * z / (ck * (k + 1))
-    return total
+    return complex(hyp2f1_terminating_rows([n], b, [c], z)[0])
 
 
 # --- symmetric tridiagonal eigenproblem and Gauss rules ---------------------

@@ -34,7 +34,7 @@ import mpmath as mp
 import numpy as np
 
 from . import recurrence, specfun
-from .errors import DomainError, GridError, KineticBalanceSingular
+from .errors import BottomPoleError, DomainError, GridError, KineticBalanceSingular
 from .model import (DerivedParams, Regime, energy_point, eps_sq_minus_one, growth_rate, map_to_pollaczek,
                     recursion_coefficients, rotation_angle, spinor_rotation, theta_phi, wave_rows)
 
@@ -243,10 +243,14 @@ def coefficients_closed_form(d: DerivedParams, eps: float, n_max: int) -> Coeffi
 
     the variant that reproduces the recursion to machine precision in
     both regimes (validated against coefficients_recursion; the
-    recursion stays normative).  Raises BottomPoleError, with the
-    offending (n, k), if a bottom Pochhammer factor vanishes before
-    termination; in the physical parameter range this happens only at
-    exact quantization points.
+    recursion stays normative).  The n_max + 1 series come from one
+    `specfun.hyp2f1_terminating_rows` pass; the prefactor and the
+    Pochhammer factor are formed per n.  Raises what a per-n loop raises,
+    in its order: for each n, first the Pochhammer factor's error (an
+    OverflowError once it leaves the double range), then BottomPoleError,
+    with the offending (n, k), if a bottom Pochhammer factor of the
+    series vanishes before termination; in the physical parameter range
+    this happens only at exact quantization points.
     """
     e = energy_point(eps)
     pol = map_to_pollaczek(d, e)
@@ -255,13 +259,20 @@ def coefficients_closed_form(d: DerivedParams, eps: float, n_max: int) -> Coeffi
     w = ang.exp_i_theta
     z = 1.0 / (w * w)
     phi = ang.phi
-    vals = []
+    ns = np.arange(n_max + 1)
+    pole = None
+    try:
+        series = specfun.hyp2f1_terminating_rows(ns, lam + 1j * phi, 1.0 - ns - lam + 1j * phi, z)
+    except BottomPoleError as err:
+        pole = err  # raised at its row, after that row's Pochhammer factor
+    factors = []
     for n in range(n_max + 1):
         pref = math.exp(0.5 * (math.lgamma(2.0 * lam) - math.lgamma(n + 1.0) - math.lgamma(n + 2.0 * lam)))
         poch = specfun.pochhammer(complex(lam, 0) - 1j * phi, n)
-        series = specfun.hyp2f1_terminating(n, lam + 1j * phi, 1.0 - n - lam + 1j * phi, z)
-        vals.append(pref * poch * w**n * series)
-    return CoefficientVector(values=np.asarray(vals, dtype=complex), eps=eps, source="closed_form")
+        if pole is not None and pole.n == n:
+            raise pole
+        factors.append(pref * poch * w**n)
+    return CoefficientVector(values=np.asarray(factors, dtype=complex) * series, eps=eps, source="closed_form")
 
 
 def reconstruct_upper(coeffs: CoefficientVector, d: DerivedParams, r_grid, n_trunc: int):

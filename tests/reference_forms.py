@@ -4,8 +4,11 @@ Each function here is the body a library function had before the basis
 sums, the Gauss basis table, the kinetic balance, the spinor rotation,
 the angle map in x, the wave rows and the growth rate were each written
 once.  The tests compare the shared forms against these with `==`, so a
-change to the order of any product shows up.  Nothing here calls the code
-it is compared with.
+change to the order of any product shows up.  The exception is the
+term-by-term Kahan loop of the terminating 2F1, which the array pass of
+`specfun.hyp2f1_terminating_rows` replaced: numpy rounds complex products
+and quotients differently from CPython, so the two agree to a rounding
+bound, not bit for bit.  Nothing here calls the code it is compared with.
 """
 
 from __future__ import annotations
@@ -16,9 +19,35 @@ import math
 import numpy as np
 
 from tridirac import specfun
-from tridirac.errors import BranchError, KineticBalanceSingular, PoleError, SingularMapError
+from tridirac.errors import BottomPoleError, BranchError, KineticBalanceSingular, PoleError, SingularMapError
 from tridirac.model import Regime, energy_point, map_to_pollaczek, recursion_coefficients, rotation_angle
 from tridirac.wavefunction import BasisElement
+
+
+def hyp2f1_terminating(n, b, c, z):
+    """sum_{k=0}^{n} (-n)_k (b)_k / ((c)_k k!) z^k, one term at a time
+    with Kahan compensation; BottomPoleError(n, k) at c + k = 0."""
+    if n < 0:
+        raise ValueError("top parameter -n requires n >= 0")
+    b = complex(b)
+    c = complex(c)
+    z = complex(z)
+    scale = max(1.0, abs(c))
+    total = 0.0 + 0.0j
+    comp = 0.0 + 0.0j  # Kahan carry
+    term = 1.0 + 0.0j
+    for k in range(n + 1):
+        y = term - comp
+        t = total + y
+        comp = (t - total) - y
+        total = t
+        if k == n:
+            break
+        ck = c + k
+        if abs(ck) <= 1e-13 * scale:
+            raise BottomPoleError(n, k)
+        term = term * (-n + k) * (b + k) * z / (ck * (k + 1))
+    return total
 
 
 def _envelope(gamma, omega, r):

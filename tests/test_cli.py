@@ -414,6 +414,38 @@ class TestSplitDropsOutOfRegimePoints:
         assert [float(r[0]) for r in data_rows(out)] == [1.5000000000000009]
 
 
+class TestThresholdEnergy:
+    """|eps| = 1 (to `model.energy_point`'s 1e-15) is refused with
+    ThresholdError by every command that takes one energy or a grid."""
+
+    DESK = ("--z", "-1", "--kappa", "1", "--compton", "0.05")
+
+    @pytest.mark.parametrize("argv", [
+        ("density", "--eps", "1.0", "--x-grid", "-0.5", "0.5", "2"),
+        ("density", "--eps", "-1.0"),
+        ("wavefunction", "--eps", "1.0"),
+        ("wavefunction", "--eps", "-1.0000000000000002", "--trunc", "8"),
+    ])
+    def test_single_energy_exits_2(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv, *self.DESK)
+        assert (code, out) == (2, "")
+        assert err == f"error: ThresholdError: {argv[0]} undefined at |eps| = 1\n"
+
+    @pytest.mark.parametrize("command", ["phase-shift", "coefficients"])
+    @pytest.mark.parametrize("grid, end", [(("1.0", "2.0", "3"), 1.0), (("-2.0", "-1.0", "3"), -1.0)])
+    def test_grid_ending_at_threshold_asks_for_split(self, capsys, command, grid, end):
+        code, out, err = run_cli(capsys, command, *self.DESK, "--eps-grid", *grid)
+        assert (code, out) == (2, "")
+        assert err == f"error: DomainError: energy grid crosses or ends at |eps| = 1 at [{end}]; rerun with --split\n"
+
+    @pytest.mark.parametrize("command", ["phase-shift", "coefficients"])
+    def test_grid_ending_at_threshold_runs_with_split(self, capsys, command):
+        code, out, err = run_cli(capsys, command, *self.DESK, "--eps-grid", "1.0", "2.0", "3", "--split",
+                                 *(("--n-max", "2") if command == "coefficients" else ()))
+        assert (code, err) == (0, "")
+        assert sorted({float(r[0]) for r in data_rows(out)}) == [1.5, 2.0]
+
+
 class TestNoTracebackAtExtremeParameters:
     CASES = [
         # Gamma(nu+1) of the Gauss rule overflows (nu ~ 171)

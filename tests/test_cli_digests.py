@@ -16,7 +16,9 @@ Regenerate, when a change alters output digits on purpose, with
 
     PYTHONPATH=src python tests/test_cli_digests.py
 
-and list every changed entry, with its reason, in CHANGES.md.
+which prints each entry whose digest changed (old -> new) before it
+rewrites the file, and list every changed entry, with its reason, in
+CHANGES.md.
 """
 
 from __future__ import annotations
@@ -128,5 +130,12 @@ if __name__ == "__main__":
         "versions": _versions(),
         "sha256": {name: hashlib.sha256(data).hexdigest() for name, data in _outputs().items()},
     }
+    old = json.loads(DIGESTS.read_text()) if DIGESTS.exists() else {"versions": None, "sha256": {}}
+    if old["versions"] != record["versions"]:
+        sys.stdout.write(f"versions: {old['versions']} -> {record['versions']}\n")
+    for name in sorted(set(old["sha256"]) | set(record["sha256"])):
+        before, after = old["sha256"].get(name), record["sha256"].get(name)
+        if before != after:
+            sys.stdout.write(f"changed: {name}: {before} -> {after}\n")
     DIGESTS.write_text(json.dumps(record, indent=2) + "\n")
     sys.stdout.write(f"wrote {len(record['sha256'])} digests to {DIGESTS}\n")

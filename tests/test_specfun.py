@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import reference_forms as ref
 from tridirac import model, specfun
 from tridirac.errors import BottomPoleError, PoleError
 
@@ -211,9 +212,21 @@ class TestLaguerre:
             assert abs(-specfun.laguerre(n - 1, nu + 1.0, x) - fd) < 1e-8 * max(1.0, abs(fd))
 
 
+def _abs_term_sum(n, b, c, z):
+    term, total = 1.0, 1.0
+    for k in range(n):
+        term *= abs((k - n) * (b + k) * z / ((c + k) * (k + 1)))
+        total += term
+    return total
+
+
 class TestHyp2F1Terminating:
     def test_n_zero(self):
         assert specfun.hyp2f1_terminating(0, 2.3, 1.1, 0.7) == 1.0
+
+    def test_negative_n_rejected(self):
+        with pytest.raises(ValueError, match="n >= 0"):
+            specfun.hyp2f1_terminating(-1, 2.3, 1.1, 0.7)
 
     def test_n_one(self):
         b, c, z = 1.7 + 0.2j, 2.2 - 1j, 0.4 + 0.1j
@@ -233,16 +246,73 @@ class TestHyp2F1Terminating:
         assert err.value.k == 3
 
     def test_against_mpmath(self):
+        # n < 25 to 1e-11 of max(1, |sum|); n up to 150, where the terms
+        # cancel by many digits, to 8 (n+1) ulp of the sum of the term moduli
         rng = np.random.default_rng(5)
         with mp.workdps(40):
-            for _ in range(40):
-                n = int(rng.integers(1, 25))
+            for i in range(80):
+                n = int(rng.integers(1, 25) if i < 40 else rng.integers(25, 151))
                 b = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
                 c = complex(rng.uniform(1, 4), rng.uniform(0.5, 3))
                 z = complex(rng.uniform(-0.9, 0.9), rng.uniform(-0.5, 0.5))
                 ours = specfun.hyp2f1_terminating(n, b, c, z)
                 ref = complex(mp.hyp2f1(-n, mp.mpc(b), mp.mpc(c), mp.mpc(z)))
-                assert abs(ours - ref) <= 1e-11 * max(1.0, abs(ref))
+                if n < 25:
+                    assert abs(ours - ref) <= 1e-11 * max(1.0, abs(ref))
+                else:
+                    assert abs(ours - ref) <= 8 * (n + 1) * 2.0**-53 * _abs_term_sum(n, b, c, z), n
+
+    def test_rows_bottom_pole_is_first_row_then_first_k(self):
+        # rows 4 (k = 2) and 6 (k = 0) both hit c + k = 0
+        c = [1.5, 1.5, 1.5, 1.5, -2.0, 1.5, 0.0, 1.5]
+        with pytest.raises(BottomPoleError) as err:
+            specfun.hyp2f1_terminating_rows(range(8), 1.0, c, 0.5)
+        assert (err.value.n, err.value.k) == (4, 2)
+
+    def test_masked_entries_never_divide(self):
+        # row 1 (c = -2) meets c + k = 0 only at k = 2, past its end; any
+        # division there would raise under the suite's RuntimeWarning filter
+        b, z = 1.0 + 0.5j, 0.5
+        rows = specfun.hyp2f1_terminating_rows(range(4), b, [-2.0, -2.0, 5.0, 5.0], z)
+        assert rows[0] == 1.0
+        assert_allclose(rows[1], 1 - (b / -2.0) * z, rtol=1e-15)
+
+    def test_empty_rows(self):
+        assert specfun.hyp2f1_terminating_rows([], 1.0, [], 0.5).shape == (0,)
+
+
+def _closed_form_series(omega, eps):
+    # b, the bottom parameters c_n and z of coefficients_closed_form at
+    # Z = -1, kappa = 1, compton 0.05, for n = 0..150
+    d = model.derive(model.PhysicalParams(z=-1.0, kappa=1, compton=0.05, omega=omega))
+    e = model.energy_point(eps)
+    lam = model.map_to_pollaczek(d, e).lam
+    ang = model.theta_phi(d, e)
+    c = 1.0 - np.arange(151) - lam + 1j * ang.phi
+    return ang.branch, lam + 1j * ang.phi, c, 1.0 / ang.exp_i_theta**2
+
+
+@pytest.mark.parametrize("omega, eps", [(1.0, 1.3), (1.0, 0.9), (3.0, 0.9994)])
+def test_rows_match_reference_loop(omega, eps):
+    """The array rows and the one-row call against the earlier Kahan loop,
+    for n <= 150 in the scattering regime and on both bound branches, to
+    8 (n+1) ulp of the sum of the term moduli (fixed before measuring)."""
+    branch, b, c, z = _closed_form_series(omega, eps)
+    assert branch == {1.3: "scattering", 0.9: "bound_right", 0.9994: "bound_left"}[eps]
+    rows = specfun.hyp2f1_terminating_rows(range(151), b, c, z)
+    for n in range(151):
+        want = ref.hyp2f1_terminating(n, b, c[n], z)
+        tol = 8 * (n + 1) * 2.0**-53 * _abs_term_sum(n, b, c[n], z)
+        assert abs(rows[n] - want) <= tol, n
+        assert abs(specfun.hyp2f1_terminating(n, b, c[n], z) - want) <= tol, n
+
+
+def test_rows_do_not_depend_on_the_block_size(monkeypatch):
+    _, b, c, z = _closed_form_series(1.0, 1.3)
+    whole = specfun.hyp2f1_terminating_rows(range(151), b, c, z)
+    for cap in (1, 150, 1000):
+        monkeypatch.setattr(specfun, "_BLOCK_ELEMS", cap)
+        assert_allclose(specfun.hyp2f1_terminating_rows(range(151), b, c, z), whole, rtol=1e-12)
 
 
 class TestGaussRules:

@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 
 import reference_forms
 from tridirac import model, spectrum, wavefunction
-from tridirac.errors import GridError, KineticBalanceSingular
+from tridirac.errors import BottomPoleError, GridError, KineticBalanceSingular
 from tridirac.model import PhysicalParams
 from tridirac.wavefunction import BasisElement
 
@@ -89,6 +89,29 @@ class TestCoefficients:
         d = model.derive(DESK)
         closed = wavefunction.coefficients_closed_form(d, 1.4, 0)
         assert_allclose(closed.values[0], 1.0 + 0.0j, rtol=1e-13)
+
+    def test_closed_form_pole_at_level_0(self):
+        # a bottom Pochhammer factor of the series vanishes at k=6 of n=7
+        with pytest.raises(BottomPoleError) as err:
+            wavefunction.coefficients_closed_form(model.derive(DESK), 0.9996872555384283, 20)
+        assert (err.value.n, err.value.k) == (7, 6)
+
+    def test_closed_form_overflow_at_n_max_200(self):
+        # the Pochhammer factor leaves the double range between n = 150 and 200
+        with pytest.raises(OverflowError):
+            wavefunction.coefficients_closed_form(model.derive(DESK), 1.3, 200)
+
+    @pytest.mark.parametrize("fail_at, error", [(3, OverflowError), (7, OverflowError), (8, BottomPoleError)])
+    def test_closed_form_errors_in_per_n_order(self, monkeypatch, fail_at, error):
+        # for each n, the Pochhammer factor first, then the series' pole
+        # (n = 7 at level 0); the factor's error at a later n is never reached
+        def poch(c, n):
+            if n == fail_at:
+                raise OverflowError("pochhammer")
+            return 1.0
+        monkeypatch.setattr(wavefunction.specfun, "pochhammer", poch)
+        with pytest.raises(error):
+            wavefunction.coefficients_closed_form(model.derive(DESK), 0.9996872555384283, 20)
 
     def test_closed_matches_recursion_scattering(self):
         rng = np.random.default_rng(23)
