@@ -6,7 +6,8 @@ digest in `tests/data/cli_digests.json`.  A change that is meant to keep
 every output byte for byte (a refactor, a speedup) must leave the digests
 unchanged.  The list holds the criterion-13 examples, one argv per
 benchmark op shape at fixed acceptance parameters, the `sweep` fit call,
-and the bound-left branch (omega = 3) and kappa = -2 cases.
+the bound-left branch (omega = 3) and kappa = -2 cases, the JSON output
+of every subcommand, and empty and mixed-regime `--split` tables.
 
 Digests depend on the Python, numpy and mpmath versions (libm and SIMD
 kernels round differently), so the recorded versions are checked first
@@ -84,6 +85,21 @@ CLI_CASES = {
                              "--eps", "0.999", "--trunc", "48", "--r-grid", "0.5", "30", "40"],
     "kappa-2.verify": ["verify", "--z", "-1", "--kappa", "-2", "--compton", "0.05", "--omega", "0.8",
                        "--eps", "1.2", "--n", "30"],
+    # JSON output of every subcommand (green has the one integer column, depth)
+    "json.green": ["green", *_DESK, "--zre", "3.0", "--zim", "0.5", "--format", "json"],
+    "json.verify": ["verify", *_DESK, "--eps", _EPS_LEVEL0, "--n", "12", "--format", "json"],
+    "json.density": ["density", "--z", "-1", "--kappa", "1", "--compton", "0.02", "--eps", "1.25",
+                     "--x-grid", "-0.9", "0.9", "7", "--eta", "1e-2", "--format", "json"],
+    "json.wavefunction": ["wavefunction", *_DESK, "--eps", _EPS_LEVEL0, "--trunc", "32",
+                          "--r-grid", "0.5", "20", "12", "--format", "json"],
+    "json.phase-shift": ["phase-shift", "--z", "-1", "--kappa", "1", "--compton", "0.02",
+                         "--eps-grid", "1.01", "3.0", "20", "--format", "json"],
+    # an empty --split table, and a --split grid holding both regimes
+    "split.coefficients.empty": ["coefficients", *_DESK, "--eps-grid", "1.0", "1.0", "1", "--split"],
+    "split.coefficients.empty-json": ["coefficients", *_DESK, "--eps-grid", "1.0", "1.0", "1", "--split",
+                                      "--format", "json"],
+    "split.coefficients.grid": ["coefficients", *_DESK, "--eps-grid", "0.9", "1.3", "5", "--split",
+                                "--n-max", "20"],
 }
 
 
