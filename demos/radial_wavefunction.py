@@ -45,8 +45,7 @@ print("\n" + "=" * 72)
 print("Sampled spinor (CSV-ready)")
 print("=" * 72)
 sample = slice(0, len(r), 590)
-rows = zip(r[sample].tolist(), phi_plus[sample].tolist(), phi_minus[sample].tolist())
-print("\n" + cli.rows_to_csv(["r", "phi_plus", "phi_minus"], rows))
+print("\n" + cli.table_to_csv({"r": r[sample], "phi_plus": phi_plus[sample], "phi_minus": phi_minus[sample]}))
 
 print("=" * 72)
 print("Tridiagonality of the wave-operator matrix (N = 20)")

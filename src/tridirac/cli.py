@@ -2,7 +2,8 @@
 run with machine-readable CSV or JSON output.
 
 Exit codes: 0 success, 1 configuration error (a flag value that is not
-finite or out of range, or a ValueError from the library), 2 domain error
+finite or out of range, a ValueError from the library, or an OSError from
+writing --output or its sidecar), 2 domain error
 (threshold / supercritical / repulsive / singular map, or a result that
 is not finite), 3 convergence failure.  Every non-zero exit writes one
 `error: Type: message` line to stderr and no data.  Identical inputs
@@ -14,9 +15,9 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -87,115 +88,86 @@ def _eps_grid(args, regimes=(model.Regime.BOUND, model.Regime.SCATTERING)):
     return grid
 
 
-def _json_value(v) -> str:
-    # json.dumps' text for one value: float.__repr__ plus NaN/Infinity for
-    # floats, int.__repr__ for ints
-    if isinstance(v, float):
-        if math.isfinite(v):
-            return float.__repr__(v)
-        return "NaN" if v != v else ("Infinity" if v > 0 else "-Infinity")
-    if type(v) is int:
-        return int.__repr__(v)
-    return json.dumps(v)
+def table_to_csv(table: dict) -> str:
+    """CSV text of the table {name: column}: the header line, then one
+    line per row, float columns as %.16e and integer columns as %s; the
+    one CSV writer of the package.  Every column has the same length."""
+    columns = [np.asarray(column) for column in table.values()]
+    fmt = ",".join("%.16e" if column.dtype.kind == "f" else "%s" for column in columns)
+    lines = map(fmt.__mod__, zip(*(column.tolist() for column in columns)))
+    return "\n".join([",".join(table), *lines]) + "\n"
 
 
-def _float_kinds(column) -> set:
-    # {True} for a column of floats (np.float64 included), {False} for a
-    # column without floats, both for a mix
-    return {issubclass(t, float) for t in set(map(type, column))}
-
-
-def _json_column(values):
-    if _float_kinds(values) == {True} and all(map(math.isfinite, values)):
-        return map(float.__repr__, values)
-    return map(_json_value, values)
-
-
-def rows_to_csv(header, rows) -> str:
-    """CSV text: the header line, then one line per row with floats
-    (np.float64 included) as %.16e and every other value as str(); the
-    one table serializer of the package.  Every row has the header's
-    length.  Unless a column mixes floats with other values, one
-    %-format string writes every row."""
-    rows = [tuple(row) for row in rows]
-    kinds = [_float_kinds(column) for column in zip(*rows)]
-    if all(len(kind) == 1 for kind in kinds):
-        fmt = ",".join("%.16e" if True in kind else "%s" for kind in kinds)
-        lines = map(fmt.__mod__, rows)
-    else:
-        lines = (",".join("%.16e" % v if isinstance(v, float) else str(v) for v in row) for row in rows)
-    return "\n".join([",".join(header), *lines]) + "\n"
-
-
-def rows_to_json(header, rows) -> str:
-    """JSON text: a list of {header: value} objects, indent 2.  Written
-    directly, byte for byte what `json.dumps(..., indent=2)` gives, for
-    rows with the length of the (distinct) header."""
-    fields = ",\n".join("    %s: %%s" % json.dumps(name).replace("%", "%%") for name in header)
+def table_to_json(table: dict) -> str:
+    """JSON text of the table {name: column}: a list of {name: value}
+    objects, indent 2, byte for byte what `json.dumps(..., indent=2)`
+    gives for finite float and integer columns of the same length."""
+    fields = ",\n".join("    %s: %%s" % json.dumps(name).replace("%", "%%") for name in table)
     template = "  {\n" + fields + "\n  }"
-    objects = list(map(template.__mod__, zip(*map(_json_column, zip(*rows)))))
+    values = (map(float.__repr__ if column.dtype.kind == "f" else int.__repr__, column.tolist())
+              for column in map(np.asarray, table.values()))
+    objects = list(map(template.__mod__, zip(*values)))
     if not objects:
         return "[]\n"
     return "[\n" + ",\n".join(objects) + "\n]\n"
 
 
-def _check_finite_columns(header, rows) -> None:
-    # one vectorised check per float column; row k counts data rows from 0
-    for name, column in zip(header, zip(*rows)):
-        if _float_kinds(column) == {True}:
-            finite = np.isfinite(np.array(column, dtype=float))
-            if not finite.all():
-                raise DomainError(f"{name} is not finite at row {int(np.argmin(finite))}")
-
-
-def _emit(args, header, rows) -> None:
-    """Write the table, or refuse it (DomainError, nothing written) when a
-    float column holds a NaN or an infinity."""
-    rows = list(rows)
-    _check_finite_columns(header, rows)
-    text = rows_to_json(header, rows) if args.format == "json" else rows_to_csv(header, rows)
-    if args.output:
-        with open(args.output, "w", newline="") as fh:
-            fh.write(text)
+def _emit(args, table: dict) -> None:
+    """Write the table {name: column}, or refuse it (DomainError, nothing
+    written) when a float column holds a NaN or an infinity.  An OSError
+    while writing --output or its sidecar removes the data file again."""
+    table = {name: np.asarray(column) for name, column in table.items()}
+    for name, column in table.items():
+        if column.dtype.kind == "f" and not np.isfinite(column).all():
+            raise DomainError(f"{name} is not finite at row {int(np.argmin(np.isfinite(column)))}")
+    text = table_to_json(table) if args.format == "json" else table_to_csv(table)
+    if not args.output:
+        sys.stdout.write(text)
+        return
+    data = open(args.output, "w", newline="")  # an OSError here has created nothing
+    try:
+        with data:
+            data.write(text)
         sidecar = {"command": " ".join(args.invocation), "version": __version__}
         with open(args.output + ".meta.json", "w") as fh:
             json.dump(sidecar, fh, indent=2)
             fh.write("\n")
-    else:
-        sys.stdout.write(text)
+    except OSError:
+        os.remove(args.output)
+        raise
 
 
 def _cmd_spectrum(args) -> None:
     p = _physical_params(args)
     table = spectrum.build_table(p, args.n_max)
-    rows = zip(range(args.n_max + 1), itertools.repeat(table.kappa), table.eps.tolist(),
-               table.oracle_residual.tolist())
-    _emit(args, ["n", "kappa", "eps", "oracle_residual"], rows)
+    levels = np.arange(len(table.eps))
+    _emit(args, {"n": levels, "kappa": np.full_like(levels, table.kappa), "eps": table.eps,
+                 "oracle_residual": table.oracle_residual})
 
 
 def _cmd_phase_shift(args) -> None:
     p = _physical_params(args)
     grid = _eps_grid(args, (model.Regime.SCATTERING,))
     r = scattering.phase_shift_sweep(p, grid)
-    rows = zip(*(v.tolist() for v in (r.eps, r.theta, r.phi, r.psi, r.amplitude)))
-    _emit(args, ["eps", "theta", "Phi", "psi", "amplitude"], rows)
+    _emit(args, {"eps": r.eps, "theta": r.theta, "Phi": r.phi, "psi": r.psi, "amplitude": r.amplitude})
 
 
 def _cmd_coefficients(args) -> None:
     p = _physical_params(args)
     d = model.derive(p)
-    rows = []
-    for eps in _eps_grid(args):
-        rec = wavefunction.coefficients_recursion(d, eps, args.n_max)
+    grid = _eps_grid(args)
+    levels = np.arange(args.n_max + 1)
+    f, dev = np.empty((len(grid), len(levels)), dtype=complex), []
+    for row, eps in zip(f, grid):
+        row[:] = wavefunction.coefficients_recursion(d, eps, args.n_max).values
         try:
             closed = wavefunction.coefficients_closed_form(d, eps, args.n_max).values
         except (BottomPoleError, SingularMapError):
-            closed = None  # closed form undefined here: closed_rel_dev = -1
-        for n in range(args.n_max + 1):
-            fr = rec.values[n]
-            dev = -1.0 if closed is None else abs(closed[n] - fr) / max(1e-300, abs(fr))
-            rows.append((eps, n, fr.real, fr.imag, dev))
-    _emit(args, ["eps", "n", "f_re", "f_im", "closed_rel_dev"], rows)
+            dev += [-1.0] * len(row)  # closed form undefined here
+            continue
+        dev += [abs(c - v) / max(1e-300, abs(v)) for c, v in zip(closed, row)]
+    _emit(args, {"eps": np.repeat(grid, len(levels)), "n": np.tile(levels, len(grid)),
+                 "f_re": f.real.ravel(), "f_im": f.imag.ravel(), "closed_rel_dev": dev})
 
 
 def _cmd_green(args) -> None:
@@ -203,8 +175,8 @@ def _cmd_green(args) -> None:
     d = model.derive(p)
     coeffs = model.recursion_coefficients(d)
     est = resolvent.green_function(coeffs, complex(args.zre, args.zim), tol=args.tol, max_depth=args.depth)
-    rows = [(args.zre, args.zim, est.value.real, est.value.imag, est.depth, float(est.last_delta))]
-    _emit(args, ["z_re", "z_im", "G_re", "G_im", "depth", "last_delta"], rows)
+    _emit(args, {"z_re": [args.zre], "z_im": [args.zim], "G_re": [est.value.real], "G_im": [est.value.imag],
+                 "depth": [est.depth], "last_delta": [est.last_delta]})
 
 
 def _cmd_density(args) -> None:
@@ -216,8 +188,7 @@ def _cmd_density(args) -> None:
     coeffs = pollaczek.jacobi_coefficients(params)
     xs = _grid("--x-grid", args.x_grid)
     rho = resolvent.spectral_density_grid(coeffs, xs, args.eta)
-    rows = [(float(x), args.eta, float(r)) for x, r in zip(xs, rho)]
-    _emit(args, ["x", "eta", "rho"], rows)
+    _emit(args, {"x": xs, "eta": np.full_like(xs, args.eta), "rho": rho})
 
 
 def _cmd_wavefunction(args) -> None:
@@ -234,8 +205,7 @@ def _cmd_wavefunction(args) -> None:
         coeffs = wavefunction.coefficients_recursion(d, eps, args.trunc)
     phi_plus, _ = wavefunction.reconstruct_upper(coeffs, d, r, args.trunc)
     phi_minus = wavefunction.lower_component(coeffs, d, eps, r, args.trunc)
-    rows = [(float(rr), float(up), float(lo)) for rr, up, lo in zip(r, phi_plus, phi_minus)]
-    _emit(args, ["r", "phi_plus", "phi_minus"], rows)
+    _emit(args, {"r": r, "phi_plus": phi_plus, "phi_minus": phi_minus})
 
 
 def _cmd_verify(args) -> None:
@@ -243,9 +213,9 @@ def _cmd_verify(args) -> None:
     d = model.derive(p)
     report = wavefunction.verify_tridiagonal(d, args.eps, args.n)
     gram = wavefunction.gram_matrix(d, min(args.n, 20))
-    gram_dev = float(np.max(np.abs(gram - np.eye(gram.shape[0]))))
-    rows = [(report.offband_ratio, report.diag_deviation, report.offdiag_deviation, gram_dev)]
-    _emit(args, ["offband_ratio", "diag_deviation", "offdiag_deviation", "gram_deviation"], rows)
+    _emit(args, {"offband_ratio": [report.offband_ratio], "diag_deviation": [report.diag_deviation],
+                 "offdiag_deviation": [report.offdiag_deviation],
+                 "gram_deviation": [np.max(np.abs(gram - np.eye(gram.shape[0])))]})
 
 
 @functools.cache
@@ -351,7 +321,7 @@ def main(argv=None) -> int:
         # they would flag cannot reach the output, since _emit refuses it
         with np.errstate(all="ignore"):
             args.func(args)
-    except (ConfigError, ValueError, ConvergenceFailure, DomainError) as exc:
+    except (ConfigError, ValueError, OSError, ConvergenceFailure, DomainError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3 if isinstance(exc, ConvergenceFailure) else 2 if isinstance(exc, DomainError) else 1
     return 0

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import pollaczek, recurrence
 from .errors import NoConvergence, SpectrumProximity
-from .model import DerivedParams, RecursionCoefficients, energy_point, map_to_pollaczek
+from .model import DerivedParams, RecursionCoefficients, energy_point, eps_sq_minus_one, map_to_pollaczek
 
 __all__ = [
     "ResolventEstimate",
@@ -43,7 +43,6 @@ __all__ = [
 ]
 
 _TINY = 1e-30
-_JACOBIAN_STEP = 1e-6  # relative step of the energy_density Jacobian
 MAX_DEFAULT_DEPTH = 2_000_000  # levels; the default depth 15/eta of spectral_density_grid stops here
 _BLOCK = 512  # levels per coefficient block
 _BLOCK_ELEMS = 16_384  # cap on the elements of one block's 2-D temporaries
@@ -198,13 +197,14 @@ def spectral_density_grid(coeffs: RecursionCoefficients, xs, eta: float,
 def energy_density(d: DerivedParams, eps: float, eta: float) -> tuple[float, float]:
     """Density translated to the energy variable: the x-variable density
     (Lentz to 1e-9) of the energy's own polynomial parameter set times the
-    numerical Jacobian |dx/d eps| of the map, a central difference with
-    step h = 1e-6 (|eps| + 1).  Returns (rho_x at x(eps), rho_eps)."""
+    exact Jacobian of the map x = (s - beta^2)/(s + beta^2), s = eps^2 - 1,
+
+        |dx/d eps| = 4 |eps| beta^2 / (s + beta^2)^2.
+
+    Returns (rho_x at x(eps), rho_eps)."""
     pol = map_to_pollaczek(d, energy_point(eps))
     params = pollaczek.PollaczekParams(lam=pol.lam, b=pol.b)
     rho_x = spectral_density(pollaczek.jacobi_coefficients(params), pol.x, eta, tol=1e-9)
-    h = abs(eps) * _JACOBIAN_STEP + _JACOBIAN_STEP
-    x_plus = map_to_pollaczek(d, energy_point(eps + h)).x
-    x_minus = map_to_pollaczek(d, energy_point(eps - h)).x
-    jac = abs(x_plus - x_minus) / (2.0 * h)
+    beta_sq = d.beta * d.beta
+    jac = 4.0 * abs(eps) * beta_sq / (eps_sq_minus_one(eps) + beta_sq) ** 2
     return rho_x, rho_x * jac

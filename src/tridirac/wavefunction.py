@@ -321,8 +321,7 @@ def lower_component(coeffs: CoefficientVector, d: DerivedParams, eps: float, r_g
     if n_trunc is None:
         n_trunc = len(coeffs)
     r = np.asarray(r_grid, dtype=float)
-    phi_plus, _ = reconstruct_upper(coeffs, d, r, n_trunc)
-    dphi = reconstruct_derivative(coeffs, d, r, n_trunc)
+    phi_plus, dphi = _expansion(coeffs.values, d.gamma_eff, d.omega, r, n_trunc, (0, 1))
     out = pref * ((-d.z / d.kappa + d.gamma / r) * phi_plus + dphi)
     return float(out) if np.ndim(r_grid) == 0 else out
 

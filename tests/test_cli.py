@@ -169,6 +169,27 @@ class TestOutputFiles:
         assert cli.main(args + ["--output", str(target2)]) == 0
         assert target1.read_bytes() == target2.read_bytes()
 
+    @pytest.mark.parametrize("case", ["missing_directory", "directory_as_path", "directory_as_sidecar"])
+    def test_unwritable_output_exits_1_and_leaves_no_file(self, tmp_path, capsys, case):
+        target = {"missing_directory": tmp_path / "missing" / "x.csv",
+                  "directory_as_path": tmp_path / "x.csv",
+                  "directory_as_sidecar": tmp_path / "x.csv"}[case]
+        error = {"missing_directory": "FileNotFoundError",
+                 "directory_as_path": "IsADirectoryError",
+                 "directory_as_sidecar": "IsADirectoryError"}[case]
+        if case == "directory_as_path":
+            target.mkdir()
+        if case == "directory_as_sidecar":
+            Path(str(target) + ".meta.json").mkdir()
+        code, out, err = run_cli(capsys, "spectrum", "--z", "-1", "--kappa", "1", "--output", str(target))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {error}: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert not target.is_file()
+        assert sorted(p.name for p in tmp_path.iterdir()) == {
+            "missing_directory": [], "directory_as_path": ["x.csv"], "directory_as_sidecar": ["x.csv.meta.json"],
+        }[case]
+
 
 class TestDensityCommand:
     def test_band_mass_near_unity(self, capsys):
@@ -517,37 +538,65 @@ def ref_rows_to_json(header, rows):
 
 
 SPECIAL = [float("nan"), float("inf"), float("-inf"), -0.0, 5e-324, 1e300]
+FINITE = [-0.0, 5e-324, 1e300, np.float64(0.1), -2.5, np.float64(-1e-300)]
+
+
+def _rows(table):
+    return list(zip(*table.values()))
 
 
 class TestSerializers:
+    # every column has one kind, float (np.float64 included) or integer;
+    # JSON tables are finite, since _emit refuses the others
+    FINITE_TABLES = {
+        "finite_floats": {"a": FINITE, "b": FINITE[::-1]},
+        "floats_and_ints": {"n": list(range(len(FINITE))), "x": FINITE, "kappa": [-3] * len(FINITE)},
+        "one_column": {"x": [1.0, -0.0, np.float64(3.5)]},
+        "int_columns": {"n": list(range(5)), "kappa": [-1] * 5},
+        "empty": {"eps": [], "theta": []},
+    }
     TABLES = {
-        "mixed_types": (["n", "a", "b"], [
-            (0, 1.5, np.float64(0.1)),
-            (1, np.float64(-2.0), 3),
-            (np.float64(7.0), 2, 1e-5),
-            (-4, 0.1 + 0.2, np.float64(1e16)),
-        ]),
-        "special_values": (["v", "w"], [(v, np.float64(v)) for v in SPECIAL] + [(0.0, 1)]),
-        "special_values_one_type": (["v", "w"], [(v, w) for v, w in zip(SPECIAL, SPECIAL[::-1])]),
-        "one_column": (["x"], [(v,) for v in (1.0, 2, -0.0, np.float64(3.5))]),
-        "one_column_floats": (["x"], [(v,) for v in SPECIAL]),
-        "int_columns": (["n", "kappa"], [(n, -1) for n in range(5)]),
-        "empty": (["eps", "theta"], []),
+        **FINITE_TABLES,
+        "special_values": {"v": SPECIAL, "w": [np.float64(v) for v in SPECIAL]},
+        "special_values_one_type": {"v": SPECIAL, "w": SPECIAL[::-1]},
+        "one_column_floats": {"x": SPECIAL},
     }
 
     @pytest.mark.parametrize("name", sorted(TABLES))
     def test_csv_matches_reference(self, name):
-        header, rows = self.TABLES[name]
-        assert cli.rows_to_csv(header, rows) == ref_rows_to_csv(header, rows)
-        assert cli.rows_to_csv(header, iter(rows)) == ref_rows_to_csv(header, rows)
+        table = self.TABLES[name]
+        assert cli.table_to_csv(table) == ref_rows_to_csv(list(table), _rows(table))
 
-    @pytest.mark.parametrize("name", sorted(TABLES))
+    @pytest.mark.parametrize("name", sorted(FINITE_TABLES))
     def test_json_matches_reference(self, name):
-        header, rows = self.TABLES[name]
-        assert cli.rows_to_json(header, rows) == ref_rows_to_json(header, rows)
-        assert cli.rows_to_json(header, iter(rows)) == ref_rows_to_json(header, rows)
+        table = self.FINITE_TABLES[name]
+        assert cli.table_to_json(table) == ref_rows_to_json(list(table), _rows(table))
 
     def test_header_needing_escapes(self):
-        header, rows = ["a%s", 'q"uote', "\u00e9"], [(1.0, 2, 3.5)]
-        assert cli.rows_to_csv(header, rows) == ref_rows_to_csv(header, rows)
-        assert cli.rows_to_json(header, rows) == ref_rows_to_json(header, rows)
+        table = {"a%s": [1.0], 'q"uote': [2], "\u00e9": [3.5]}
+        assert cli.table_to_csv(table) == ref_rows_to_csv(list(table), _rows(table))
+        assert cli.table_to_json(table) == ref_rows_to_json(list(table), _rows(table))
+
+    def test_random_finite_columns_match_reference(self):
+        pytest.importorskip("hypothesis")
+        from hypothesis import given, settings
+        from hypothesis import strategies as st
+
+        floats = st.floats(allow_nan=False, allow_infinity=False)
+        kinds = st.sampled_from([(floats, float), (st.integers(-2**63, 2**63 - 1), np.int64)])
+
+        @st.composite
+        def tables(draw):
+            names = draw(st.lists(st.text(max_size=4), min_size=1, max_size=4, unique=True))
+            length = draw(st.integers(0, 6))
+            return {name: np.array(draw(st.lists(values, min_size=length, max_size=length)), dtype=dtype)
+                    for name, (values, dtype) in zip(names, [draw(kinds) for _ in names])}
+
+        @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+        @given(tables())
+        def check(table):
+            rows = list(zip(*(column.tolist() for column in table.values())))
+            assert cli.table_to_csv(table) == ref_rows_to_csv(list(table), rows)
+            assert cli.table_to_json(table) == ref_rows_to_json(list(table), rows)
+
+        check()

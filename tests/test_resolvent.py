@@ -2,6 +2,7 @@ import itertools
 import math
 import tracemalloc
 
+import mpmath as mp
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -183,6 +184,16 @@ class TestSpectralDensity:
         ) / (2 * h)
         assert_allclose(rho_eps, rho_x * jac, rtol=1e-5)  # independent step size
         assert rho_x > 0
+
+    @pytest.mark.parametrize("eps", [1.25, 0.9, -1.7, 1.001, 3.0, -0.5])
+    def test_jacobian_against_mpmath_derivative(self, eps):
+        # |dx/d eps| of the map at the double beta, differentiated in mpmath
+        d = model.derive(PhysicalParams(z=-1.0, kappa=1, compton=0.02, omega=1.0))
+        rho_x, rho_eps = resolvent.energy_density(d, eps, 1e-3)
+        with mp.workdps(40):
+            beta_sq = mp.mpf(d.beta) ** 2
+            exact = abs(mp.diff(lambda e: (e * e - 1 - beta_sq) / (e * e - 1 + beta_sq), mp.mpf(eps)))
+            assert abs(rho_eps / rho_x - exact) <= 1e-13 * exact
 
 
 # --- block-fed evaluation against the former per-level loops ----------------
