@@ -28,8 +28,7 @@ for n in (0, 1, 2, 3, 5, 8):
     print(f"    |f_{n}| = {mags[n]:.3e}")
 
 r = np.arange(0.5, 30.0, 0.01)
-phi_plus, tail = wavefunction.reconstruct_upper(coeffs, d, r, 64)
-phi_minus = wavefunction.lower_component(coeffs, d, eps0, r, 64)
+phi_plus, phi_minus = wavefunction.spinor(coeffs, d, eps0, r, 64)
 peak = r[np.argmax(np.abs(phi_plus))]
 ratio = np.max(np.abs(phi_minus)) / np.max(np.abs(phi_plus))
 print(f"\n  Upper component peaks near r = {peak:.2f} Bohr radii")

@@ -203,8 +203,7 @@ def _cmd_wavefunction(args) -> None:
         coeffs = wavefunction.coefficients_bound_state(d, eps, args.trunc)
     else:
         coeffs = wavefunction.coefficients_recursion(d, eps, args.trunc)
-    phi_plus, _ = wavefunction.reconstruct_upper(coeffs, d, r, args.trunc)
-    phi_minus = wavefunction.lower_component(coeffs, d, eps, r, args.trunc)
+    phi_plus, phi_minus = wavefunction.spinor(coeffs, d, eps, r, args.trunc)
     _emit(args, {"r": r, "phi_plus": phi_plus, "phi_minus": phi_minus})
 
 

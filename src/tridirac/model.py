@@ -82,8 +82,7 @@ class DerivedParams:
 
     gamma carries the sign of kappa; gamma_eff is the coefficient-map
     parameter actually used in the recursion (gamma for kappa > 0,
-    -gamma - 1 for kappa < 0).  ell is metadata only: ell = |kappa| - 1
-    for kappa > 0 and ell = |kappa| for kappa < 0.
+    -gamma - 1 for kappa < 0).
     """
 
     z: float
@@ -93,7 +92,6 @@ class DerivedParams:
     gamma: float
     alpha: float
     beta: float
-    ell: int
 
     @property
     def gamma_eff(self) -> float:
@@ -173,7 +171,6 @@ def derive(params: PhysicalParams) -> DerivedParams:
     gamma = params.kappa * math.sqrt(1.0 - ratio * ratio)
     alpha = lam * lam * params.omega * params.z
     beta = 0.5 * lam * params.omega
-    ell = abs(params.kappa) - 1 if params.kappa > 0 else abs(params.kappa)
     return DerivedParams(
         z=params.z,
         kappa=params.kappa,
@@ -182,7 +179,6 @@ def derive(params: PhysicalParams) -> DerivedParams:
         gamma=gamma,
         alpha=alpha,
         beta=beta,
-        ell=ell,
     )
 
 

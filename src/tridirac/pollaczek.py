@@ -68,12 +68,6 @@ class PolynomialSequence:
     normalization: str
     params: PollaczekParams
 
-    def __len__(self):
-        return len(self.values)
-
-    def __getitem__(self, n):
-        return self.values[n]
-
 
 def _recursion(params: PollaczekParams, x, n_max: int, symmetric: bool):
     """(A, B, C) for rows 0..max(1, n_max)-1 of the standard recursion

@@ -53,7 +53,6 @@ class ResolventEstimate:
     z: complex
     value: complex
     depth: int
-    converged: bool
     last_delta: float
 
 
@@ -106,7 +105,7 @@ def green_function(coeffs: RecursionCoefficients, z, tol: float = 1e-12,
             c = c_new
             delta = abs(ratio - 1.0)
             if delta < tol:
-                return ResolventEstimate(z=z, value=1.0 / f, depth=depth, converged=True, last_delta=delta)
+                return ResolventEstimate(z=z, value=1.0 / f, depth=depth, last_delta=delta)
     raise NoConvergence(f"continued fraction did not reach tol={tol} within depth {max_depth}")
 
 

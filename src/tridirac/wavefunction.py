@@ -51,6 +51,7 @@ __all__ = [
     "coefficients_closed_form",
     "reconstruct_upper",
     "reconstruct_derivative",
+    "spinor",
     "lower_component",
     "schrodinger_residual",
     "verify_tridiagonal",
@@ -101,8 +102,8 @@ def _expansion(values, g: float, omega: float, r, n_trunc: int, orders) -> list:
         zeta_n'' = w^2 zeta_n [g(g+1)/y^2 - (n+g+1)/y + 1/4]
 
     (d/dy L_n^nu = -L_{n-1}^{nu+1}, so the nu+1 rows run one degree behind
-    the nu rows, in lockstep).  The basis_* functions, both reconstructions
-    and coupled_system_residual are this sum."""
+    the nu rows, in lockstep).  The basis_* functions, both reconstructions,
+    spinor and coupled_system_residual are this sum."""
     if n_trunc > len(values):
         raise ValueError("n_trunc exceeds the available coefficients")
     y = omega * np.asarray(r, dtype=float)
@@ -299,30 +300,39 @@ def reconstruct_derivative(coeffs: CoefficientVector, d: DerivedParams, r_grid, 
 
 def _kinetic_balance(d: DerivedParams, eps: float) -> float:
     """The kinetic-balance prefactor compton/(eps + gamma/kappa) of
-    lower_component and coupled_system_residual; raises
-    KineticBalanceSingular when its denominator vanishes (within 1e-12)."""
+    spinor and coupled_system_residual; raises KineticBalanceSingular
+    when its denominator vanishes (within 1e-12)."""
     denom = eps + d.gamma / d.kappa
     if abs(denom) < 1e-12:
         raise KineticBalanceSingular(f"eps + gamma/kappa = {denom:.3e}")
     return d.compton / denom
 
 
-def lower_component(coeffs: CoefficientVector, d: DerivedParams, eps: float, r_grid,
-                    n_trunc: int | None = None):
-    """Lower spinor component from the kinetic-balance relation
+def spinor(coeffs: CoefficientVector, d: DerivedParams, eps: float, r_grid, n_trunc: int):
+    """(phi+, phi-) on the grid from one basis pass: the truncated
+    expansion phi+ = sum_{n<n_trunc} f_n zeta_n and the lower component
+    from the kinetic-balance relation
 
         phi- = [compton/(eps + gamma/kappa)] (-Z/kappa + gamma/r + d/dr) phi+,
 
     applied analytically to the expansion (gamma here is the original,
     sign-carrying parameter).  Raises KineticBalanceSingular when the
-    prefactor denominator vanishes.
+    prefactor denominator vanishes, ValueError when n_trunc exceeds the
+    vector.
     """
     pref = _kinetic_balance(d, eps)
-    if n_trunc is None:
-        n_trunc = len(coeffs)
     r = np.asarray(r_grid, dtype=float)
     phi_plus, dphi = _expansion(coeffs.values, d.gamma_eff, d.omega, r, n_trunc, (0, 1))
-    out = pref * ((-d.z / d.kappa + d.gamma / r) * phi_plus + dphi)
+    return phi_plus, pref * ((-d.z / d.kappa + d.gamma / r) * phi_plus + dphi)
+
+
+def lower_component(coeffs: CoefficientVector, d: DerivedParams, eps: float, r_grid,
+                    n_trunc: int | None = None):
+    """The phi- half of spinor, over the whole vector by default; a float
+    for a scalar r."""
+    if n_trunc is None:
+        n_trunc = len(coeffs)
+    _, out = spinor(coeffs, d, eps, r_grid, n_trunc)
     return float(out) if np.ndim(r_grid) == 0 else out
 
 

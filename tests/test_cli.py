@@ -519,6 +519,31 @@ class TestWavefunctionCommand:
         assert np.all(np.abs(phi) < 10.0)
         assert np.max(np.abs(phi)) > 1e-3
 
+    @pytest.mark.parametrize("eps", ["0.99968725", "1.3"])
+    def test_one_basis_pass(self, capsys, monkeypatch, eps):
+        # phi+ and phi- come from one sum over the basis, bound or scattering
+        orders = []
+        expansion = wavefunction._expansion
+
+        def counted(*args):
+            orders.append(args[-1])
+            return expansion(*args)
+
+        monkeypatch.setattr(wavefunction, "_expansion", counted)
+        code, _, _ = run_cli(capsys, "wavefunction", "--z", "-1", "--kappa", "1", "--compton", "0.05",
+                             "--eps", eps, "--trunc", "16")
+        assert code == 0 and orders == [(0, 1)]
+
+    def test_kinetic_balance_singular_energy_exits_2(self, tmp_path, capsys):
+        # eps = -gamma/kappa zeroes the kinetic-balance denominator
+        d = model.derive(model.PhysicalParams(z=-1.0, kappa=1, compton=0.05))
+        target = tmp_path / "out.csv"
+        code, out, err = run_cli(capsys, "wavefunction", "--z", "-1", "--kappa", "1", "--compton", "0.05",
+                                 "--eps", repr(-d.gamma / d.kappa), "--output", str(target))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: KineticBalanceSingular: ") and err.count("\n") == 1
+        assert not target.exists() and not Path(str(target) + ".meta.json").exists()
+
 
 # --- the serializers against the json.dumps-based writers they replaced -----
 

@@ -64,8 +64,11 @@ class TestBasisSide:
     def test_lower_component(self, name):
         d, eps, coeffs = _state(name)
         for n_trunc in (1, 17, 48):
-            _same(wavefunction.lower_component(coeffs, d, eps, R, n_trunc),
-                  ref.lower_component(coeffs, d, eps, R, n_trunc))
+            lower = wavefunction.lower_component(coeffs, d, eps, R, n_trunc)
+            _same(lower, ref.lower_component(coeffs, d, eps, R, n_trunc))
+            phi_plus, phi_minus = wavefunction.spinor(coeffs, d, eps, R, n_trunc)
+            _same(phi_plus, wavefunction.reconstruct_upper(coeffs, d, R, n_trunc)[0])
+            _same(phi_minus, lower)
         assert wavefunction.lower_component(coeffs, d, eps, 1.7) == ref.lower_component(coeffs, d, eps, 1.7)
 
     def test_coupled_system_residual(self, name):
@@ -100,6 +103,8 @@ def test_kinetic_balance_singular_in_both_users():
     d, _, coeffs = _state("scattering.k1", 8)
     eps = -d.gamma / d.kappa
     r = np.array([1.0])
+    with pytest.raises(KineticBalanceSingular):
+        wavefunction.spinor(coeffs, d, eps, r, 8)
     with pytest.raises(KineticBalanceSingular):
         wavefunction.lower_component(coeffs, d, eps, r)
     with pytest.raises(KineticBalanceSingular):

@@ -32,12 +32,6 @@ class TestDerive:
             d = model.derive(p)
             assert_allclose(d.gamma**2 + (p.compton * p.z) ** 2, kappa**2, rtol=1e-12)
 
-    def test_ell_convention(self):
-        assert model.derive(PhysicalParams(z=-1, kappa=1, compton=0.01)).ell == 0
-        assert model.derive(PhysicalParams(z=-1, kappa=2, compton=0.01)).ell == 1
-        assert model.derive(PhysicalParams(z=-1, kappa=-1, compton=0.01)).ell == 1
-        assert model.derive(PhysicalParams(z=-1, kappa=-2, compton=0.01)).ell == 2
-
     def test_kappa_zero_rejected(self):
         with pytest.raises(ConfigError):
             PhysicalParams(z=-1, kappa=0)

@@ -246,6 +246,8 @@ class TestReconstruction:
         with pytest.raises(ValueError, match="n_trunc"):
             wavefunction.reconstruct_derivative(coeffs, d, r, 10)
         with pytest.raises(ValueError, match="n_trunc"):
+            wavefunction.spinor(coeffs, d, 1.3, r, 10)
+        with pytest.raises(ValueError, match="n_trunc"):
             wavefunction.lower_component(coeffs, d, 1.3, r, 10)
         with pytest.raises(ValueError, match="n_trunc"):
             wavefunction.coupled_system_residual(coeffs, d, 1.3, r, 10)
