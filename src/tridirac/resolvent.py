@@ -5,25 +5,37 @@ Sign convention, fixed once: G(z) = <0|(z - J)^{-1}|0>, so
 Im G(x + i eta) <= 0 for eta > 0 and the density is
 rho(x) = -Im G(x + i eta) / pi.
 
-The production evaluator is modified Lentz with a 1e-30 floor on
-vanishing partial denominators (off-axis arguments only; a vanishing
-denominator at real z is reported as spectrum contact).  The finite
-truncation G_depth equals the resolvent of the depth x depth matrix
-truncation exactly, which is what the Gauss-quadrature cross-check
-exploits.
+The production evaluator is modified Lentz (Thompson & Barnett 1986).
+With real a_n and b_n^2 > 0, each level adds to Im c_n and to Im D_n
+(d_n = 1/D_n) a term of the sign of Im z, and rounding cannot shrink a
+sum of two terms of one sign: both keep the sign of Im z and never fall
+below |Im z|.  So where |Im z| > 1e-14 (1 + |z|), the guard on a
+vanishing partial denominator cannot fire, and Lentz runs a branch-free
+body, settling convergence and the running product once per block of
+levels.  Only inside that band (|Im z| at most 1e-14 (1 + |z|), real z
+included) does each level check its denominators: off the axis a
+vanishing one takes a 1e-30 floor, on the axis it is reported as
+spectrum contact.  The finite truncation G_depth equals the resolvent of
+the depth x depth matrix truncation exactly, which is what the
+Gauss-quadrature cross-check exploits.
 
-Every evaluator reads the recursion coefficients in blocks of levels
+Both evaluators give the same values, bit for bit, as level-by-level
+evaluation.  They read the recursion coefficients in blocks of levels
 (`RecursionCoefficients.block`), not one map call per level.  Lentz runs
-its per-level expressions on the block converted to Python scalars, and
-the truncated fraction sweeps down a block with one subtract and one
-divide per level over all points of z, so both give the same values,
-bit for bit, as level-by-level evaluation.
+its per-level expressions on Python scalars, and settles each block with
+np.hypot on the parts of ratio - 1 and one left-to-right product of the
+Python ratios, both rounding as CPython's abs() and * do.  The
+truncated fraction sweeps down a block with one subtract and one divide
+per level over all points of z, in buffers allocated once per call.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from functools import reduce
+from itertools import chain, islice
 
 import numpy as np
 
@@ -44,6 +56,7 @@ __all__ = [
 
 _TINY = 1e-30
 MAX_DEFAULT_DEPTH = 2_000_000  # levels; the default depth 15/eta of spectral_density_grid stops here
+_FIRST_BLOCK = 64  # levels in Lentz's first block; each next block doubles, up to _BLOCK
 _BLOCK = 512  # levels per coefficient block
 _BLOCK_ELEMS = 16_384  # cap on the elements of one block's 2-D temporaries
 
@@ -56,21 +69,74 @@ class ResolventEstimate:
     last_delta: float
 
 
+def _lentz_blocks(max_depth: int):
+    """Level ranges [lo, hi) covering 1..max_depth over which off-axis
+    Lentz settles convergence: 64 levels, then each block twice the last,
+    up to _BLOCK, so a shallow fraction does little work past its
+    convergence."""
+    lo, size = 1, _FIRST_BLOCK
+    while lo <= max_depth:
+        hi = min(lo + size, max_depth + 1)
+        yield lo, hi
+        lo, size = hi, min(2 * size, _BLOCK)
+
+
+def _level_blocks(coeffs: RecursionCoefficients, z: complex, max_depth: int):
+    """For levels n = 1..max_depth, one zip per block of _BLOCK levels of
+    the Python complex pairs (z - a_n, -b_{n-1}^2).  Python scalars, not
+    numpy ones, so Lentz's complex rounding is that of the per-level
+    expressions; complex numerators, since CPython widens a float operand
+    to complex anyway and complex-complex operations dispatch faster."""
+    for lo in range(1, max_depth + 1, _BLOCK):
+        hi = min(lo + _BLOCK, max_depth + 1)
+        a, b = coeffs.block(lo - 1, hi)
+        yield zip((z - a[1:]).tolist(), (-(b[:-1] * b[:-1])).astype(complex).tolist())
+
+
+def _deltas(ratios: list, tol: float) -> np.ndarray:
+    """abs(ratio - 1.0) for each ratio, as CPython computes it: np.hypot
+    on the parts rounds as abs() does.  Where a finite ratio's value
+    overflows, abs() raises OverflowError; the levels are then redone with
+    abs() itself, up to the first that converges."""
+    r = np.array(ratios, dtype=complex)
+    try:
+        with np.errstate(over="raise"):
+            return np.hypot(r.real - 1.0, r.imag)
+    except FloatingPointError:
+        deltas = []
+        for ratio in ratios:
+            deltas.append(abs(ratio - 1.0))
+            if deltas[-1] < tol:
+                break
+        return np.array(deltas)
+
+
 def green_function(coeffs: RecursionCoefficients, z, tol: float = 1e-12,
                    max_depth: int = 200_000) -> ResolventEstimate:
     """Evaluate G(z) = 1/(z - a_0 - b_0^2/(z - a_1 - ...)) by modified
     Lentz until the running update |delta - 1| drops below tol.
 
-    Raises ValueError unless tol is finite and positive and
-    max_depth >= 1, NoConvergence when max_depth is hit first, and
-    SpectrumProximity when a partial denominator vanishes (within 1e-14
-    of the working scale) for real z: the argument sits on the spectrum.
+    Off the axis, |Im c_n| and |Im D_n| never fall below |Im z| (module
+    docstring).  So for |Im z| > 1e-14 (1 + |z|) the levels run without
+    denominator checks, a block at a time; inside that band each level
+    checks D_n and c_n against 1e-14 (1 + |z|), and the value, depth and
+    last_delta are those of that level-by-level loop in either case, bit
+    for bit.
+
+    Raises ValueError unless tol is finite and positive, max_depth >= 1
+    and 2 (|Re z| + |Im z|) is finite (beyond that the complex division
+    1/(z - a_n) overflows inside and returns 0), NoConvergence when
+    max_depth is hit first, and SpectrumProximity when a partial
+    denominator vanishes (within 1e-14 of the working scale) for real z:
+    the argument sits on the spectrum.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and positive, got {tol}")
     if max_depth < 1:
         raise ValueError(f"max_depth must be >= 1, got {max_depth}")
     z = complex(z)
+    if not math.isfinite(2.0 * (abs(z.real) + abs(z.imag))):
+        raise ValueError(f"z must be finite with |Re z| + |Im z| below half the largest double, got {z}")
     on_axis = z.imag == 0.0
     f = z - coeffs.block(0, 1)[0].item()
     scale = 1.0 + abs(z)
@@ -80,15 +146,10 @@ def green_function(coeffs: RecursionCoefficients, z, tol: float = 1e-12,
         f = complex(_TINY)
     c = f
     d = 0.0 + 0.0j
-    delta = math.inf
-    for lo in range(1, max_depth + 1, _BLOCK):
-        hi = min(lo + _BLOCK, max_depth + 1)
-        a, b = coeffs.block(lo - 1, hi)
-        # Python scalars, not numpy ones, so the complex rounding below is
-        # that of the per-level expressions
-        dens = (z - a[1:]).tolist()
-        nums = (-(b[:-1] * b[:-1])).tolist()
-        for depth, den, num in zip(range(lo, hi), dens, nums):
+    one = 1.0 + 0.0j
+    levels = chain.from_iterable(_level_blocks(coeffs, z, max_depth))
+    if abs(z.imag) <= 1e-14 * scale:
+        for depth, (den, num) in enumerate(levels, 1):
             d_new = den + num * d
             if abs(d_new) <= 1e-14 * scale:
                 if on_axis:
@@ -99,13 +160,28 @@ def green_function(coeffs: RecursionCoefficients, z, tol: float = 1e-12,
                 if on_axis:
                     raise SpectrumProximity(f"vanishing partial denominator at depth {depth}, z={z}")
                 c_new = complex(_TINY)
-            d = 1.0 / d_new
+            d = one / d_new
             ratio = c_new * d
             f = f * ratio
             c = c_new
             delta = abs(ratio - 1.0)
             if delta < tol:
                 return ResolventEstimate(z=z, value=1.0 / f, depth=depth, last_delta=delta)
+        raise NoConvergence(f"continued fraction did not reach tol={tol} within depth {max_depth}")
+    for lo, hi in _lentz_blocks(max_depth):
+        ratios = []
+        append = ratios.append
+        for den, num in islice(levels, hi - lo):
+            d = one / (den + num * d)
+            c = den + num / c
+            append(c * d)
+        deltas = _deltas(ratios, tol)
+        hits = np.flatnonzero(deltas < tol)
+        if hits.size:
+            k = int(hits[0])
+            f = reduce(operator.mul, ratios[:k + 1], f)
+            return ResolventEstimate(z=z, value=1.0 / f, depth=lo + k, last_delta=float(deltas[k]))
+        f = reduce(operator.mul, ratios, f)
     raise NoConvergence(f"continued fraction did not reach tol={tol} within depth {max_depth}")
 
 
@@ -121,13 +197,17 @@ def green_function_truncated(coeffs: RecursionCoefficients, z, depth: int):
     tail = np.zeros_like(flat)
     den = np.empty_like(flat)
     levels = max(1, min(_BLOCK, _BLOCK_ELEMS // max(1, flat.size)))
+    # z - a_k for one block of levels, written in place: a fresh block per
+    # pass would be a fresh allocation above malloc's mmap threshold
+    shifted = np.empty((min(levels, depth - 1), flat.size), dtype=complex)
     # level k (a_k, b_{k-1}) for k = depth-1 .. 1, one block of levels at a time
     for hi in range(depth, 1, -levels):
         lo = max(1, hi - levels)
         a, b = coeffs.block(lo - 1, hi)
-        shifted = flat[None, :] - a[1:, None]
-        squares = (b[:-1] * b[:-1]).tolist()
-        for row, square in zip(shifted[::-1], squares[::-1]):
+        rows = np.subtract(flat, a[1:, None], out=shifted[:hi - lo])
+        # complex numerators, so np.divide needs no cast per level
+        squares = (b[:-1] * b[:-1]).astype(complex).tolist()
+        for row, square in zip(rows[::-1], squares[::-1]):
             np.subtract(row, tail, out=den)
             np.divide(square, den, out=tail)
     out = 1.0 / (flat - coeffs.block(0, 1)[0] - tail)

@@ -257,6 +257,9 @@ class TestInvalidInput:
         (GREEN + ["--tol", "-1"], "ValueError"),
         (GREEN + ["--tol", "nan"], "ValueError"),
         (GREEN + ["--tol", "inf"], "ValueError"),
+        # |Re z| + |Im z| past half the largest double: 1/(z - a_n) would be 0
+        (["green", "--z", "-1", "--kappa", "1", "--zre", "1e308", "--zim", "1e308"], "ValueError"),
+        (["green", "--z", "-1", "--kappa", "1", "--zre", "1.5e308", "--zim", "1.5e308"], "ValueError"),
         (["verify", "--z", "-1", "--kappa", "1", "--eps", "0.99", "--n", "2"], "ValueError"),
     ]
 

@@ -333,6 +333,113 @@ class TestBlockFedLentz:
             resolvent.spectral_density(coeffs, 3.0, 0.5, tol=tol, max_depth=max_depth)
 
 
+def _edge_coeffs():
+    """a_0 = a_1 = 5, then a_n = 0, and b_n = 1/2: at z = 5 + i t the
+    partial denominators f_0 and D_1 are exactly i t, and the tail's
+    spectrum [-1, 1] is far from 5, so the fraction converges within a few
+    levels."""
+    return model.RecursionCoefficients(diag=lambda n: np.where(n <= 1, 5.0, 0.0), offdiag=lambda n: 0.5 + 0.0 * n)
+
+
+def _cut_parabolic_coeffs(k, cut):
+    """`_parabolic_coeffs(k)` with b_cut = 1e-200, whose square underflows
+    to 0: level cut+1 then has c = D = z - a_{cut+1}, so its ratio is 1 to
+    rounding and the fraction converges there."""
+    return model.RecursionCoefficients(diag=_parabolic_coeffs(k).diag,
+                                       offdiag=lambda n: np.where(n == cut, 1e-200, 1.0))
+
+
+class TestOffAxisLentz:
+    """Off the axis outside the guarded band, Lentz settles convergence
+    once per block of levels; inside the band, and on the axis, it checks
+    every level.  Either way it must return what the level-by-level loop
+    returns, or raise what it raises."""
+
+    def _estimate(self, coeffs, z, tol, max_depth=200_000):
+        est = resolvent.green_function(coeffs, z, tol=tol, max_depth=max_depth)
+        return est.value, est.depth, est.last_delta
+
+    # the blocks end at 64, 192, 448 and 960 levels and every 512 after
+    @pytest.mark.parametrize("target", [1, 63, 64, 65, 191, 192, 193, 447, 448, 449, 959, 960, 961, 1471, 1472, 1473])
+    def test_converges_at_schedule_edges_like_per_level(self, target):
+        coeffs = _wave_coeffs()
+        z = 3.0 + 0.35j
+        deltas = {depth: delta for depth, _, delta in itertools.islice(_lentz_levels(coeffs, z), target)}
+        tol = float(np.nextafter(deltas[target], np.inf))
+        assert all(deltas[k] >= tol for k in range(1, target))  # `target` is the first level below tol
+        got = self._estimate(coeffs, z, tol)
+        assert got == _lentz_per_level(coeffs, z, tol, 200_000)
+        assert got[1] == target
+        if target > 1:
+            with pytest.raises(NoConvergence):
+                resolvent.green_function(coeffs, z, tol=tol, max_depth=target - 1)
+
+    def test_band_edge_like_per_level(self):
+        # |Im z| equal to 1e-14 (1 + |z|) is inside the guarded band, where
+        # the denominators i Im z of levels 0 and 1 take the 1e-30 floor;
+        # one double above it, no denominator of a level >= 1 is checked
+        coeffs = _edge_coeffs()
+        edge = 1e-14 * 6.0
+        assert edge == 1e-14 * (1.0 + abs(complex(5.0, edge)))
+        above = float(np.nextafter(edge, np.inf))
+        assert above > 1e-14 * (1.0 + abs(complex(5.0, above)))
+        floored = self._estimate(coeffs, complex(5.0, edge), 1e-12)
+        unguarded = self._estimate(coeffs, complex(5.0, above), 1e-12)
+        assert floored == _lentz_per_level(coeffs, complex(5.0, edge), 1e-12, 200_000)
+        assert unguarded == _lentz_per_level(coeffs, complex(5.0, above), 1e-12, 200_000)
+        assert abs(floored[0].imag / unguarded[0].imag - 1.0) > 0.5  # the floor changed the value
+
+    def test_on_axis_converges_before_vanishing_denominator(self):
+        # the denominator vanishes at depth 300, three levels after the
+        # fraction converges; a block that ran ahead would raise
+        coeffs = _parabolic_coeffs(300)
+        deltas = {depth: delta for depth, _, delta in itertools.islice(_lentz_levels(coeffs, 0.0), 297)}
+        tol = float(np.nextafter(deltas[297], np.inf))
+        assert all(deltas[k] >= tol for k in range(1, 297))
+        got = self._estimate(coeffs, 0.0, tol)
+        assert got == _lentz_per_level(coeffs, 0.0, tol, 200_000)
+        assert got[1] == 297
+        with pytest.raises(SpectrumProximity, match="at depth 300"):
+            resolvent.green_function(coeffs, 0.0, tol=1e-13)
+
+    def test_floor_mid_block_then_convergence_like_per_level(self):
+        # at z = 1e-20 i the denominator at depth 500 takes the floor, and
+        # the fraction converges five levels later
+        coeffs = _cut_parabolic_coeffs(500, 504)
+        z = 1e-20j
+        deltas = [delta for _, _, delta in itertools.islice(_lentz_levels(coeffs, z), 505)]
+        assert deltas[499] > 1e20  # the floored level
+        assert min(deltas[:504]) >= 1e-15 > deltas[504]
+        got = self._estimate(coeffs, z, 1e-15)
+        assert got == _lentz_per_level(coeffs, z, 1e-15, 200_000)
+        assert got[1] == 505
+
+    def test_ratio_overflow_like_per_level(self):
+        # ratio_1 = 1 + num/z^2 is about 1.3e308 (1 + i): both parts are
+        # finite, but |ratio_1 - 1| is not, so abs() raises OverflowError
+        z = 0.5 * complex(math.cos(3 * math.pi / 8), math.sin(3 * math.pi / 8))
+        coeffs = model.RecursionCoefficients(diag=lambda n: 0.0 * n,
+                                             offdiag=lambda n: np.where(n == 0, math.sqrt(4.6e307), 0.5))
+        with pytest.raises(OverflowError) as per_level:
+            _lentz_per_level(coeffs, z, 1e-12, 1000)
+        with pytest.raises(OverflowError) as blocked:
+            resolvent.green_function(coeffs, z, tol=1e-12, max_depth=1000)
+        assert str(blocked.value) == str(per_level.value)
+
+    def test_deltas_stop_at_convergence_before_an_overflow(self):
+        # abs() is reached only up to the first converged level
+        huge = complex(1.3e308, 1.3e308)
+        assert resolvent._deltas([2.0 + 0j, 1.0 + 0j, huge], 1e-12).tolist() == [1.0, 0.0]
+        with pytest.raises(OverflowError):
+            resolvent._deltas([2.0 + 0j, huge, 1.0 + 0j], 1e-12)
+
+    @pytest.mark.parametrize("z", [1e308 + 1e308j, 1.5e308 + 1.5e308j, complex(math.inf, 1.0), complex(1.0, math.nan),
+                                   1e308 + 0j])
+    def test_rejects_z_beyond_working_range(self, z):
+        with pytest.raises(ValueError, match="half the largest double"):
+            resolvent.green_function(_wave_coeffs(), z)
+
+
 class TestBlockFedTruncation:
     # block edges: 512 levels for up to 32 points, 16384 // size levels
     # for more (99 points: 165 levels; 300 points: 54 levels)
@@ -363,6 +470,24 @@ class TestBlockFedTruncation:
         coeffs = _wave_coeffs()
         got = resolvent.green_function_truncated(coeffs, 3.0 + 0.05j, 172_000)
         assert got == _truncated_per_level(coeffs, 3.0 + 0.05j, 172_000)
+
+
+class TestTruncatedBuffer:
+    """The sweep writes z - a_k into one (levels x points) buffer per call.
+    With 512-level blocks, depths 2 and 100 use a buffer shorter than a
+    block, and 1000 and 1300 end on a partial block that uses a slice of
+    it."""
+
+    @pytest.mark.parametrize("shape", [(), (1,), (3, 4)])
+    @pytest.mark.parametrize("depth", [2, 100, 1000, 1300])
+    def test_matches_per_level_sweep(self, shape, depth):
+        z = (np.linspace(-0.9, 3.0, max(1, math.prod(shape))) + 0.02j).reshape(shape)
+        for coeffs in (_wave_coeffs(), pollaczek.jacobi_coefficients(pollaczek.PollaczekParams(lam=1.6, b=-0.2))):
+            got = resolvent.green_function_truncated(coeffs, z, depth)
+            want = _truncated_per_level(coeffs, z, depth)
+            assert type(got) is type(want)
+            assert np.shape(got) == shape
+            assert np.array_equal(got, want)
 
 
 class TestBlockFedMemory:

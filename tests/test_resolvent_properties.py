@@ -1,0 +1,62 @@
+"""The invariant behind off-axis Lentz's unchecked levels.
+
+With real a_n and b_n^2 > 0, each level of modified Lentz adds to Im c_n
+and to Im D_n, the partial denominator whose reciprocal is d_n, a term of
+the sign of Im z, and rounding cannot shrink a sum of two terms of one
+sign.  So both keep the sign of Im z and never fall below |Im z|, which
+is why `resolvent.green_function` checks no denominator where
+|Im z| > 1e-14 (1 + |z|): |D_n| and |c_n| cannot fall to that bound.
+The draws are derandomized: the same cases run every time.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from tridirac import model, pollaczek
+from tridirac.model import PhysicalParams
+
+pytest.importorskip("hypothesis")
+from hypothesis import assume, given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+LEVELS = 2_000
+
+WAVE = st.builds(
+    lambda charge, kappa, compton: model.derive(PhysicalParams(z=charge, kappa=kappa, compton=compton)),
+    st.floats(-3.0, 3.0), st.sampled_from([-5, -2, -1, 1, 2, 5]), st.floats(-4.0, -0.5).map(lambda u: 10.0 ** u),
+).filter(lambda d: d.gamma_eff > -1.0).map(model.recursion_coefficients)
+POLLACZEK = st.builds(
+    lambda lam, b: pollaczek.jacobi_coefficients(pollaczek.PollaczekParams(lam=lam, b=b)),
+    st.floats(0.05, 5.0), st.floats(-2.0, 2.0),
+)
+
+
+def _off_band(re, exponent, sign):
+    """re + i sign 10^exponent, moved out to the first double above the
+    band 1e-14 (1 + |z|) when it falls inside."""
+    z = complex(re, sign * 10.0 ** exponent)
+    if abs(z.imag) <= 1e-14 * (1.0 + abs(z)):
+        z = complex(re, sign * float(np.nextafter(1e-14 * (1.0 + abs(z)), np.inf)))
+    return z
+
+
+POINTS = st.builds(_off_band, st.floats(-10.0, 60.0), st.floats(-15.0, 1.0), st.sampled_from([-1.0, 1.0]))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(coeffs=st.one_of(WAVE, POLLACZEK), z=POINTS)
+def test_imaginary_parts_keep_sign_and_size(coeffs, z):
+    assume(abs(z.imag) > 1e-14 * (1.0 + abs(z)))
+    a, b = coeffs.block(0, LEVELS + 1)
+    sign = math.copysign(1.0, z.imag)
+    c = z - a[0].item()
+    d = 0.0 + 0.0j
+    # the Lentz body of green_function, on Python scalars
+    for n, (den, num) in enumerate(zip((z - a[1:]).tolist(), (-(b[:-1] * b[:-1])).tolist()), 1):
+        denominator = den + num * d
+        c = den + num / c
+        d = 1.0 / denominator
+        for part in (c.imag, denominator.imag):
+            assert math.copysign(1.0, part) == sign and abs(part) >= abs(z.imag), (n, z, part)
