@@ -2,10 +2,11 @@
 run with machine-readable CSV or JSON output.
 
 Exit codes: 0 success, 1 configuration error (a flag value that is not
-finite or out of range, a ValueError from the library, or an OSError from
-writing --output or its sidecar), 2 domain error
-(threshold / supercritical / repulsive / singular map, or a result that
-is not finite), 3 convergence failure.  Every non-zero exit writes one
+finite or out of range, such as a --kappa beyond 2**53 in magnitude, a
+ValueError from the library, a MemoryError from a size too large to
+allocate, or an OSError from writing --output or its sidecar), 2 domain
+error (threshold / supercritical / repulsive / singular map, or a result
+that is not finite), 3 convergence failure.  Every non-zero exit writes one
 `error: Type: message` line to stderr and no data.  Identical inputs
 produce byte-identical data files; run metadata goes to a separate
 `.meta.json` sidecar next to --output.
@@ -320,7 +321,7 @@ def main(argv=None) -> int:
         # they would flag cannot reach the output, since _emit refuses it
         with np.errstate(all="ignore"):
             args.func(args)
-    except (ConfigError, ValueError, OSError, ConvergenceFailure, DomainError) as exc:
+    except (ConfigError, ValueError, OSError, MemoryError, ConvergenceFailure, DomainError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3 if isinstance(exc, ConvergenceFailure) else 2 if isinstance(exc, DomainError) else 1
     return 0

@@ -56,9 +56,11 @@ _THRESHOLD_TOL = 1e-15
 
 @dataclass(frozen=True)
 class PhysicalParams:
-    """Model knobs. Z < 0 is attractive; kappa is a nonzero integer;
-    compton and omega are positive; z, compton and omega are finite, and
-    compton^2 (the radial constant's divisor) does not underflow to 0."""
+    """Model knobs. Z < 0 is attractive; kappa is a nonzero integer of
+    magnitude at most 2**53, below which every integer is exactly a
+    double; compton and omega are positive; z, compton and omega are
+    finite, and compton^2 (the radial constant's divisor) does not
+    underflow to 0."""
 
     z: float
     kappa: int
@@ -70,6 +72,8 @@ class PhysicalParams:
             raise ConfigError("z, compton and omega must be finite")
         if self.kappa == 0:
             raise ConfigError("kappa must be a nonzero integer")
+        if abs(self.kappa) > 2**53:
+            raise ConfigError(f"|kappa| must be at most 2**53, got {self.kappa}")
         if self.compton <= 0 or self.omega <= 0:
             raise ConfigError("compton and omega must be positive")
         if self.compton * self.compton == 0.0:

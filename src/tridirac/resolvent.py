@@ -13,15 +13,16 @@ below |Im z|.  So where |Im z| > 1e-14 (1 + |z|), the guard on a
 vanishing partial denominator cannot fire, and Lentz runs a branch-free
 body, settling convergence and the running product once per block of
 levels.  Only inside that band (|Im z| at most 1e-14 (1 + |z|), real z
-included) does each level check its denominators: off the axis a
-vanishing one takes a 1e-30 floor, on the axis it is reported as
+included) does each level test D_n and c_n against that bound: off the
+axis a vanishing one takes a 1e-30 floor, on the axis it is reported as
 spectrum contact.  The finite truncation G_depth equals the resolvent of
 the depth x depth matrix truncation exactly, which is what the
 Gauss-quadrature cross-check exploits.
 
 Both evaluators give the same values, bit for bit, as level-by-level
 evaluation.  They read the recursion coefficients in blocks of levels
-(`RecursionCoefficients.block`), not one map call per level.  Lentz runs
+(`RecursionCoefficients.block`), not one map call per level; both Lentz
+loops walk the same blocks of 64, 128, 256 and then 512 levels.  Lentz runs
 its per-level expressions on Python scalars, and settles each block with
 np.hypot on the parts of ratio - 1 and one left-to-right product of the
 Python ratios, both rounding as CPython's abs() and * do.  The
@@ -35,7 +36,6 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import reduce
-from itertools import chain, islice
 
 import numpy as np
 
@@ -63,34 +63,26 @@ _BLOCK_ELEMS = 16_384  # cap on the elements of one block's 2-D temporaries
 
 @dataclass(frozen=True)
 class ResolventEstimate:
-    z: complex
     value: complex
     depth: int
     last_delta: float
 
 
-def _lentz_blocks(max_depth: int):
-    """Level ranges [lo, hi) covering 1..max_depth over which off-axis
-    Lentz settles convergence: 64 levels, then each block twice the last,
-    up to _BLOCK, so a shallow fraction does little work past its
-    convergence."""
+def _level_blocks(coeffs: RecursionCoefficients, z: complex, max_depth: int):
+    """For levels n = 1..max_depth, one (lo, pairs) per block [lo, hi):
+    64 levels, then each block twice the last, up to _BLOCK, so a shallow
+    fraction does little work past its convergence.  `pairs` zips the
+    Python complex pairs (z - a_n, -b_{n-1}^2) of the block, read with one
+    `coeffs.block` call.  Python scalars, not numpy ones, so Lentz's
+    complex rounding is that of the per-level expressions; complex
+    numerators, since CPython widens a float operand to complex anyway and
+    complex-complex operations dispatch faster."""
     lo, size = 1, _FIRST_BLOCK
     while lo <= max_depth:
         hi = min(lo + size, max_depth + 1)
-        yield lo, hi
-        lo, size = hi, min(2 * size, _BLOCK)
-
-
-def _level_blocks(coeffs: RecursionCoefficients, z: complex, max_depth: int):
-    """For levels n = 1..max_depth, one zip per block of _BLOCK levels of
-    the Python complex pairs (z - a_n, -b_{n-1}^2).  Python scalars, not
-    numpy ones, so Lentz's complex rounding is that of the per-level
-    expressions; complex numerators, since CPython widens a float operand
-    to complex anyway and complex-complex operations dispatch faster."""
-    for lo in range(1, max_depth + 1, _BLOCK):
-        hi = min(lo + _BLOCK, max_depth + 1)
         a, b = coeffs.block(lo - 1, hi)
-        yield zip((z - a[1:]).tolist(), (-(b[:-1] * b[:-1])).astype(complex).tolist())
+        yield lo, zip((z - a[1:]).tolist(), (-(b[:-1] * b[:-1])).astype(complex).tolist())
+        lo, size = hi, min(2 * size, _BLOCK)
 
 
 def _deltas(ratios: list, tol: float) -> np.ndarray:
@@ -114,14 +106,10 @@ def _deltas(ratios: list, tol: float) -> np.ndarray:
 def green_function(coeffs: RecursionCoefficients, z, tol: float = 1e-12,
                    max_depth: int = 200_000) -> ResolventEstimate:
     """Evaluate G(z) = 1/(z - a_0 - b_0^2/(z - a_1 - ...)) by modified
-    Lentz until the running update |delta - 1| drops below tol.
-
-    Off the axis, |Im c_n| and |Im D_n| never fall below |Im z| (module
-    docstring).  So for |Im z| > 1e-14 (1 + |z|) the levels run without
-    denominator checks, a block at a time; inside that band each level
-    checks D_n and c_n against 1e-14 (1 + |z|), and the value, depth and
-    last_delta are those of that level-by-level loop in either case, bit
-    for bit.
+    Lentz until the running update |delta - 1| drops below tol.  The
+    value, depth and last_delta are those of the level-by-level loop, bit
+    for bit.  A partial denominator within 1e-14 (1 + |z|) of zero takes
+    a 1e-30 floor off the axis.
 
     Raises ValueError unless tol is finite and positive, max_depth >= 1
     and 2 (|Re z| + |Im z|) is finite (beyond that the complex division
@@ -139,39 +127,36 @@ def green_function(coeffs: RecursionCoefficients, z, tol: float = 1e-12,
         raise ValueError(f"z must be finite with |Re z| + |Im z| below half the largest double, got {z}")
     on_axis = z.imag == 0.0
     f = z - coeffs.block(0, 1)[0].item()
-    scale = 1.0 + abs(z)
-    if abs(f) <= 1e-14 * scale:
+    small = 1e-14 * (1.0 + abs(z))
+    if abs(f) <= small:
         if on_axis:
             raise SpectrumProximity(f"vanishing partial denominator at z={z}")
         f = complex(_TINY)
     c = f
     d = 0.0 + 0.0j
     one = 1.0 + 0.0j
-    levels = chain.from_iterable(_level_blocks(coeffs, z, max_depth))
-    if abs(z.imag) <= 1e-14 * scale:
-        for depth, (den, num) in enumerate(levels, 1):
-            d_new = den + num * d
-            if abs(d_new) <= 1e-14 * scale:
-                if on_axis:
-                    raise SpectrumProximity(f"vanishing partial denominator at depth {depth}, z={z}")
-                d_new = complex(_TINY)
-            c_new = den + num / c
-            if abs(c_new) <= 1e-14 * scale:
-                if on_axis:
-                    raise SpectrumProximity(f"vanishing partial denominator at depth {depth}, z={z}")
-                c_new = complex(_TINY)
-            d = one / d_new
-            ratio = c_new * d
-            f = f * ratio
-            c = c_new
-            delta = abs(ratio - 1.0)
-            if delta < tol:
-                return ResolventEstimate(z=z, value=1.0 / f, depth=depth, last_delta=delta)
-        raise NoConvergence(f"continued fraction did not reach tol={tol} within depth {max_depth}")
-    for lo, hi in _lentz_blocks(max_depth):
+    blocks = _level_blocks(coeffs, z, max_depth)
+    if abs(z.imag) <= small:
+        for lo, pairs in blocks:
+            for depth, (den, num) in enumerate(pairs, lo):
+                d_new = den + num * d
+                c = den + num / c
+                if abs(d_new) <= small or abs(c) <= small:
+                    if on_axis:
+                        raise SpectrumProximity(f"vanishing partial denominator at depth {depth}, z={z}")
+                    d_new = complex(_TINY) if abs(d_new) <= small else d_new
+                    c = complex(_TINY) if abs(c) <= small else c
+                d = one / d_new
+                ratio = c * d
+                f = f * ratio
+                delta = abs(ratio - 1.0)
+                if delta < tol:
+                    return ResolventEstimate(value=1.0 / f, depth=depth, last_delta=delta)
+    # inside the band the loop above has used up `blocks`, so this one does not run
+    for lo, pairs in blocks:
         ratios = []
         append = ratios.append
-        for den, num in islice(levels, hi - lo):
+        for den, num in pairs:
             d = one / (den + num * d)
             c = den + num / c
             append(c * d)
@@ -180,7 +165,7 @@ def green_function(coeffs: RecursionCoefficients, z, tol: float = 1e-12,
         if hits.size:
             k = int(hits[0])
             f = reduce(operator.mul, ratios[:k + 1], f)
-            return ResolventEstimate(z=z, value=1.0 / f, depth=lo + k, last_delta=float(deltas[k]))
+            return ResolventEstimate(value=1.0 / f, depth=lo + k, last_delta=float(deltas[k]))
         f = reduce(operator.mul, ratios, f)
     raise NoConvergence(f"continued fraction did not reach tol={tol} within depth {max_depth}")
 

@@ -261,6 +261,13 @@ class TestInvalidInput:
         (["green", "--z", "-1", "--kappa", "1", "--zre", "1e308", "--zim", "1e308"], "ValueError"),
         (["green", "--z", "-1", "--kappa", "1", "--zre", "1.5e308", "--zim", "1.5e308"], "ValueError"),
         (["verify", "--z", "-1", "--kappa", "1", "--eps", "0.99", "--n", "2"], "ValueError"),
+        # |kappa| past 2**53: kappa^2 would overflow a double from 1.8e308 on
+        (["spectrum", "--z", "-1", "--kappa", str(10**300), "--n-max", "3"], "ConfigError"),
+        (["phase-shift", "--z", "-1", "--eps", "1.3", "--kappa", str(10**300)], "ConfigError"),
+        (["green", "--z", "-1", "--zre", "3", "--zim", "0.5", "--kappa", str(10**309)], "ConfigError"),
+        # 8e15 bytes, past the 47-bit address space: the allocation fails
+        # before any page is touched
+        (["spectrum", "--z", "-1", "--kappa", "1", "--n-max", str(10**15)], "MemoryError"),
     ]
 
     @pytest.mark.parametrize("argv,kind", CASES, ids=[_case_id(a) for a, _ in CASES])

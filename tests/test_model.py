@@ -36,6 +36,14 @@ class TestDerive:
         with pytest.raises(ConfigError):
             PhysicalParams(z=-1, kappa=0)
 
+    def test_kappa_beyond_exact_doubles_rejected(self):
+        # every integer up to 2**53 is exactly a double; past about 1.8e308
+        # kappa^2 - (compton Z)^2 would raise OverflowError
+        assert model.derive(PhysicalParams(z=-1, kappa=-2**53, compton=0.05)).kappa == -2**53
+        for kappa in (2**53 + 1, -2**53 - 1, 10**300, 10**309):
+            with pytest.raises(ConfigError, match=r"at most 2\*\*53"):
+                PhysicalParams(z=-1, kappa=kappa)
+
     def test_compton_squared_underflow_rejected(self):
         # the radial constant divides by compton^2, which is 0 below ~1.5e-162
         with pytest.raises(ConfigError, match="underflows"):

@@ -440,6 +440,64 @@ class TestOffAxisLentz:
             resolvent.green_function(_wave_coeffs(), z)
 
 
+def _c_vanishing_coeffs(k):
+    """a_0 = a_k = -1, else a_n = -2, and b_n = 1: at z = 0, c_j = 2 - 1/c_{j-1}
+    stays 1 for j < k from c_0 = 1, and c_k = 1 - 1/c_{k-1} = 0, while
+    D_k = 1 - (k-1)/k = 1/k.  b_{k+4} = 1e-200 cuts the fraction as in
+    `_cut_parabolic_coeffs`."""
+    return model.RecursionCoefficients(diag=lambda n: np.where((n == 0) | (n == k), -1.0, -2.0),
+                                       offdiag=lambda n: np.where(n == k + 4, 1e-200, 1.0))
+
+
+def _denominators_at(coeffs, z, k):
+    """(D_k, c_k) of the Lentz loop at level k, with no floor before it."""
+    c = z - float(coeffs.diag(0))
+    d = 0j
+    for n in range(1, k + 1):
+        den = z - float(coeffs.diag(n))
+        num = -float(coeffs.offdiag(n - 1)) ** 2
+        denominator = den + num * d
+        c = den + num / c
+        if n < k:
+            d = 1.0 / denominator
+    return denominator, c
+
+
+class TestMergedDenominatorCheck:
+    """Inside the band one test covers both partial denominators: a level
+    where only D_n vanishes and one where only c_n does must each take the
+    floor off the axis and raise on it, as the level-by-level loop does."""
+
+    VANISHING = {"D": lambda k: _cut_parabolic_coeffs(k, k + 4), "c": _c_vanishing_coeffs}
+
+    def _check_premise(self, which, coeffs, z, k):
+        small = 1e-14 * (1.0 + abs(z))
+        denominator, c = _denominators_at(coeffs, z, k)
+        assert (abs(denominator) <= small, abs(c) <= small) == (which == "D", which == "c")
+
+    @pytest.mark.parametrize("k", [1, 300])
+    @pytest.mark.parametrize("which", list(VANISHING))
+    def test_on_axis_raises_like_per_level(self, which, k):
+        coeffs = self.VANISHING[which](k)
+        self._check_premise(which, coeffs, 0j, k)
+        with pytest.raises(SpectrumProximity) as per_level:
+            _lentz_per_level(coeffs, 0.0, 1e-15, 200_000)
+        with pytest.raises(SpectrumProximity) as blocked:
+            resolvent.green_function(coeffs, 0.0, tol=1e-15)
+        assert str(blocked.value) == str(per_level.value) == f"vanishing partial denominator at depth {k}, z=0j"
+
+    @pytest.mark.parametrize("k", [1, 300])
+    @pytest.mark.parametrize("which", list(VANISHING))
+    def test_off_axis_floor_like_per_level(self, which, k):
+        coeffs = self.VANISHING[which](k)
+        z = 1e-20j
+        self._check_premise(which, coeffs, z, k)
+        est = resolvent.green_function(coeffs, z, tol=1e-15)
+        got = (est.value, est.depth, est.last_delta)
+        assert got == _lentz_per_level(coeffs, z, 1e-15, 200_000)
+        assert got[1] == k + 5
+
+
 class TestBlockFedTruncation:
     # block edges: 512 levels for up to 32 points, 16384 // size levels
     # for more (99 points: 165 levels; 300 points: 54 levels)

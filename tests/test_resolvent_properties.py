@@ -1,4 +1,5 @@
-"""The invariant behind off-axis Lentz's unchecked levels.
+"""The invariant behind off-axis Lentz's unchecked levels, and the
+checked levels inside the band.
 
 With real a_n and b_n^2 > 0, each level of modified Lentz adds to Im c_n
 and to Im D_n, the partial denominator whose reciprocal is d_n, a term of
@@ -6,6 +7,8 @@ the sign of Im z, and rounding cannot shrink a sum of two terms of one
 sign.  So both keep the sign of Im z and never fall below |Im z|, which
 is why `resolvent.green_function` checks no denominator where
 |Im z| > 1e-14 (1 + |z|): |D_n| and |c_n| cannot fall to that bound.
+Inside that band, real z included, it checks both at every level and
+must do what the level-by-level loop does.
 The draws are derandomized: the same cases run every time.
 """
 
@@ -14,7 +17,8 @@ import math
 import numpy as np
 import pytest
 
-from tridirac import model, pollaczek
+from test_resolvent import _lentz_per_level
+from tridirac import model, pollaczek, resolvent
 from tridirac.model import PhysicalParams
 
 pytest.importorskip("hypothesis")
@@ -60,3 +64,33 @@ def test_imaginary_parts_keep_sign_and_size(coeffs, z):
         d = 1.0 / denominator
         for part in (c.imag, denominator.imag):
             assert math.copysign(1.0, part) == sign and abs(part) >= abs(z.imag), (n, z, part)
+
+
+def _in_band(re, fraction, sign):
+    """re + i sign fraction 1e-14 (1 + |re|): inside the band, since
+    |z| >= |re|; fraction 0 gives real z."""
+    return complex(re, sign * fraction * 1e-14 * (1.0 + abs(re)))
+
+
+BAND = st.builds(_in_band, st.floats(-10.0, 60.0), st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+                 st.sampled_from([-1.0, 1.0]))
+
+
+def _outcome(evaluate):
+    """What `evaluate()` returns, or the type and message it raises."""
+    try:
+        return evaluate()
+    except Exception as exc:  # noqa: BLE001 - any raise must match
+        return type(exc), str(exc)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(coeffs=st.one_of(WAVE, POLLACZEK), z=BAND)
+def test_band_like_per_level(coeffs, z):
+    assume(abs(z.imag) <= 1e-14 * (1.0 + abs(z)))
+
+    def blocked():
+        est = resolvent.green_function(coeffs, z, max_depth=300)
+        return est.value, est.depth, est.last_delta
+
+    assert _outcome(blocked) == _outcome(lambda: _lentz_per_level(coeffs, z, 1e-12, 300))
