@@ -2,14 +2,14 @@
 run with machine-readable CSV or JSON output.
 
 Exit codes: 0 success, 1 configuration error (a flag value that is not
-finite or out of range, such as a --kappa beyond 2**53 in magnitude, a
-ValueError from the library, a MemoryError from a size too large to
-allocate, or an OSError from writing --output or its sidecar), 2 domain
-error (threshold / supercritical / repulsive / singular map, or a result
-that is not finite), 3 convergence failure.  Every non-zero exit writes one
-`error: Type: message` line to stderr and no data.  Identical inputs
-produce byte-identical data files; run metadata goes to a separate
-`.meta.json` sidecar next to --output.
+finite or out of range, such as a --kappa beyond 2**53 in magnitude or a
+grid whose STOP - START is not finite, a ValueError from the library, a
+MemoryError from a size too large to allocate, or an OSError from writing
+--output or its sidecar), 2 domain error (threshold / supercritical /
+repulsive / singular map, or a result that is not finite), 3 convergence
+failure.  Every non-zero exit writes one `error: Type: message` line to
+stderr and no data.  Identical inputs produce byte-identical data files;
+run metadata goes to a separate `.meta.json` sidecar next to --output.
 """
 
 from __future__ import annotations
@@ -54,6 +54,8 @@ def _grid(flag: str, spec, positive: bool = False) -> np.ndarray:
     start, stop, count = spec
     _check_finite(flag + " START", start)
     _check_finite(flag + " STOP", stop)
+    if not math.isfinite(stop - start):
+        raise ConfigError(f"{flag} STOP - START must be finite, got {start} and {stop}")
     if not (math.isfinite(count) and count == int(count) and count >= 1):
         raise ConfigError(f"{flag} COUNT must be a positive integer, got {count}")
     if positive and min(start, stop) <= 0:

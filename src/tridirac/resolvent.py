@@ -19,15 +19,23 @@ spectrum contact.  The finite truncation G_depth equals the resolvent of
 the depth x depth matrix truncation exactly, which is what the
 Gauss-quadrature cross-check exploits.
 
-Both evaluators give the same values, bit for bit, as level-by-level
-evaluation.  They read the recursion coefficients in blocks of levels
-(`RecursionCoefficients.block`), not one map call per level; both Lentz
-loops walk the same blocks of 64, 128, 256 and then 512 levels.  Lentz runs
-its per-level expressions on Python scalars, and settles each block with
-np.hypot on the parts of ratio - 1 and one left-to-right product of the
-Python ratios, both rounding as CPython's abs() and * do.  The
-truncated fraction sweeps down a block with one subtract and one divide
-per level over all points of z, in buffers allocated once per call.
+Lentz gives the same value, depth and last_delta, bit for bit, as
+level-by-level evaluation.  Both evaluators read the recursion
+coefficients in blocks of levels (`RecursionCoefficients.block`), not one
+map call per level; both Lentz loops walk the same blocks, of about
+sqrt(240 n) levels from level n, 32 to 512.  Lentz runs its per-level
+expressions on Python scalars, and settles each block with np.hypot on
+the parts of ratio - 1 and one left-to-right product of the Python
+ratios, both rounding as CPython's abs() and * do.
+
+The truncated fraction is a product of 2x2 level matrices
+M_k = [[0, s_k], [-1, z - a_k]], s_k = b_{k-1}^2, acting as Mobius maps
+t -> s_k / (z - a_k - t) on the tail t (Jones & Thron 1980, section 2.1).
+`green_function_truncated` cuts the levels into chunks and builds the
+chunks' matrices side by side, a multiply-add per level and no division;
+only the deepest chunk is run as one vector from the known tail.  It then
+applies the chunk maps to the tail, deepest first.  It matches the
+level-by-level sweep to rounding, not bit for bit.
 """
 
 from __future__ import annotations
@@ -56,9 +64,12 @@ __all__ = [
 
 _TINY = 1e-30
 MAX_DEFAULT_DEPTH = 2_000_000  # levels; the default depth 15/eta of spectral_density_grid stops here
-_FIRST_BLOCK = 64  # levels in Lentz's first block; each next block doubles, up to _BLOCK
-_BLOCK = 512  # levels per coefficient block
-_BLOCK_ELEMS = 16_384  # cap on the elements of one block's 2-D temporaries
+_MIN_BLOCK = 32  # levels in Lentz's first block
+_BLOCK = 512  # most levels in one Lentz block
+_STATE_ELEMS = 8_192  # cap on rows x points of the truncated fraction's state; points are tiled to fit
+_MIN_CHUNKS = 4  # a tile with room for fewer chunks than this runs the tail vector alone
+_GROUP_LEVELS = 4_096  # cap on the levels of one group of chunks of the truncated fraction
+_SCALE_BITS = 960  # the truncated fraction's state is rescaled before its bound passes 2**960 or 2**-960
 
 
 @dataclass(frozen=True)
@@ -69,20 +80,23 @@ class ResolventEstimate:
 
 
 def _level_blocks(coeffs: RecursionCoefficients, z: complex, max_depth: int):
-    """For levels n = 1..max_depth, one (lo, pairs) per block [lo, hi):
-    64 levels, then each block twice the last, up to _BLOCK, so a shallow
-    fraction does little work past its convergence.  `pairs` zips the
-    Python complex pairs (z - a_n, -b_{n-1}^2) of the block, read with one
-    `coeffs.block` call.  Python scalars, not numpy ones, so Lentz's
-    complex rounding is that of the per-level expressions; complex
-    numerators, since CPython widens a float operand to complex anyway and
-    complex-complex operations dispatch faster."""
-    lo, size = 1, _FIRST_BLOCK
+    """For levels n = 1..max_depth, one (lo, pairs) per block [lo, hi)
+    of about sqrt(240 lo) levels, at least _MIN_BLOCK and at most _BLOCK.
+    Reading and settling a block costs about as much as 60 levels, and a
+    fraction that converges inside a block runs on to its end: blocks of
+    sqrt(4 x 60 x lo) levels keep the sum of both costs near its least,
+    about sqrt(240 depth) levels.  `pairs` zips the Python complex pairs
+    (z - a_n, -b_{n-1}^2) of the block, read with one `coeffs.block`
+    call.  Python scalars, not numpy ones, so Lentz's complex rounding is
+    that of the per-level expressions; complex numerators, since CPython
+    widens a float operand to complex anyway and complex-complex
+    operations dispatch faster."""
+    lo = 1
     while lo <= max_depth:
-        hi = min(lo + size, max_depth + 1)
+        hi = min(lo + min(_BLOCK, max(_MIN_BLOCK, math.isqrt(240 * lo))), max_depth + 1)
         a, b = coeffs.block(lo - 1, hi)
         yield lo, zip((z - a[1:]).tolist(), (-(b[:-1] * b[:-1])).astype(complex).tolist())
-        lo, size = hi, min(2 * size, _BLOCK)
+        lo = hi
 
 
 def _deltas(ratios: list, tol: float) -> np.ndarray:
@@ -170,32 +184,165 @@ def green_function(coeffs: RecursionCoefficients, z, tol: float = 1e-12,
     raise NoConvergence(f"continued fraction did not reach tol={tol} within depth {max_depth}")
 
 
+def _normalise(p, q):
+    """Scale, per point, each chunk's matrix (rows 2j and 2j+1 of p and q)
+    and the tail vector (the last row) by a power of two so that its
+    largest real or imaginary part lies in [1/16, 1/8).  The scale is
+    exact and leaves the Mobius map as it is; the headroom keeps one step
+    finite for any finite z - a_k."""
+    parts = np.abs(p.view(float))
+    np.maximum(parts, np.abs(q.view(float)), out=parts)
+    big = np.maximum(parts[:, 0::2], parts[:, 1::2])
+    np.maximum(big[:-1:2], big[1::2], out=big[:-1:2])
+    big[1::2] = big[:-1:2]
+    scale = np.ldexp(1.0, -3 - np.maximum(np.frexp(big)[1], -1021))
+    p *= scale
+    q *= scale
+
+
+def _fixed_points(w, s):
+    """The two fixed points (w + d)/2 and (w - d)/2 of t -> s/(w - t),
+    d = sqrt(w^2 - 4s), for the (chunks, points) array w and the per-chunk
+    s.  Where they nearly coincide, or d would overflow, they are pulled
+    apart to d = h/16, h = |w| + 2 sqrt(s): any two distinct points span
+    the tail, and these keep the basis well conditioned."""
+    h = np.abs(w)
+    h += 2.0 * np.sqrt(s)[:, None]
+    np.maximum(h, np.finfo(float).tiny, out=h)
+    d = w / h
+    d *= d
+    d -= 4.0 * (s[:, None] / h) / h
+    np.sqrt(d, out=d)
+    d *= h
+    h /= 16.0
+    np.copyto(d, h, where=np.abs(d) < h)
+    d *= 0.5
+    w = 0.5 * w
+    return w + d, w - d
+
+
+def _chunk_shape(levels: int, points: int) -> tuple[int, int, int]:
+    """(points per tile, levels per chunk, chunks per group) for a
+    fraction of `levels` >= 1 levels below level 0 over `points` >= 1
+    points.  A tile's 2 chunks - 1 rows x points stay within _STATE_ELEMS
+    and a group's chunks x length levels within _GROUP_LEVELS.  Few points
+    leave room for many chunks, which share each numpy call of a step, and
+    a chunk of about sqrt(levels) levels balances the steps, one per level
+    of a chunk, against the chunk maps folded one by one.  Where fewer
+    than _MIN_CHUNKS chunks would fit (from 1,171 points on), a tile holds
+    the tail vector alone: its steps then scale by one coefficient, not by
+    one per row, which numpy does faster, and that outweighs the calls a
+    few chunks would share."""
+    width = min(points, _STATE_ELEMS)
+    most = (_STATE_ELEMS // width + 1) // 2
+    if most < _MIN_CHUNKS:
+        most = 1
+    first = min(levels, _GROUP_LEVELS)
+    length = max(math.isqrt(first - 1) + 1, -(-first // most))
+    return width, length, min(most, -(-levels // length), _GROUP_LEVELS // length)
+
+
+def _truncated_tail(coeffs: RecursionCoefficients, z: np.ndarray, depth: int) -> np.ndarray:
+    """The tail t_1 = s_1/(z - a_1 - s_2/(z - a_2 - ... s_{depth-1}/(z - a_{depth-1}))),
+    0 for depth 1, at every point of the 1-D array z.
+
+    Levels 1..depth-1 fall into groups of `chunks` chunks of `length`
+    levels, taken deepest first; the deepest group holds the remainder,
+    and its deepest chunk is padded with levels s = 0, which map every t
+    to 0, the zero tail of the cut fraction: the tail vector enters at
+    (0, 1) after them.  Within a group, each chunk but the deepest carries
+    two columns, started at the fixed points of the level below it (in
+    the spectrum the maps rotate about these points, and a basis far from
+    them loses digits); the deepest chunk carries one vector, started at
+    the group's tail.  One step moves every column up one level at once,
+    (p, q) <- (s q, (z - a) q - p), then the chunk maps fold into the
+    tail.  `_chunk_shape` bounds the state and the levels read per
+    group, the points taken in tiles if needed, so memory does not grow
+    with depth.  A level grows the state by at most 1 + s + |a| + max|z|,
+    at most 4 max(1, s, |a|, max|z|), and shrinks it by at most s over
+    that, so the state is rescaled before either bound passes
+    2**_SCALE_BITS."""
+    tail = np.zeros_like(z)
+    levels = depth - 1
+    if levels == 0 or z.size == 0:
+        return tail
+    width, length, chunks = _chunk_shape(levels, z.size)
+    span = chunks * length
+    zmax = float(np.abs(z).max())
+    p, q, w, zrows = (np.empty((2 * chunks - 1, width), dtype=complex) for _ in range(4))
+    s = np.empty(span)
+    a = np.empty(span)
+    hi = depth
+    lo = depth - 1 - (levels - 1) % span
+    while hi > 1:
+        count = hi - lo
+        k = -(-count // length)
+        rows = 2 * k - 1
+        pad = k * length - count
+        block_a, block_b = coeffs.block(lo - 1, hi)
+        s[:count] = block_b[:-1] * block_b[:-1]
+        a[:count] = block_a[1:]
+        s[count:] = 0.0
+        a[count:] = 0.0
+        # (step, chunk): step i of chunk j is level lo + j length + length - 1 - i
+        s_steps = s[:k * length].reshape(k, length)[:, ::-1].T
+        a_steps = a[:k * length].reshape(k, length)[:, ::-1].T
+        grow = np.frexp(np.maximum(np.maximum(s_steps, np.abs(a_steps)), max(zmax, 1.0)))[1] + 2
+        shrink = (np.frexp(s_steps)[1] - 1 - grow).min(axis=1).tolist()
+        grow = grow.max(axis=1).tolist()
+        s_rows = np.repeat(s_steps, 2, axis=1)[:, :rows, None]
+        a_rows = np.repeat(a_steps, 2, axis=1)[:, :rows, None]
+        below = slice(length, k * length, length)  # the level below chunk j, j < k - 1
+        for start in range(0, z.size, width):
+            zt = z[start:start + width]
+            tt = tail[start:start + width]
+            pv, qv, wv, zv = (x[:rows, :zt.size] for x in (p, q, w, zrows))
+            zv[...] = zt
+            plus, minus = _fixed_points(zt - a[below, None], s[below])
+            pv[:-1:2] = plus
+            pv[1:-1:2] = minus
+            pv[-1] = 0.0
+            qv[...] = 1.0
+            top, bottom = _SCALE_BITS, 0  # rescale before the first step
+            for i in range(length):
+                if i == pad:
+                    pv[-1] = tt
+                    qv[-1] = 1.0
+                    top = _SCALE_BITS
+                if top + grow[i] > _SCALE_BITS or bottom + shrink[i] < -_SCALE_BITS:
+                    _normalise(pv, qv)
+                    top = bottom = 0
+                top += grow[i]
+                bottom += shrink[i]
+                np.subtract(zv, a_rows[i], out=wv)
+                np.multiply(wv, qv, out=wv)
+                np.subtract(wv, pv, out=wv)
+                np.multiply(qv, s_rows[i], out=pv)
+                qv, wv = wv, qv
+            _normalise(pv, qv)
+            t = pv[-1] / qv[-1]
+            for j in range(k - 2, -1, -1):
+                # (t, 1) = (t - minus) (plus, 1) + (plus - t) (minus, 1), over plus - minus
+                up, down = t - minus[j], plus[j] - t
+                t = (pv[2 * j] * up + pv[2 * j + 1] * down) / (qv[2 * j] * up + qv[2 * j + 1] * down)
+            tt[...] = t
+        hi, lo = lo, lo - span
+    return tail
+
+
 def green_function_truncated(coeffs: RecursionCoefficients, z, depth: int):
     """Finite continued fraction with the tail dropped after `depth`
-    levels; identical to <0|(z - J_depth)^{-1}|0> for the depth x depth
-    truncation J_depth.  `z` may be a scalar or an ndarray (vectorized
-    backward evaluation; the result keeps the shape of `z`)."""
+    levels; <0|(z - J_depth)^{-1}|0> for the depth x depth truncation
+    J_depth, to rounding.  `z` may be a scalar or an ndarray of any shape
+    (the result keeps the shape of `z`).  The levels are composed in
+    chunks as 2x2 Mobius matrices (see `_truncated_tail`), so the result
+    agrees with the level-by-level sweep t_k = s_k/(z - a_k - t_{k+1}) to
+    rounding, not bit for bit."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
     zs = np.asarray(z, dtype=complex)
     flat = zs.reshape(-1)
-    tail = np.zeros_like(flat)
-    den = np.empty_like(flat)
-    levels = max(1, min(_BLOCK, _BLOCK_ELEMS // max(1, flat.size)))
-    # z - a_k for one block of levels, written in place: a fresh block per
-    # pass would be a fresh allocation above malloc's mmap threshold
-    shifted = np.empty((min(levels, depth - 1), flat.size), dtype=complex)
-    # level k (a_k, b_{k-1}) for k = depth-1 .. 1, one block of levels at a time
-    for hi in range(depth, 1, -levels):
-        lo = max(1, hi - levels)
-        a, b = coeffs.block(lo - 1, hi)
-        rows = np.subtract(flat, a[1:, None], out=shifted[:hi - lo])
-        # complex numerators, so np.divide needs no cast per level
-        squares = (b[:-1] * b[:-1]).astype(complex).tolist()
-        for row, square in zip(rows[::-1], squares[::-1]):
-            np.subtract(row, tail, out=den)
-            np.divide(square, den, out=tail)
-    out = 1.0 / (flat - coeffs.block(0, 1)[0] - tail)
+    out = 1.0 / (flat - coeffs.block(0, 1)[0] - _truncated_tail(coeffs, flat, depth))
     return complex(out[0]) if np.isscalar(z) or zs.ndim == 0 else out.reshape(zs.shape)
 
 

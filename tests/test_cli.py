@@ -249,6 +249,11 @@ class TestInvalidInput:
         (WAVE + ["--r-grid", "0", "2", "3"], "ConfigError"),
         (DENSITY + ["--eta", "nan"], "ConfigError"),
         (DENSITY + ["--x-grid", "-0.5", "0.5", "0"], "ConfigError"),
+        # finite bounds whose span overflows: np.linspace would make NaN or inf points
+        (DENSITY + ["--x-grid", "-1e308", "1e308", "3"], "ConfigError"),
+        (["phase-shift", "--z", "-1", "--kappa", "1", "--eps-grid", "-1.7e308", "1.7e308", "3"], "ConfigError"),
+        (["coefficients", "--z", "-1", "--kappa", "1", "--eps-grid", "-1.7e308", "1.7e308", "3", "--split"],
+         "ConfigError"),
         # ranges the library itself checks: its ValueError is exit 1 too
         (DENSITY + ["--eta", "-1"], "ValueError"),
         (GREEN + ["--depth", "-5"], "ValueError"),

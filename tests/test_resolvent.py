@@ -359,11 +359,19 @@ class TestOffAxisLentz:
         est = resolvent.green_function(coeffs, z, tol=tol, max_depth=max_depth)
         return est.value, est.depth, est.last_delta
 
-    # the blocks end at 64, 192, 448 and 960 levels and every 512 after
-    @pytest.mark.parametrize("target", [1, 63, 64, 65, 191, 192, 193, 447, 448, 449, 959, 960, 961, 1471, 1472, 1473])
+    # blocks of about sqrt(240 lo) levels end at 32, 120, 290, 554, 918 and
+    # 1387 levels; 63-65, ..., 1471-1473 straddle the ends of the earlier
+    # 64, 128, 256, 512 schedule and now fall inside blocks
+    EDGES = [31, 32, 33, 119, 120, 121, 289, 290, 291, 553, 554, 555, 917, 918, 919, 1386, 1387, 1388]
+
+    @pytest.mark.parametrize("target", [1, 63, 64, 65, 191, 192, 193, 447, 448, 449, 959, 960, 961, 1471, 1472, 1473,
+                                        *EDGES])
     def test_converges_at_schedule_edges_like_per_level(self, target):
         coeffs = _wave_coeffs()
         z = 3.0 + 0.35j
+        if target in self.EDGES:
+            ends = [lo - 1 for lo, _ in resolvent._level_blocks(coeffs, z, 1600)][1:]
+            assert min(abs(target - end) for end in ends) <= 1
         deltas = {depth: delta for depth, _, delta in itertools.islice(_lentz_levels(coeffs, z), target)}
         tol = float(np.nextafter(deltas[target], np.inf))
         assert all(deltas[k] >= tol for k in range(1, target))  # `target` is the first level below tol
@@ -498,9 +506,23 @@ class TestMergedDenominatorCheck:
         assert got[1] == k + 5
 
 
+# The truncated fraction composes chunks of levels as 2x2 matrices, so it
+# matches the level-by-level sweep to rounding, not bit for bit.  Bounds,
+# fixed before measuring, relative to `_truncated_per_level` point by point.
+TRUNCATION_RTOL = {"wave": 1e-11, "pollaczek": 1e-13}
+
+
+def _truncation_families():
+    return {"wave": _wave_coeffs(),
+            "pollaczek": pollaczek.jacobi_coefficients(pollaczek.PollaczekParams(lam=1.6, b=-0.2))}
+
+
+def _max_rel(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return float(np.max(np.abs(got - want) / np.abs(want))) if want.size else 0.0
+
+
 class TestBlockFedTruncation:
-    # block edges: 512 levels for up to 32 points, 16384 // size levels
-    # for more (99 points: 165 levels; 300 points: 54 levels)
     DEPTHS = [1, 2, 3, 54, 55, 56, 165, 166, 167, 511, 512, 513, 514, 1500]
     POINTS = {
         "scalar": 3.0 + 0.05j,
@@ -511,41 +533,140 @@ class TestBlockFedTruncation:
         "2-D": (np.linspace(-1.0, 4.0, 12) + 0.05j).reshape(3, 4),
         "2-D wide": (np.linspace(-1.0, 4.0, 198) + 0.05j).reshape(2, 99),
         "empty": np.zeros(0, dtype=complex),
+        "2-D empty": np.zeros((2, 0), dtype=complex),
     }
 
     @pytest.mark.parametrize("label", list(POINTS))
     def test_matches_per_level_sweep(self, label):
         z = self.POINTS[label]
-        for coeffs in (_wave_coeffs(), pollaczek.jacobi_coefficients(pollaczek.PollaczekParams(lam=1.6, b=-0.2))):
+        for family, coeffs in _truncation_families().items():
             for depth in self.DEPTHS:
                 got = resolvent.green_function_truncated(coeffs, z, depth)
                 want = _truncated_per_level(coeffs, z, depth)
                 assert type(got) is type(want)
                 assert np.shape(got) == np.shape(want) == np.shape(z)
-                assert np.array_equal(got, want), (label, depth)
+                assert _max_rel(got, want) <= TRUNCATION_RTOL[family], (label, family, depth)
 
     def test_deep_scalar_like_per_level(self):
         coeffs = _wave_coeffs()
         got = resolvent.green_function_truncated(coeffs, 3.0 + 0.05j, 172_000)
-        assert got == _truncated_per_level(coeffs, 3.0 + 0.05j, 172_000)
+        assert type(got) is complex
+        assert _max_rel(got, _truncated_per_level(coeffs, 3.0 + 0.05j, 172_000)) <= TRUNCATION_RTOL["wave"]
 
 
 class TestTruncatedBuffer:
-    """The sweep writes z - a_k into one (levels x points) buffer per call.
-    With 512-level blocks, depths 2 and 100 use a buffer shorter than a
-    block, and 1000 and 1300 end on a partial block that uses a slice of
-    it."""
+    """The state is allocated once per call and sliced per group: depth 2
+    is one level, 100 a few short chunks, 1000 and 1300 groups whose
+    deepest chunk is padded."""
 
     @pytest.mark.parametrize("shape", [(), (1,), (3, 4)])
     @pytest.mark.parametrize("depth", [2, 100, 1000, 1300])
     def test_matches_per_level_sweep(self, shape, depth):
         z = (np.linspace(-0.9, 3.0, max(1, math.prod(shape))) + 0.02j).reshape(shape)
-        for coeffs in (_wave_coeffs(), pollaczek.jacobi_coefficients(pollaczek.PollaczekParams(lam=1.6, b=-0.2))):
+        for family, coeffs in _truncation_families().items():
             got = resolvent.green_function_truncated(coeffs, z, depth)
             want = _truncated_per_level(coeffs, z, depth)
             assert type(got) is type(want)
             assert np.shape(got) == shape
-            assert np.array_equal(got, want)
+            assert _max_rel(got, want) <= TRUNCATION_RTOL[family]
+
+
+def _mp_truncated(coeffs, z, depth, dps=30):
+    """The truncated fraction at `dps` digits on the same double coefficients."""
+    a, b = coeffs.block(0, depth)
+    with mp.workdps(dps):
+        z = mp.mpc(z.real, z.imag)
+        tail = mp.mpc(0)
+        for k in range(depth - 1, 0, -1):
+            tail = mp.mpf(b[k - 1]) ** 2 / (z - mp.mpf(a[k]) - tail)
+        return complex(1 / (z - mp.mpf(a[0]) - tail))
+
+
+class TestChunkedTruncation:
+    """Chunk, group and tile edges of the chunked truncated fraction, its
+    accuracy against 30-digit mpmath on the benchmark's density grids, and
+    its rescaling where the level matrices grow fast."""
+
+    def _check(self, z, depth, families=None):
+        for family, coeffs in _truncation_families().items():
+            if families is None or family in families:
+                got = resolvent.green_function_truncated(coeffs, z, depth)
+                assert _max_rel(got, _truncated_per_level(coeffs, z, depth)) <= TRUNCATION_RTOL[family], (family, depth)
+
+    @pytest.mark.parametrize("levels", [4095, 4096, 4097])
+    def test_one_chunk_edges(self, levels):
+        # 2,048 points leave room for fewer than four chunks, so a tile runs
+        # the tail vector alone, one chunk of at most 4,096 levels: the
+        # fraction is one shorter chunk, one full chunk, or a full chunk
+        # below a second group of one level padded with 4,095
+        z = np.linspace(-0.99, 3.0, 2048) + 0.02j
+        width, length, chunks = resolvent._chunk_shape(levels, z.size)
+        assert (width, chunks, length) == (2048, 1, min(levels, 4096))
+        self._check(z, levels + 1)
+
+    @pytest.mark.parametrize("levels", [4120, 7999, 8000, 8001])
+    def test_group_edges_and_padding(self, levels):
+        # 99 points, 4,096 levels or more: groups of 40 chunks of 100
+        # levels, the deepest group taken first.  At 4120 that group holds
+        # two chunks, the deepest padded by 80 levels; 7999 pads one level
+        # of a full group, 8000 fills two groups, and 8001 adds a group of
+        # one level padded by 99
+        z = np.linspace(-0.99, 0.99, 99) + 1e-3j
+        _, length, chunks = resolvent._chunk_shape(levels, z.size)
+        assert (length, chunks) == (100, 40)
+        self._check(z, levels + 1)
+
+    def test_few_levels_per_chunk(self):
+        # one point: 3 levels are two chunks of 2, the deepest padded by one
+        assert resolvent._chunk_shape(3, 1)[1:] == (2, 2)
+        for depth in range(1, 12):
+            self._check(0.4 + 0.01j, depth)
+
+    def test_points_above_the_tile(self):
+        # tiles of 8,192 and 808 points
+        z = np.linspace(-0.99, 3.0, 9000) + 0.02j
+        assert resolvent._chunk_shape(299, z.size)[0] == 8192
+        self._check(z, 300)
+
+    @pytest.mark.parametrize("z", [1.0 + 0j, -1.0 + 0j, 1.0 + 1e-9j])
+    def test_coinciding_fixed_points(self, z):
+        # a_n = 0, b_n = 1/2: at z = +-1, w^2 = 4s and the fixed points of
+        # every level coincide; the basis is pulled apart
+        coeffs = model.RecursionCoefficients(diag=lambda n: 0.0 * n, offdiag=lambda n: 0.5 + 0.0 * n)
+        plus, minus = resolvent._fixed_points(np.array([[z]]), np.array([0.25]))
+        assert abs(plus - minus).item() == pytest.approx((abs(z) + 1.0) / 16.0)
+        for depth in (2, 50, 700):
+            got = resolvent.green_function_truncated(coeffs, z, depth)
+            assert _max_rel(got, _truncated_per_level(coeffs, z, depth)) <= 1e-13
+
+    @pytest.mark.parametrize("eta,depth", [(1e-3, 15_000), (1e-2, 4_000)])
+    def test_density_grid_against_mpmath(self, eta, depth):
+        # the `density` op grids of the benchmark: Z = -1, kappa = 1,
+        # compton 0.02, eps = 1.25, 99 points on [-0.99, 0.99]
+        d = model.derive(PhysicalParams(z=-1.0, kappa=1, compton=0.02))
+        pol = model.map_to_pollaczek(d, model.energy_point(1.25))
+        coeffs = pollaczek.jacobi_coefficients(pollaczek.PollaczekParams(lam=pol.lam, b=pol.b))
+        xs = np.linspace(-0.99, 0.99, 99)
+        got = resolvent.green_function_truncated(coeffs, xs + 1j * eta, depth)
+        for i in np.linspace(0, 98, 12).round().astype(int):
+            want = _mp_truncated(coeffs, complex(xs[i], eta), depth)
+            assert abs(got[i] - want) <= 1e-13 * abs(want), (i, got[i], want)
+
+    def test_deep_grid_like_per_level(self):
+        # 200,000 levels: the level matrices grow by about 2**35 per level,
+        # so the state is rescaled every few dozen steps
+        coeffs = _wave_coeffs()
+        z = np.array([0.5 + 0.02j, 3.0 + 0.05j, 7.0 + 0.5j])
+        got = resolvent.green_function_truncated(coeffs, z, 200_000)
+        assert _max_rel(got, _truncated_per_level(coeffs, z, 200_000)) <= TRUNCATION_RTOL["wave"]
+
+    @pytest.mark.parametrize("scale", [1e6, 1e150, 1.5e308])
+    def test_large_z_like_per_level(self, scale):
+        # 1.5e308: z - a_k and the fixed points are near the largest double
+        z = scale * (np.linspace(-1.0, 1.0, 7) + 0.1j)
+        want = _truncated_per_level(_wave_coeffs(), z, 3000)
+        assert np.all(np.isfinite(want))
+        self._check(z, 3000, families={"wave"})
 
 
 class TestBlockFedMemory:
