@@ -220,12 +220,13 @@ def scattering_amplitude_phase(params: PollaczekParams, theta):
     float or an ndarray of the same shape), or an AngleParameters of
     ndarrays, gives ndarrays.  Either way specfun.log_gamma runs once.
     """
-    if isinstance(theta, AngleParameters):
-        angle, phi, sin_theta = theta.theta, theta.phi, theta.exp_i_theta.imag
-    else:
-        angle, phi, sin_theta = theta, phase_parameter(params, theta), np.sin(theta)
+    angle = theta.theta if isinstance(theta, AngleParameters) else theta
     if not np.all((0.0 < angle) & (angle < math.pi)):
         raise BranchError("scattering form needs theta in (0, pi)")
+    if isinstance(theta, AngleParameters):
+        phi, sin_theta = theta.phi, theta.exp_i_theta.imag
+    else:
+        phi, sin_theta = phase_parameter(params, theta), np.sin(theta)
     lam = params.lam
     lg = specfun.log_gamma(lam + 1j * phi)
     with np.errstate(over="ignore"):

@@ -11,22 +11,23 @@ With real a_n and b_n^2 > 0, each level adds to Im c_n and to Im D_n
 sum of two terms of one sign: both keep the sign of Im z and never fall
 below |Im z|.  So where |Im z| > 1e-14 (1 + |z|), the guard on a
 vanishing partial denominator cannot fire, and Lentz runs a branch-free
-body, settling convergence and the running product once per block of
-levels.  Only inside that band (|Im z| at most 1e-14 (1 + |z|), real z
+body.  Only inside that band (|Im z| at most 1e-14 (1 + |z|), real z
 included) does each level test D_n and c_n against that bound: off the
-axis a vanishing one takes a 1e-30 floor, on the axis it is reported as
-spectrum contact.  The finite truncation G_depth equals the resolvent of
-the depth x depth matrix truncation exactly, which is what the
-Gauss-quadrature cross-check exploits.
+axis a vanishing one takes a 1e-30 floor, on the axis the block stops
+there, and the level is reported as spectrum contact unless an earlier
+level of the block has converged.  The finite truncation G_depth equals
+the resolvent of the depth x depth matrix truncation exactly, which is
+what the Gauss-quadrature cross-check exploits.
 
 Lentz gives the same value, depth and last_delta, bit for bit, as
 level-by-level evaluation.  Both evaluators read the recursion
 coefficients in blocks of levels (`RecursionCoefficients.block`), not one
-map call per level; both Lentz loops walk the same blocks, of about
-sqrt(240 n) levels from level n, 32 to 512.  Lentz runs its per-level
-expressions on Python scalars, and settles each block with np.hypot on
-the parts of ratio - 1 and one left-to-right product of the Python
-ratios, both rounding as CPython's abs() and * do.
+map call per level; Lentz's blocks hold about sqrt(240 n) levels from
+level n, 32 to 512.  Either loop body collects a block's ratios as
+Python scalars, and one settle step serves both: np.hypot on the parts
+of ratio - 1 finds the first converged level, and one left-to-right
+product of the ratios up to it updates f, both rounding as CPython's
+abs() and * do.
 
 The truncated fraction is a product of 2x2 level matrices
 M_k = [[0, s_k], [-1, z - a_k]], s_k = b_{k-1}^2, acting as Mobius maps
@@ -149,37 +150,36 @@ def green_function(coeffs: RecursionCoefficients, z, tol: float = 1e-12,
     c = f
     d = 0.0 + 0.0j
     one = 1.0 + 0.0j
-    blocks = _level_blocks(coeffs, z, max_depth)
-    if abs(z.imag) <= small:
-        for lo, pairs in blocks:
+    band = abs(z.imag) <= small
+    vanished = None
+    for lo, pairs in _level_blocks(coeffs, z, max_depth):
+        ratios = []
+        append = ratios.append
+        if band:
             for depth, (den, num) in enumerate(pairs, lo):
                 d_new = den + num * d
                 c = den + num / c
                 if abs(d_new) <= small or abs(c) <= small:
                     if on_axis:
-                        raise SpectrumProximity(f"vanishing partial denominator at depth {depth}, z={z}")
+                        vanished = depth
+                        break
                     d_new = complex(_TINY) if abs(d_new) <= small else d_new
                     c = complex(_TINY) if abs(c) <= small else c
                 d = one / d_new
-                ratio = c * d
-                f = f * ratio
-                delta = abs(ratio - 1.0)
-                if delta < tol:
-                    return ResolventEstimate(value=1.0 / f, depth=depth, last_delta=delta)
-    # inside the band the loop above has used up `blocks`, so this one does not run
-    for lo, pairs in blocks:
-        ratios = []
-        append = ratios.append
-        for den, num in pairs:
-            d = one / (den + num * d)
-            c = den + num / c
-            append(c * d)
+                append(c * d)
+        else:
+            for den, num in pairs:
+                d = one / (den + num * d)
+                c = den + num / c
+                append(c * d)
         deltas = _deltas(ratios, tol)
         hits = np.flatnonzero(deltas < tol)
         if hits.size:
             k = int(hits[0])
             f = reduce(operator.mul, ratios[:k + 1], f)
             return ResolventEstimate(value=1.0 / f, depth=lo + k, last_delta=float(deltas[k]))
+        if vanished is not None:
+            raise SpectrumProximity(f"vanishing partial denominator at depth {vanished}, z={z}")
         f = reduce(operator.mul, ratios, f)
     raise NoConvergence(f"continued fraction did not reach tol={tol} within depth {max_depth}")
 
@@ -259,9 +259,12 @@ def _truncated_tail(coeffs: RecursionCoefficients, z: np.ndarray, depth: int) ->
     tail.  `_chunk_shape` bounds the state and the levels read per
     group, the points taken in tiles if needed, so memory does not grow
     with depth.  A level grows the state by at most 1 + s + |a| + max|z|,
-    at most 4 max(1, s, |a|, max|z|), and shrinks it by at most s over
-    that, so the state is rescaled before either bound passes
-    2**_SCALE_BITS."""
+    at most 4 max(1, s, |a|, max|z|) = 2**g, and shrinks it by at most s
+    over that, 2**-h; with e the group's largest g or h, the state is
+    rescaled every _SCALE_BITS // e steps and where the tail vector
+    enters, so neither bound passes 2**_SCALE_BITS.  A power-of-two
+    rescale commutes with the step, so where it happens changes no
+    value."""
     tail = np.zeros_like(z)
     levels = depth - 1
     if levels == 0 or z.size == 0:
@@ -284,12 +287,12 @@ def _truncated_tail(coeffs: RecursionCoefficients, z: np.ndarray, depth: int) ->
         a[:count] = block_a[1:]
         s[count:] = 0.0
         a[count:] = 0.0
+        sk, ak = s[:k * length], a[:k * length]
+        grow = np.frexp(np.maximum(np.maximum(sk, np.abs(ak)), max(zmax, 1.0)))[1] + 2
+        every = max(1, _SCALE_BITS // int((grow + np.maximum(0, 1 - np.frexp(sk)[1])).max()))
         # (step, chunk): step i of chunk j is level lo + j length + length - 1 - i
-        s_steps = s[:k * length].reshape(k, length)[:, ::-1].T
-        a_steps = a[:k * length].reshape(k, length)[:, ::-1].T
-        grow = np.frexp(np.maximum(np.maximum(s_steps, np.abs(a_steps)), max(zmax, 1.0)))[1] + 2
-        shrink = (np.frexp(s_steps)[1] - 1 - grow).min(axis=1).tolist()
-        grow = grow.max(axis=1).tolist()
+        s_steps = sk.reshape(k, length)[:, ::-1].T
+        a_steps = ak.reshape(k, length)[:, ::-1].T
         s_rows = np.repeat(s_steps, 2, axis=1)[:, :rows, None]
         a_rows = np.repeat(a_steps, 2, axis=1)[:, :rows, None]
         below = slice(length, k * length, length)  # the level below chunk j, j < k - 1
@@ -303,17 +306,12 @@ def _truncated_tail(coeffs: RecursionCoefficients, z: np.ndarray, depth: int) ->
             pv[1:-1:2] = minus
             pv[-1] = 0.0
             qv[...] = 1.0
-            top, bottom = _SCALE_BITS, 0  # rescale before the first step
             for i in range(length):
                 if i == pad:
                     pv[-1] = tt
                     qv[-1] = 1.0
-                    top = _SCALE_BITS
-                if top + grow[i] > _SCALE_BITS or bottom + shrink[i] < -_SCALE_BITS:
+                if i == pad or i % every == 0:
                     _normalise(pv, qv)
-                    top = bottom = 0
-                top += grow[i]
-                bottom += shrink[i]
                 np.subtract(zv, a_rows[i], out=wv)
                 np.multiply(wv, qv, out=wv)
                 np.subtract(wv, pv, out=wv)

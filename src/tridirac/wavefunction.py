@@ -34,7 +34,7 @@ import mpmath as mp
 import numpy as np
 
 from . import recurrence, specfun
-from .errors import BottomPoleError, DomainError, GridError, KineticBalanceSingular
+from .errors import DomainError, GridError, KineticBalanceSingular
 from .model import (DerivedParams, Regime, energy_point, eps_sq_minus_one, growth_rate, map_to_pollaczek,
                     recursion_coefficients, rotation_angle, spinor_rotation, theta_phi, wave_rows)
 
@@ -159,9 +159,15 @@ def basis_second_derivative(elem: BasisElement, r):
 def _gauss_basis(d: DerivedParams, n_basis: int):
     """(rule, rows, norms) of gram_matrix and verify_tridiagonal: the Gauss
     rule of order n_basis + 6 for the weight y^{2g+1} e^{-y}, the Laguerre
-    rows L_0..L_{n_basis-1} at its nodes, and A_0..A_{n_basis-1}."""
+    rows L_0..L_{n_basis-1} at its nodes, and A_0..A_{n_basis-1}.  Raises
+    ValueError when a weight of the rule is below the smallest normal
+    double (near nu = 3, from n_basis = 184 on): the huge Laguerre rows at
+    those nodes would lose their digits against it."""
     nu = 2.0 * d.gamma_eff + 1.0
     rule = specfun.gauss_laguerre_rule(n_basis + 6, nu)
+    if rule.weights.min() < np.finfo(float).tiny:
+        raise ValueError(f"the Gauss rule of order {n_basis + 6} at nu={nu!r} has a subnormal weight; "
+                         f"n_basis={n_basis} is too large")
     lag = np.array(list(specfun.laguerre_rows(n_basis, nu, rule.nodes)))
     norms = np.array([BasisElement(n, d.gamma_eff, d.omega).normalization for n in range(n_basis)])
     return rule, lag, norms
@@ -175,15 +181,6 @@ def gram_matrix(d: DerivedParams, n_basis: int) -> np.ndarray:
     core = lag * rule.weights  # broadcasts over nodes
     gram = core @ lag.T
     return (np.outer(norms, norms) / d.omega) * gram
-
-
-def _mp_to_complex(v) -> complex:
-    try:
-        return complex(v)
-    except OverflowError:
-        re = math.copysign(math.inf, float(mp.sign(mp.re(v)))) if mp.re(v) != 0 else 0.0
-        im = math.copysign(math.inf, float(mp.sign(mp.im(v)))) if mp.im(v) != 0 else 0.0
-        return complex(re, im)
 
 
 def coefficients_recursion(d: DerivedParams, eps: float, n_max: int) -> CoefficientVector:
@@ -206,7 +203,7 @@ def coefficients_recursion(d: DerivedParams, eps: float, n_max: int) -> Coeffici
     digits = 30 + int(2.2 * (n_max + 1) * math.log10(growth_rate(pol.x)))
     with mp.workdps(digits) if extended else contextlib.nullcontext():
         A, B, C = wave_rows(d, num(pol.x), num(pol.b), max(1, n_max))
-        vals = [_mp_to_complex(v) for v in recurrence.forward(A, B, C, num(1), A[0] / B[0], n_max)]
+        vals = [complex(v) for v in recurrence.forward(A, B, C, num(1), A[0] / B[0], n_max)]
     return CoefficientVector(values=np.asarray(vals, dtype=complex), eps=eps, source="recursion")
 
 
@@ -231,7 +228,7 @@ def coefficients_bound_state(d: DerivedParams, eps: float, n_max: int, guard: in
         A, B, C = wave_rows(d, mp.mpf(pol.x), mp.mpf(pol.b), top + 1)
         f = recurrence.backward(A, B, C, top, mp.mpf(0), mp.mpf(1))
         scale = f[0]
-        vals = [_mp_to_complex(f[n] / scale) for n in range(n_max + 1)]
+        vals = [complex(f[n] / scale) for n in range(n_max + 1)]
     return CoefficientVector(values=np.asarray(vals, dtype=complex), eps=eps, source="miller")
 
 
@@ -246,12 +243,11 @@ def coefficients_closed_form(d: DerivedParams, eps: float, n_max: int) -> Coeffi
     both regimes (validated against coefficients_recursion; the
     recursion stays normative).  The n_max + 1 series come from one
     `specfun.hyp2f1_terminating_rows` pass; the prefactor and the
-    Pochhammer factor are formed per n.  Raises what a per-n loop raises,
-    in its order: for each n, first the Pochhammer factor's error (an
-    OverflowError once it leaves the double range), then BottomPoleError,
-    with the offending (n, k), if a bottom Pochhammer factor of the
-    series vanishes before termination; in the physical parameter range
-    this happens only at exact quantization points.
+    Pochhammer factor are formed per n.  Raises BottomPoleError, with the
+    offending (n, k), if a bottom Pochhammer factor of a series vanishes
+    before termination (in the physical parameter range this happens
+    only at exact quantization points), and OverflowError once a
+    Pochhammer factor leaves the double range.
     """
     e = energy_point(eps)
     pol = map_to_pollaczek(d, e)
@@ -261,18 +257,11 @@ def coefficients_closed_form(d: DerivedParams, eps: float, n_max: int) -> Coeffi
     z = 1.0 / (w * w)
     phi = ang.phi
     ns = np.arange(n_max + 1)
-    pole = None
-    try:
-        series = specfun.hyp2f1_terminating_rows(ns, lam + 1j * phi, 1.0 - ns - lam + 1j * phi, z)
-    except BottomPoleError as err:
-        pole = err  # raised at its row, after that row's Pochhammer factor
+    series = specfun.hyp2f1_terminating_rows(ns, lam + 1j * phi, 1.0 - ns - lam + 1j * phi, z)
     factors = []
     for n in range(n_max + 1):
         pref = math.exp(0.5 * (math.lgamma(2.0 * lam) - math.lgamma(n + 1.0) - math.lgamma(n + 2.0 * lam)))
-        poch = specfun.pochhammer(complex(lam, 0) - 1j * phi, n)
-        if pole is not None and pole.n == n:
-            raise pole
-        factors.append(pref * poch * w**n)
+        factors.append(pref * specfun.pochhammer(complex(lam, 0) - 1j * phi, n) * w**n)
     return CoefficientVector(values=np.asarray(factors, dtype=complex) * series, eps=eps, source="closed_form")
 
 

@@ -237,6 +237,8 @@ class TestInvalidInput:
         (["spectrum", "--kappa", "1", "--n-max", "1", "--z", "nan"], "ConfigError"),
         (["spectrum", "--z", "-1", "--kappa", "1", "--compton", "inf"], "ConfigError"),
         (["spectrum", "--z", "-1", "--kappa", "1", "--omega", "nan"], "ConfigError"),
+        (["spectrum", "--z", "-1", "--kappa", "1", "--compton", "-1"], "ConfigError"),
+        (["spectrum", "--z", "-1", "--kappa", "1", "--omega", "0"], "ConfigError"),
         (["spectrum", "--z", "-1", "--kappa", "1", "--n-max", "-3"], "ConfigError"),
         (["coefficients", "--z", "-1", "--kappa", "1", "--eps", "1.3", "--n-max", "-1"], "ConfigError"),
         (["phase-shift", "--z", "-1", "--kappa", "1", "--eps", "nan"], "ConfigError"),
@@ -266,6 +268,8 @@ class TestInvalidInput:
         (["green", "--z", "-1", "--kappa", "1", "--zre", "1e308", "--zim", "1e308"], "ValueError"),
         (["green", "--z", "-1", "--kappa", "1", "--zre", "1.5e308", "--zim", "1.5e308"], "ValueError"),
         (["verify", "--z", "-1", "--kappa", "1", "--eps", "0.99", "--n", "2"], "ValueError"),
+        # the Gauss rule of order n + 6 has subnormal weights from n = 184 on
+        (["verify", "--z", "-1", "--kappa", "1", "--compton", "0.05", "--eps", "1.3", "--n", "200"], "ValueError"),
         # |kappa| past 2**53: kappa^2 would overflow a double from 1.8e308 on
         (["spectrum", "--z", "-1", "--kappa", str(10**300), "--n-max", "3"], "ConfigError"),
         (["phase-shift", "--z", "-1", "--eps", "1.3", "--kappa", str(10**300)], "ConfigError"),
@@ -283,6 +287,12 @@ class TestInvalidInput:
         assert err.startswith(f"error: {kind}: ")
         assert err.count("\n") == 1
         assert "Traceback" not in err
+
+    def test_verify_below_the_weight_bound_exits_0(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--z", "-1", "--kappa", "1", "--compton", "0.05",
+                                 "--eps", "1.3", "--n", "180")
+        assert (code, err) == (0, "")
+        assert float(data_rows(out)[0][0]) < 1e-12
 
 
 class TestConvergenceExit:

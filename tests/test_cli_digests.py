@@ -29,6 +29,7 @@ import hashlib
 import io
 import json
 import platform
+import re
 import sys
 from pathlib import Path
 
@@ -39,6 +40,7 @@ import pytest
 from tridirac import cli, pollaczek, scattering
 
 DIGESTS = Path(__file__).with_name("data") / "cli_digests.json"
+WORKFLOW = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tier1.yml"
 
 _DESK = ["--z", "-1", "--kappa", "1", "--compton", "0.05"]
 _EPS_LEVEL0 = "0.9996872555384283"  # level 0 at Z = -1, kappa = 1, compton 0.05
@@ -139,6 +141,17 @@ def test_outputs_match_pinned_digests():
     assert sorted(got) == sorted(pinned["sha256"])
     changed = [name for name in got if got[name] != pinned["sha256"][name]]
     assert not changed, f"output bytes changed: {changed}"
+
+
+def test_workflow_runs_on_the_digests_versions():
+    # on other versions the digest test above skips, so a workflow pinned
+    # elsewhere would pass without comparing a single digest
+    text = WORKFLOW.read_text()
+    found = {"python": re.findall(r"python-version:\s*[\"']?([\w.]+)", text),
+             "numpy": re.findall(r"\bnumpy==([\w.]+)", text),
+             "mpmath": re.findall(r"\bmpmath==([\w.]+)", text)}
+    pinned = json.loads(DIGESTS.read_text())["versions"]
+    assert found == {name: [version] for name, version in pinned.items()}
 
 
 if __name__ == "__main__":

@@ -97,7 +97,7 @@ def ref_coefficients_recursion(d, eps, n_max):
             nxt = ((diag[n] * x + b) * vals_mp[n] - (off[n - 1] * prev if n > 0 else 0)) / off[n]
             prev = vals_mp[n]
             vals_mp.append(nxt)
-        vals = [wavefunction._mp_to_complex(v) for v in vals_mp]
+        vals = [complex(v) for v in vals_mp]
     return np.asarray(vals, dtype=complex)
 
 
@@ -114,7 +114,7 @@ def ref_coefficients_bound_state(d, eps, n_max, guard=40):
         for n in range(top, 0, -1):
             f[n - 1] = ((diag[n] * x + b) * f[n] - off[n] * f[n + 1]) / off[n - 1]
         scale = f[0]
-        vals = [wavefunction._mp_to_complex(f[n] / scale) for n in range(n_max + 1)]
+        vals = [complex(f[n] / scale) for n in range(n_max + 1)]
     return np.asarray(vals, dtype=complex)
 
 

@@ -38,6 +38,12 @@ class TestBasis:
         assert abs(gram[0, 1]) < 1e-9
         assert abs(gram[0, 0] - 1.0) < 1e-9
 
+    def test_gram_refuses_a_rule_with_subnormal_weights(self):
+        # the Gauss rule of order 206 has weights below the smallest normal
+        # double at its far nodes, where the Laguerre rows are huge
+        with pytest.raises(ValueError, match="subnormal weight"):
+            wavefunction.gram_matrix(model.derive(DESK), 200)
+
     def test_derivative_against_finite_differences(self):
         d = model.derive(DESK)
         h = 1e-6
@@ -85,6 +91,15 @@ class TestCoefficients:
             rhs = b(n - 1) * vals[n - 1] + b(n) * vals[n + 1]
             assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
 
+    def test_recursion_overflow_is_inf(self, recwarn):
+        # x = 5.55, growth rate 11: the mpmath values leave the double
+        # range at n = 299, and complex() maps them to inf + 0j quietly
+        d = model.derive(PhysicalParams(z=-1.0, kappa=1, compton=0.5, omega=2.0))
+        vals = wavefunction.coefficients_recursion(d, 0.8, 320).values
+        assert np.all(np.isfinite(vals[:299]))
+        assert vals[299:].tolist() == [complex(math.inf, 0.0)] * 22
+        assert len(recwarn) == 0
+
     def test_closed_form_f0(self):
         d = model.derive(DESK)
         closed = wavefunction.coefficients_closed_form(d, 1.4, 0)
@@ -101,10 +116,22 @@ class TestCoefficients:
         with pytest.raises(OverflowError):
             wavefunction.coefficients_closed_form(model.derive(DESK), 1.3, 200)
 
-    @pytest.mark.parametrize("fail_at, error", [(3, OverflowError), (7, OverflowError), (8, BottomPoleError)])
+    def test_closed_form_pole_raised_before_pochhammer(self, monkeypatch):
+        # the series' pole (n = 7 at level 0) comes out of the one series
+        # pass, before any Pochhammer factor is formed
+        def poch(c, n):
+            if n == 3:
+                raise OverflowError("pochhammer")
+            return 1.0
+        monkeypatch.setattr(wavefunction.specfun, "pochhammer", poch)
+        with pytest.raises(BottomPoleError) as err:
+            wavefunction.coefficients_closed_form(model.derive(DESK), 0.9996872555384283, 20)
+        assert (err.value.n, err.value.k) == (7, 6)
+
+    @pytest.mark.parametrize("fail_at, error", [(8, BottomPoleError)])
     def test_closed_form_errors_in_per_n_order(self, monkeypatch, fail_at, error):
-        # for each n, the Pochhammer factor first, then the series' pole
-        # (n = 7 at level 0); the factor's error at a later n is never reached
+        # the series' pole (n = 7 at level 0) comes out; the Pochhammer
+        # factor's error at a later n is never reached
         def poch(c, n):
             if n == fail_at:
                 raise OverflowError("pochhammer")
