@@ -144,6 +144,64 @@ def _linear_fit(values: np.ndarray, g: np.ndarray, n: np.ndarray):
     return sol[:2], float(np.sqrt(np.mean((values - model) ** 2)))
 
 
+def _brent_minimize(f, a: float, b: float):
+    """Brent's bounded minimizer (Algorithms for Minimization without
+    Derivatives, 1973, ch. 5) of f on [a, b]: a parabola through the three
+    best points x, w, v gives the next step when it lands inside the
+    bracket and is shorter than half the step before last, a golden-section
+    step into the larger side otherwise.  No two evaluations are closer
+    than tol = 2 eps |x| + 5e-14.  Stops when every point of the bracket
+    lies within 2 tol of x, or after 100 evaluations (golden section alone
+    needs about 50 on the fit's bracket); returns x and 2 tol."""
+    golden = 0.5 * (3.0 - math.sqrt(5.0))
+    eps = np.finfo(float).eps
+    x = w = v = a + golden * (b - a)
+    fx = fw = fv = f(x)
+    step = before_last = 0.0
+    evals = 1
+    while True:
+        mid = 0.5 * (a + b)
+        tol = 2.0 * eps * abs(x) + 5e-14
+        if abs(x - mid) <= 2.0 * tol - 0.5 * (b - a) or evals == 100:
+            return x, 2.0 * tol
+        parabolic = False
+        if abs(before_last) > tol:
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            limit, before_last = before_last, step
+            if abs(p) < abs(0.5 * q * limit) and q * (a - x) < p < q * (b - x):
+                parabolic = True
+                step = p / q
+                if x + step - a < 2.0 * tol or b - (x + step) < 2.0 * tol:
+                    step = tol if x < mid else -tol
+        if not parabolic:
+            before_last = (a if x >= mid else b) - x
+            step = golden * before_last
+        u = x + (step if abs(step) >= tol else math.copysign(tol, step))
+        fu = f(u)
+        evals += 1
+        if fu <= fx:
+            if u < x:
+                b = x
+            else:
+                a = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
+
+
 def fit_asymptotics(seq: pollaczek.PolynomialSequence, window) -> FitResult:
     """Recover (theta, amplitude, psi) empirically from exact orthonormal
     values, without using arccos of the argument.
@@ -151,14 +209,21 @@ def fit_asymptotics(seq: pollaczek.PolynomialSequence, window) -> FitResult:
     Steps: a drift-corrected three-point ratio gives a first theta (the
     ratio (p_{n+1}+p_{n-1})/(2 p_n) equals cos(theta - phi/n) up to
     higher order, so a least-squares line in 1/n removes the slow
-    logarithmic drift); theta is then refined by minimizing the residual
-    of a two-parameter cosine fit, whose coherence over the window
-    sharpens theta far below the contract tolerance; amplitude and
-    residual phase come from that final fit.
+    logarithmic drift); theta is then refined within 2e-3 of it by
+    Brent's bounded search on the squared residual of the cosine fit,
+    whose coherence over the window sharpens theta far below the contract
+    tolerance.  Near its minimum that squared residual is close to a
+    parabola in theta, so the parabolic steps converge in a few fits; the
+    search stops once theta is resolved to 4 eps |theta| + 1e-13, or
+    after 100 fits.  Amplitude and residual phase come from a final fit
+    at that theta.
 
     `window` is (start, length) with start >= 100 and length >= 200.
     Raises FitError when the sequence is not oscillatory (bound-regime
-    input or too few sign changes).
+    input or too few sign changes), and when the search ends within its
+    stop tolerance of either end of the bracket: the residual's minimum
+    then lies outside it (a short window biases the first theta by more
+    than 2e-3), and a bracket end is no estimate of theta.
     """
     start, length = window
     if start < 100 or length < 200:
@@ -195,26 +260,15 @@ def fit_asymptotics(seq: pollaczek.PolynomialSequence, window) -> FitResult:
     design = np.column_stack([np.ones_like(ninv), ninv])
     (theta0, _), *_ = np.linalg.lstsq(design, theta_eff, rcond=None)
 
-    # stage 2: refine theta by golden-section on the cosine-fit residual
+    # stage 2: refine theta by Brent's search on the squared cosine-fit residual
     def cost(th):
         _, r = _linear_fit(p, _drift(seq.params, th, n), n)
-        return r
+        return r * r
 
     lo, hi = theta0 - 2e-3, theta0 + 2e-3
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    c1 = hi - inv_phi * (hi - lo)
-    c2 = lo + inv_phi * (hi - lo)
-    f1, f2 = cost(c1), cost(c2)
-    for _ in range(70):
-        if f1 < f2:
-            hi, c2, f2 = c2, c1, f1
-            c1 = hi - inv_phi * (hi - lo)
-            f1 = cost(c1)
-        else:
-            lo, c1, f1 = c1, c2, f2
-            c2 = lo + inv_phi * (hi - lo)
-            f2 = cost(c2)
-    theta_est = 0.5 * (lo + hi)
+    theta_est, tol = _brent_minimize(cost, lo, hi)
+    if theta_est - lo <= tol or hi - theta_est <= tol:
+        raise FitError("theta search did not bracket a minimum")
 
     (coef_c, coef_s), residual = _linear_fit(p, _drift(seq.params, theta_est, n), n)
     amplitude_est = math.hypot(coef_c, coef_s)
@@ -226,4 +280,4 @@ def fit_asymptotics(seq: pollaczek.PolynomialSequence, window) -> FitResult:
         + phi_est * math.log(math.sin(theta_est))
     )
     psi_est = (psi_est + math.pi) % (2.0 * math.pi) - math.pi
-    return FitResult(theta=float(theta_est), amplitude=amplitude_est, psi=psi_est, residual=residual)
+    return FitResult(theta=float(theta_est), amplitude=amplitude_est, psi=float(psi_est), residual=residual)

@@ -8,7 +8,10 @@ change to the order of any product shows up.  The exception is the
 term-by-term Kahan loop of the terminating 2F1, which the array pass of
 `specfun.hyp2f1_terminating_rows` replaced: numpy rounds complex products
 and quotients differently from CPython, so the two agree to a rounding
-bound, not bit for bit.  Nothing here calls the code it is compared with.
+bound, not bit for bit.  The golden-section search of the asymptotic fit,
+which Brent's method replaced, is the other exception: the two stop at
+different points of the same minimum, so they agree to the search's
+resolution.  Nothing here calls the code it is compared with.
 """
 
 from __future__ import annotations
@@ -272,3 +275,24 @@ def minimal_solution_defect(d, eps, n_probe):
     ratio_back = f_hi / f
     ratio_forward = (diag[0] * x + b) / off[0]
     return abs(ratio_back - ratio_forward) / (1.0 + abs(ratio_forward))
+
+
+def golden_section_minimize(f, lo, hi):
+    """The 70-step golden-section search that `scattering.fit_asymptotics`
+    ran on its theta bracket before Brent's method replaced it: the
+    midpoint of the bracket left after exactly 70 steps, whatever f's
+    flatness."""
+    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    c1 = hi - inv_phi * (hi - lo)
+    c2 = lo + inv_phi * (hi - lo)
+    f1, f2 = f(c1), f(c2)
+    for _ in range(70):
+        if f1 < f2:
+            hi, c2, f2 = c2, c1, f1
+            c1 = hi - inv_phi * (hi - lo)
+            f1 = f(c1)
+        else:
+            lo, c1, f1 = c1, c2, f2
+            c2 = lo + inv_phi * (hi - lo)
+            f2 = f(c2)
+    return 0.5 * (lo + hi)

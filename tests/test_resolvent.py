@@ -84,6 +84,29 @@ class TestContinuedFraction:
             assert math.copysign(1.0, est.value.imag) == -math.copysign(1.0, z.imag)
 
 
+class TestExactGreenFunction:
+    """`green`'s matrix, a_n = n + g + 1 and b_n = sqrt((n+1)(n+2g+2))/2,
+    is half the Laguerre Jacobi matrix of alpha = 2g + 1, whose spectral
+    measure is the Gamma law; off [0, inf) its Stieltjes transform is
+    G(z) = -2 w^alpha e^w Gamma(-alpha, w) with w = -2z (Szego 5.1,
+    DLMF 8.2 and 18.9).  The oracle shares no code with the fraction."""
+
+    @staticmethod
+    def exact(gamma_eff, z):
+        with mp.workdps(30):
+            alpha = 2 * mp.mpf(gamma_eff) + 1
+            w = -2 * mp.mpc(z)
+            return complex(-2 * w ** alpha * mp.exp(w) * mp.gammainc(-alpha, w))
+
+    @pytest.mark.parametrize("z", [3 + 0.5j, -2 + 1j, 10 + 0.2j, 5 - 3j, 0.5 + 0.3j])
+    @pytest.mark.parametrize("charge, kappa, compton", [(-1.0, 1, 0.05), (-1.0, -2, 0.05), (-0.5, 2, 0.02)])
+    def test_matches_closed_form(self, charge, kappa, compton, z):
+        d = model.derive(PhysicalParams(z=charge, kappa=kappa, compton=compton))
+        est = resolvent.green_function(model.recursion_coefficients(d), z, tol=1e-15)
+        exact = self.exact(d.gamma_eff, z)
+        assert abs(est.value - exact) <= 1e-10 * abs(exact)
+
+
 class TestCasoratian:
     def test_constancy_oscillatory_region(self):
         # z inside the essential spectrum keeps both solutions bounded,

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import reference_forms
 from tridirac import model, pollaczek, scattering
 from tridirac.errors import DomainError, FitError, SingularMapError, ThresholdError
 from tridirac.model import FINE_STRUCTURE, PhysicalParams
@@ -134,6 +135,49 @@ class TestFitAsymptotics:
             scattering.fit_asymptotics(seq, (50, 300))
         with pytest.raises(ValueError):
             scattering.fit_asymptotics(seq, (100, 100))
+
+    # the `sweep` benchmark's fit band (lam ~ 2.0, b ~ 0.023, x in
+    # [0.71, 0.74]), and the b ~ 9e-4 of the `resolvent` density family
+    @pytest.mark.parametrize("window", [(200, 600), (1000, 1000), (1200, 300)])
+    @pytest.mark.parametrize("b", [0.023, 9e-4])
+    @pytest.mark.parametrize("x", [0.71, 0.725, 0.74])
+    def test_matches_golden_section_reference(self, monkeypatch, x, b, window):
+        seq = pollaczek.to_orthonormal(pollaczek.evaluate(pollaczek.PollaczekParams(lam=1.9998, b=b), x, 2000))
+        fit = scattering.fit_asymptotics(seq, window)
+        monkeypatch.setattr(scattering, "_brent_minimize",
+                            lambda f, lo, hi: (reference_forms.golden_section_minimize(f, lo, hi), 0.0))
+        ref = scattering.fit_asymptotics(seq, window)
+        assert abs(fit.theta - ref.theta) <= 1e-11
+        assert abs(fit.amplitude - ref.amplitude) <= 1e-10 * ref.amplitude
+        assert abs(fit.psi - ref.psi) <= 1e-8
+
+    def test_search_stops_once_theta_is_resolved(self, monkeypatch):
+        # the `sweep` benchmark's fit op at seed 1; the 70-step golden
+        # section took 73 fits here
+        params = pollaczek.PollaczekParams(lam=1.9997953503415098, b=0.02328829699464521)
+        seq = pollaczek.to_orthonormal(pollaczek.evaluate(params, 0.7249993417381775, 1000))
+        calls = []
+        linear_fit = scattering._linear_fit
+
+        def counted(*args):
+            calls.append(args)
+            return linear_fit(*args)
+
+        monkeypatch.setattr(scattering, "_linear_fit", counted)
+        scattering.fit_asymptotics(seq, (200, 600))
+        assert len(calls) <= 25
+
+    def test_fields_are_floats(self):
+        fit = scattering.fit_asymptotics(orthonormal_sequence(P_CRIT6, 1.25, 2100), (1000, 1000))
+        assert all(type(value) is float for value in vars(fit).values())
+
+    def test_minimum_outside_the_bracket_raises(self):
+        # a short window at lam = 20 biases the ratio estimate of theta by
+        # 0.08, so the residual falls all the way to the bracket's end
+        params = pollaczek.PollaczekParams(lam=20.0, b=2.0)
+        seq = pollaczek.to_orthonormal(pollaczek.evaluate(params, 0.98, 400))
+        with pytest.raises(FitError, match="did not bracket a minimum"):
+            scattering.fit_asymptotics(seq, (100, 200))
 
 
 # --- exact angles against mpmath ---------------------------------------------
