@@ -4,7 +4,7 @@ Complex log-Gamma (Lanczos sum plus reflection), rising factorials,
 associated Laguerre polynomials (one recurrence, yielded row by row),
 terminating Gauss hypergeometric sums, and Gauss quadrature rules built
 from symmetric tridiagonal (Jacobi) matrices: nodes from LAPACK, weights
-from the Christoffel function of the same three-term recurrence.
+and eigenvectors from one pass of the same three-term recurrence.
 
 Everything here is a pure function of its arguments; no global state.
 """
@@ -63,10 +63,13 @@ _BLOCK_ELEMS = 4_096  # cap on the term ratios of one block of terminating-serie
 class QuadratureRule:
     """Gauss rule: strictly increasing nodes, positive weights summing to
     the total mass of the underlying weight function (weights below the
-    double range, at the far nodes of high orders, are 0)."""
+    double range, at the far nodes of high orders, are 0), and the Jacobi
+    matrix's eigenvectors vectors[n, k] = pi_n(x_k) sqrt(weights[k]), pi_n
+    the orthonormal polynomials with positive leading coefficient."""
 
     nodes: np.ndarray
     weights: np.ndarray
+    vectors: np.ndarray
     order: int
 
     def integrate(self, f):
@@ -273,25 +276,29 @@ _RESCALE_BITS = 512
 
 
 def tridiag_eigen_first_row(diag, offdiag):
-    """Eigenvalues of the symmetric tridiagonal matrix with the given
-    diagonal and off-diagonal, plus the first component of each
-    (normalized) eigenvector.
+    """Eigenvalues and orthonormal eigenvectors of the symmetric
+    tridiagonal matrix with the given diagonal and off-diagonal.
 
-    The eigenvalues come from LAPACK (`np.linalg.eigvalsh`).  The first
-    components are not read off eigenvectors, where tiny components lose
-    their relative accuracy, but from the Christoffel function: with
-    p_0 = 1 and b_k p_{k+1}(x) = (x - a_k) p_k(x) - b_{k-1} p_{k-1}(x),
-    the eigenvector of eigenvalue x_k is (p_0(x_k), ..., p_{m-1}(x_k))
-    up to scale, so its first component is 1/sqrt(sum_n p_n(x_k)^2)
-    (Golub & Welsch 1969; Gautschi 2004, section 3.1).  The recurrence
-    runs vectorised over the nodes with power-of-two rescaling of the
-    sum, so nothing overflows; that rescaling, and summing over all nodes
-    at once, keep this loop out of recurrence.forward.
+    The eigenvalues come from LAPACK (`np.linalg.eigvalsh`), the vectors
+    from the recurrence p_0 = 1, b_k p_{k+1}(x) = (x - a_k) p_k(x) -
+    b_{k-1} p_{k-1}(x): the eigenvector of x_k is (p_n(x_k))_n over its
+    norm (Golub & Welsch 1969; Gautschi 2004, section 3.1), so no entry
+    exceeds 1 and tiny components keep the relative accuracy and sign
+    that LAPACK's lose.  Each row is stored with the power-of-two exponent
+    of the running sum when it was computed and scaled once at the end,
+    so nothing overflows; that rescaling, over all nodes at once, keeps
+    this loop out of recurrence.forward.  The rows are accurate while the
+    eigenvectors do not decay toward the last row (the Laguerre and
+    wave-operator matrices); a random matrix's localized ones lose
+    orthogonality, though their first row stays accurate.  The name is
+    from when only that row, the Gauss weights, was kept; the benchmark's
+    tracer resolves it so.
 
-    Returns (values, first_components) sorted by eigenvalue; the first
-    components are positive.  Raises ValueError for an empty matrix, a
-    wrongly sized off-diagonal, or a zero off-diagonal entry (the matrix
-    then splits into blocks and the recurrence divides by zero).
+    Returns (values, vectors) sorted by eigenvalue, column k of `vectors`
+    belonging to values[k] with a positive first component.  Raises
+    ValueError for an empty matrix, a wrongly sized off-diagonal, or a
+    zero off-diagonal entry (the matrix then splits into blocks and the
+    recurrence divides by zero).
     """
     d = np.array(diag, dtype=float)
     m = d.size
@@ -304,6 +311,8 @@ def tridiag_eigen_first_row(diag, offdiag):
         raise ValueError("off-diagonal entries must be nonzero")
     nodes = np.linalg.eigvalsh(np.diag(d) + np.diag(off, -1))
     limit = math.ldexp(1.0, _RESCALE_BITS)
+    rows = np.ones((m, m))  # row n holds p_n * 2^-shifts[n]
+    shifts = np.zeros((m, m), dtype=int)
     prev = np.zeros(m)
     cur = np.ones(m)
     total = np.ones(m)
@@ -317,7 +326,9 @@ def tridiag_eigen_first_row(diag, offdiag):
             prev[big] = np.ldexp(prev[big], -_RESCALE_BITS // 2)
             total[big] = np.ldexp(total[big], -_RESCALE_BITS)
             exponent[big] += _RESCALE_BITS // 2
-    return nodes, np.ldexp(1.0 / np.sqrt(total), -exponent)
+        rows[k + 1] = cur
+        shifts[k + 1] = exponent
+    return nodes, np.ldexp(rows / np.sqrt(total), shifts - exponent)
 
 
 def gauss_rule_from_jacobi(diag, offdiag, mass: float = 1.0) -> QuadratureRule:
@@ -326,13 +337,13 @@ def gauss_rule_from_jacobi(diag, offdiag, mass: float = 1.0) -> QuadratureRule:
     Nodes are the eigenvalues of the symmetric tridiagonal matrix; the
     weight of node k is mass times the squared first component of its
     eigenvector, `mass` being the total integral of the weight function.
+    The eigenvectors are kept as the rule's `vectors`.
     """
     off = np.asarray(offdiag, dtype=float)
     if off.size and off.min() <= 0:
         raise ValueError("off-diagonal entries must be positive")
-    nodes, first = tridiag_eigen_first_row(diag, offdiag)
-    weights = mass * first**2
-    return QuadratureRule(nodes=nodes, weights=weights, order=len(nodes))
+    nodes, vectors = tridiag_eigen_first_row(diag, offdiag)
+    return QuadratureRule(nodes=nodes, weights=mass * vectors[0] ** 2, vectors=vectors, order=len(nodes))
 
 
 def gauss_laguerre_rule(order: int, nu: float = 0.0) -> QuadratureRule:

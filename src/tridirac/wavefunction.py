@@ -157,30 +157,23 @@ def basis_second_derivative(elem: BasisElement, r):
 
 
 def _gauss_basis(d: DerivedParams, n_basis: int):
-    """(rule, rows, norms) of gram_matrix and verify_tridiagonal: the Gauss
-    rule of order n_basis + 6 for the weight y^{2g+1} e^{-y}, the Laguerre
-    rows L_0..L_{n_basis-1} at its nodes, and A_0..A_{n_basis-1}.  Raises
-    ValueError when a weight of the rule is below the smallest normal
-    double (near nu = 3, from n_basis = 184 on): the huge Laguerre rows at
-    those nodes would lose their digits against it."""
-    nu = 2.0 * d.gamma_eff + 1.0
-    rule = specfun.gauss_laguerre_rule(n_basis + 6, nu)
-    if rule.weights.min() < np.finfo(float).tiny:
-        raise ValueError(f"the Gauss rule of order {n_basis + 6} at nu={nu!r} has a subnormal weight; "
-                         f"n_basis={n_basis} is too large")
-    lag = np.array(list(specfun.laguerre_rows(n_basis, nu, rule.nodes)))
-    norms = np.array([BasisElement(n, d.gamma_eff, d.omega).normalization for n in range(n_basis)])
-    return rule, lag, norms
+    """(nodes, basis) of gram_matrix and verify_tridiagonal: the nodes y_k
+    of the Gauss rule of order n_basis + 6 for the weight y^{2g+1} e^{-y},
+    and basis[n, k] = A_n L_n^{2g+1}(y_k) sqrt(W_k / w), W_k its weights,
+    so that sum_k basis[m, k] basis[n, k] f(y_k) integrates zeta_m zeta_n
+    f(w r) under dr/(w r) where the rule is exact.  They are the rule's
+    eigenvector rows times (-1)^n, L_n's leading sign; |entries| <= 1."""
+    rule = specfun.gauss_laguerre_rule(n_basis + 6, 2.0 * d.gamma_eff + 1.0)
+    sign = (-1.0) ** np.arange(n_basis)
+    return rule.nodes, sign[:, None] * rule.vectors[:n_basis]
 
 
 def gram_matrix(d: DerivedParams, n_basis: int) -> np.ndarray:
     """Gram matrix of the first n_basis elements under the orthonormality
     measure dr/(w r), evaluated by the generalized Gauss rule for the
     weight y^{2g+1} e^{-y}; identity up to quadrature roundoff."""
-    rule, lag, norms = _gauss_basis(d, n_basis)
-    core = lag * rule.weights  # broadcasts over nodes
-    gram = core @ lag.T
-    return (np.outer(norms, norms) / d.omega) * gram
+    _, basis = _gauss_basis(d, n_basis)
+    return basis @ basis.T
 
 
 def coefficients_recursion(d: DerivedParams, eps: float, n_max: int) -> CoefficientVector:
@@ -371,24 +364,20 @@ def verify_tridiagonal(d: DerivedParams, eps: float, n_basis: int) -> Tridiagona
         L zeta_n = zeta_n [ (w^2 a_n + 2 Z eps w)/y + C ],
         C = (1-eps^2)/compton^2 - w^2/4,
 
-    so every matrix element is one integral of weight y^{2g+1} e^{-y}
-    against the polynomial L_m L_n [(w^2 a_n + 2 Z eps w) + C y] of
-    degree <= 2 n_basis - 1, which the rule of `_gauss_basis` integrates
-    exactly.  Returns the off-tridiagonal ratio and the deviation of the
-    extracted diagonal/off-diagonal from the recursion coefficients.
+    so every matrix element is one integral of zeta_m zeta_n (w^2 a_n +
+    2 Z eps w + C y) under dr/(w r), y = w r.  On the rows of `_gauss_basis`
+    that is the Gram matrix with column n scaled by w^2 a_n + 2 Z eps w,
+    plus C times the same product with y_k inside, exact up to degree
+    2 n_basis - 1.  Returns the off-tridiagonal ratio and the deviation
+    of the extracted diagonal/off-diagonal from the recursion coefficients.
     """
     if n_basis < 3:
         raise ValueError("n_basis must be >= 3")
     w = d.omega
-    rule, lag, norms = _gauss_basis(d, n_basis)
+    nodes, basis = _gauss_basis(d, n_basis)
     cc = _radial_constant(d, eps) - 0.25 * w * w
     a_n, b_n = recursion_coefficients(d).block(0, n_basis)
-    bracket = (w * w * a_n[None, :] + 2.0 * d.z * eps * w) + cc * rule.nodes[:, None]
-    weighted = lag * rule.weights
-    matrix = np.empty((n_basis, n_basis))
-    for n in range(n_basis):
-        matrix[:, n] = weighted @ (lag[n] * bracket[:, n])
-    matrix *= np.outer(norms, norms) / w
+    matrix = cc * ((basis * nodes) @ basis.T) + (basis @ basis.T) * (w * w * a_n + 2.0 * d.z * eps * w)
 
     tri = np.triu(np.tril(matrix, 1), -1)
     offband = matrix - tri

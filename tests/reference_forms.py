@@ -9,9 +9,12 @@ term-by-term Kahan loop of the terminating 2F1, which the array pass of
 `specfun.hyp2f1_terminating_rows` replaced: numpy rounds complex products
 and quotients differently from CPython, so the two agree to a rounding
 bound, not bit for bit.  The golden-section search of the asymptotic fit,
-which Brent's method replaced, is the other exception: the two stop at
+which Brent's method replaced, is another exception: the two stop at
 different points of the same minimum, so they agree to the search's
-resolution.  Nothing here calls the code it is compared with.
+resolution.  The Gram and wave-operator matrices, which now come from the
+Gauss rule's eigenvector rows instead of Laguerre values times weights,
+are the last: the two sum different roundings of the same integrals.
+Nothing here calls the code it is compared with.
 """
 
 from __future__ import annotations
@@ -151,6 +154,40 @@ def coupled_system_residual(coeffs, d, eps, r_values, n_trunc=None):
     if scale == 0.0:
         return 0.0
     return float(np.max(np.abs(np.concatenate([row1, row2]))) / scale)
+
+
+def tridiag_eigen_first_row(diag, offdiag):
+    """(values, first components): the Christoffel-function loop that kept
+    only sum_n p_n^2 at each node, before the eigenvector rows were kept."""
+    d = np.array(diag, dtype=float)
+    m = d.size
+    off = np.asarray(offdiag, dtype=float).reshape(-1)
+    nodes = np.linalg.eigvalsh(np.diag(d) + np.diag(off, -1))
+    limit = math.ldexp(1.0, 512)
+    prev = np.zeros(m)
+    cur = np.ones(m)
+    total = np.ones(m)
+    exponent = np.zeros(m, dtype=int)
+    for k in range(m - 1):
+        prev, cur = cur, ((nodes - d[k]) * cur - (off[k - 1] * prev if k else 0.0)) / off[k]
+        total += cur * cur
+        big = total > limit
+        if big.any():
+            cur[big] = np.ldexp(cur[big], -256)
+            prev[big] = np.ldexp(prev[big], -256)
+            total[big] = np.ldexp(total[big], -512)
+            exponent[big] += 256
+    return nodes, np.ldexp(1.0 / np.sqrt(total), -exponent)
+
+
+def gauss_laguerre_rule(order, nu):
+    """(nodes, weights) of the generalized Gauss-Laguerre rule from the
+    first-row loop above."""
+    mass = math.exp(math.lgamma(nu + 1.0))
+    k = np.arange(order, dtype=float)
+    j = np.arange(1, order, dtype=float)
+    nodes, first = tridiag_eigen_first_row(2 * k + nu + 1, np.sqrt(j * (j + nu)))
+    return nodes, mass * first**2
 
 
 def gram_matrix(d, n_basis):

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from tridirac import resolvent, specfun, wavefunction
+from tridirac import cli, resolvent, specfun, wavefunction
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -53,3 +53,20 @@ def test_tracer_installs_and_uninstalls(tracing):
 @pytest.mark.parametrize("fn, names", HOOK_PARAMETERS, ids=[fn.__name__ for fn, _ in HOOK_PARAMETERS])
 def test_hook_parameters_exist(fn, names):
     assert names <= set(inspect.signature(fn).parameters)
+
+
+def test_verify_path_reports_its_spans(tracing, capsys):
+    # `verify --n 20` builds the rule of order n + 6 for its matrix and of
+    # order min(n, 20) + 6 for its Gram matrix; a refactor of that path must
+    # not leave the `basis` workload's per-layer counters at zero
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        code = cli.main(["verify", "--z", "-1", "--kappa", "1", "--compton", "0.05", "--eps", "1.3", "--n", "20"])
+    finally:
+        tracer.uninstall()
+    assert code == 0 and capsys.readouterr().err == ""
+    for name in ("specfun.gauss_laguerre_rule", "specfun.tridiag_eigen_first_row",
+                 "wavefunction.verify_tridiagonal", "wavefunction.gram_matrix"):
+        assert tracer.spans[name].calls > 0, name
+    assert tracer.spans["specfun.tridiag_eigen_first_row"].counts["order_sum"] == 26 + 26

@@ -268,8 +268,6 @@ class TestInvalidInput:
         (["green", "--z", "-1", "--kappa", "1", "--zre", "1e308", "--zim", "1e308"], "ValueError"),
         (["green", "--z", "-1", "--kappa", "1", "--zre", "1.5e308", "--zim", "1.5e308"], "ValueError"),
         (["verify", "--z", "-1", "--kappa", "1", "--eps", "0.99", "--n", "2"], "ValueError"),
-        # the Gauss rule of order n + 6 has subnormal weights from n = 184 on
-        (["verify", "--z", "-1", "--kappa", "1", "--compton", "0.05", "--eps", "1.3", "--n", "200"], "ValueError"),
         # |kappa| past 2**53: kappa^2 would overflow a double from 1.8e308 on
         (["spectrum", "--z", "-1", "--kappa", str(10**300), "--n-max", "3"], "ConfigError"),
         (["phase-shift", "--z", "-1", "--eps", "1.3", "--kappa", str(10**300)], "ConfigError"),
@@ -293,6 +291,17 @@ class TestInvalidInput:
                                  "--eps", "1.3", "--n", "180")
         assert (code, err) == (0, "")
         assert float(data_rows(out)[0][0]) < 1e-12
+
+    @pytest.mark.parametrize("n", [184, 200, 400])
+    def test_verify_at_large_n_exits_0(self, capsys, n):
+        # the Gauss rule of order n + 6 has subnormal weights from n = 184
+        # on; the rows of the verify matrix are its eigenvectors, not
+        # Laguerre values times those weights
+        code, out, err = run_cli(capsys, "verify", "--z", "-1", "--kappa", "1", "--compton", "0.05",
+                                 "--eps", "1.3", "--n", str(n))
+        assert (code, err) == (0, "")
+        (row,) = data_rows(out)
+        assert all(float(v) <= 1e-12 for v in row)
 
 
 class TestConvergenceExit:
@@ -494,9 +503,6 @@ class TestNoTracebackAtExtremeParameters:
         # Gamma(nu+1) of the Gauss rule overflows (nu ~ 171)
         (["verify", "--z", "-1", "--kappa", "85", "--compton", "0.05", "--eps", "0.5", "--n", "5"],
          1, "error: ValueError: Gamma(nu+1) at nu="),
-        (["verify", "--z", "-2.90749", "--kappa", "-79", "--compton", "0.101984", "--omega", "6.58698",
-          "--eps", "5.97473", "--n", "28"],
-         2, "error: DomainError: offband_ratio is not finite at row 0\n"),
         (["wavefunction", "--z", "2.93284", "--kappa", "-88", "--compton", "6.11681e-05", "--omega", "97.5833",
           "--eps", "0.0145481", "--trunc", "23", "--r-grid", "0.156211", "59.6239", "2"],
          2, "error: DomainError: phi_plus is not finite at row 1\n"),
@@ -512,10 +518,20 @@ class TestNoTracebackAtExtremeParameters:
         assert (got, out) == (code, "")
         assert err.startswith(message) and err.count("\n") == 1
 
+    def test_verify_at_kappa_minus_79_is_finite(self, capsys):
+        # nu = 2g + 1 ~ 157: Gauss weights up to 2e277 times two Laguerre
+        # values once overflowed to a non-finite matrix (exit 2); the
+        # rule's eigenvector rows are bounded by 1
+        code, out, err = run_cli(capsys, "verify", "--z", "-2.90749", "--kappa", "-79", "--compton", "0.101984",
+                                 "--omega", "6.58698", "--eps", "5.97473", "--n", "28")
+        assert (code, err) == (0, "")
+        (row,) = data_rows(out)
+        assert all(float(v) <= 1e-12 for v in row)
+
     def test_non_finite_table_writes_no_file(self, tmp_path, capsys):
         target = tmp_path / "out.csv"
-        code, _, err = run_cli(capsys, *self.CASES[2][0], "--output", str(target))
-        assert code == 2 and err == self.CASES[2][2]
+        code, _, err = run_cli(capsys, *self.CASES[1][0], "--output", str(target))
+        assert code == 2 and err == self.CASES[1][2]
         assert not target.exists() and not Path(str(target) + ".meta.json").exists()
 
 

@@ -107,6 +107,78 @@ class TestExactGreenFunction:
         assert abs(est.value - exact) <= 1e-10 * abs(exact)
 
 
+class TestExactPollaczekGreenFunction:
+    """G(z) = <e_0|(z - J)^-1|e_0> for the Jacobi matrix J of
+    `pollaczek.jacobi_coefficients` in closed form.  With e^{i theta} =
+    z - sqrt(z-1) sqrt(z+1) (|e^{i theta}| < 1 off [-1, 1]) and
+    Phi = b / sin(theta), the Euler integral of the generating function
+    gives the minimal solution of the standard recursion,
+
+        y_n = e^{i n theta} Gamma(n+2lam) / Gamma(n+lam+1+i Phi)
+              2F1(lam+i Phi, n+2lam; n+lam+1+i Phi; e^{2 i theta}),
+
+    psi_n = y_n sqrt(n! (lam+n) / Gamma(n+2lam)) solves the orthonormal
+    one, and G = 1 / (z - a_0 - b_0 psi_1 / psi_0) (Pollaczek 1950;
+    Chihara 1978, ch. VI; Ismail 2005, ch. 5).  The oracle shares no code
+    with the fraction: a_0 and b_0 are written out from the docstring of
+    `jacobi_coefficients`.  Tolerances: the fraction at tol 1e-14 within
+    1e-12 |G|; densities at the Lentz tol 1e-9 within 1e-8 |G| / pi; the
+    fixed-depth grid at its default depth within 1e-10 |G| / pi."""
+
+    SETS = [(2.0, 8.9e-4), (1.6, -0.2), (0.6, 0.3), (1.0, -0.6), (2.3, 0.5)]
+    ETAS = [0.5, 0.05, 0.01]
+    XS = [-0.6, 0.1, 0.85]
+
+    @staticmethod
+    def exact(lam, b, z):
+        with mp.workdps(30):
+            lam, b, z = mp.mpf(lam), mp.mpf(b), mp.mpc(z)
+            t = z - mp.sqrt(z - 1) * mp.sqrt(z + 1)
+            assert abs(t) < 1
+            ib = 1j * b / ((t - 1 / t) / 2j)  # i Phi
+
+            def psi(n):
+                y = t**n * mp.gamma(n + 2 * lam) / mp.gamma(n + lam + 1 + ib) * mp.hyp2f1(
+                    lam + ib, n + 2 * lam, n + lam + 1 + ib, t * t)
+                return y * mp.sqrt(mp.factorial(n) * (lam + n) / mp.gamma(n + 2 * lam))
+
+            a0 = -b / lam
+            b0 = mp.sqrt(2 * lam / (lam * (lam + 1))) / 2
+            return complex(1 / (z - a0 - b0 * psi(1) / psi(0)))
+
+    @staticmethod
+    def coeffs(lam, b):
+        return pollaczek.jacobi_coefficients(pollaczek.PollaczekParams(lam=lam, b=b))
+
+    @pytest.mark.parametrize("z", [0.3 + 0.5j, -0.7 + 0.05j, 0.95 + 0.01j, 0.2 - 0.3j, 1.2, -1.3])
+    @pytest.mark.parametrize("lam, b", SETS)
+    def test_green_function(self, lam, b, z):
+        exact = self.exact(lam, b, z)
+        est = resolvent.green_function(self.coeffs(lam, b), z, tol=1e-14)
+        assert abs(est.value - exact) <= 1e-12 * abs(exact)
+
+    @pytest.mark.parametrize("eta", ETAS)
+    @pytest.mark.parametrize("lam, b", SETS[:3])
+    def test_densities(self, lam, b, eta):
+        coeffs = self.coeffs(lam, b)
+        grid = resolvent.spectral_density_grid(coeffs, self.XS, eta)
+        for x, rho_grid in zip(self.XS, grid):
+            exact = self.exact(lam, b, complex(x, eta))
+            scale = abs(exact) / math.pi
+            assert abs(resolvent.spectral_density(coeffs, x, eta) + exact.imag / math.pi) <= 1e-8 * scale
+            assert abs(rho_grid + exact.imag / math.pi) <= 1e-10 * scale
+
+    @pytest.mark.parametrize("eta", ETAS)
+    @pytest.mark.parametrize("charge, kappa, compton, eps", [(-1.0, 1, 0.02, 1.25), (-1.0, -2, 0.05, 1.3),
+                                                             (-0.5, 2, 0.1, -1.6)])
+    def test_energy_density(self, charge, kappa, compton, eps, eta):
+        d = model.derive(PhysicalParams(z=charge, kappa=kappa, compton=compton))
+        pol = model.map_to_pollaczek(d, model.energy_point(eps))
+        rho_x, _ = resolvent.energy_density(d, eps, eta)
+        exact = self.exact(pol.lam, pol.b, complex(pol.x, eta))
+        assert abs(rho_x + exact.imag / math.pi) <= 1e-8 * abs(exact) / math.pi
+
+
 class TestCasoratian:
     def test_constancy_oscillatory_region(self):
         # z inside the essential spectrum keeps both solutions bounded,
@@ -186,7 +258,7 @@ class TestSpectralDensity:
         coeffs = coeffs_for_gamma(0.0)
         depth = 60
         diag, off = coeffs.block(0, depth)
-        nodes, first = specfun.tridiag_eigen_first_row(diag, off[:-1])
+        nodes, _ = specfun.tridiag_eigen_first_row(diag, off[:-1])
         target = nodes[3]
         spacing = 0.5 * (nodes[4] - nodes[2])
         xs = np.linspace(target - spacing, target + spacing, 201)

@@ -357,11 +357,39 @@ class TestGaussRules:
         n = 30
         diag = rng.uniform(-2, 2, n)
         off = rng.uniform(0.2, 1.5, n - 1)
-        vals, first = specfun.tridiag_eigen_first_row(diag, off)
+        vals, vectors = specfun.tridiag_eigen_first_row(diag, off)
         dense = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
         ref_vals, ref_vecs = np.linalg.eigh(dense)
         assert_allclose(vals, ref_vals, rtol=1e-12, atol=1e-12)
-        assert_allclose(np.abs(first), np.abs(ref_vecs[0]), rtol=1e-9, atol=1e-11)
+        assert_allclose(np.abs(vectors[0]), np.abs(ref_vecs[0]), rtol=1e-9, atol=1e-11)
+
+    @pytest.mark.parametrize("family", ["laguerre", "wave"])
+    def test_vectors_against_numpy_up_to_sign(self, family):
+        # Jacobi matrices of the two families the library builds rules of;
+        # each column's sign is matched on its largest components, since
+        # LAPACK's tiny first components carry no sign
+        order = 30
+        if family == "laguerre":
+            k, j = np.arange(order, dtype=float), np.arange(1, order, dtype=float)
+            diag, off = 2 * k + 2.2, np.sqrt(j * (j + 1.2))
+        else:
+            d = model.derive(model.PhysicalParams(z=-1.0, kappa=1, compton=0.05))
+            diag, off = model.recursion_coefficients(d).block(0, order)
+            off = off[:-1]
+        _, vectors = specfun.tridiag_eigen_first_row(diag, off)
+        _, ref_vecs = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+        assert np.all(vectors[0] > 0)
+        sign = np.sign(np.sum(vectors * ref_vecs, axis=0))
+        assert_allclose(vectors, ref_vecs * sign, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("order, nu, tol", [(5, 0.0, 1e-12), (40, 1.2, 1e-12), (150, 2.9, 1e-12),
+                                                (300, 2.9987, 1e-12), (600, 2.9, 1e-11), (600, 2.9987, 1e-11)])
+    def test_vectors_are_orthonormal(self, order, nu, tol):
+        # the rows from the recurrence at LAPACK's nodes, far nodes included
+        vectors = specfun.gauss_laguerre_rule(order, nu).vectors
+        assert vectors.shape == (order, order)
+        assert np.max(np.abs(vectors.T @ vectors - np.eye(order))) <= tol
+        assert np.max(np.abs(vectors)) <= 1.0
 
     @pytest.mark.parametrize("order", [150, 300, 600])
     def test_high_order_rules(self, order):
@@ -386,7 +414,8 @@ class TestGaussRules:
         order = 150
         diag, off = coeffs.block(0, order)
         off = off[:-1]
-        vals, first = specfun.tridiag_eigen_first_row(diag, off)
+        vals, vectors = specfun.tridiag_eigen_first_row(diag, off)
+        first = vectors[0]
         ref_vals, ref_vecs = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
         assert_allclose(vals, ref_vals, rtol=1e-13)
         # eigenvector components are accurate only relative to the largest

@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import reference_forms
-from tridirac import model, spectrum, wavefunction
+from tridirac import model, specfun, spectrum, wavefunction
 from tridirac.errors import BottomPoleError, GridError, KineticBalanceSingular
 from tridirac.model import PhysicalParams
 from tridirac.wavefunction import BasisElement
@@ -38,11 +38,14 @@ class TestBasis:
         assert abs(gram[0, 1]) < 1e-9
         assert abs(gram[0, 0] - 1.0) < 1e-9
 
-    def test_gram_refuses_a_rule_with_subnormal_weights(self):
+    def test_gram_with_subnormal_weights_is_identity(self):
         # the Gauss rule of order 206 has weights below the smallest normal
-        # double at its far nodes, where the Laguerre rows are huge
-        with pytest.raises(ValueError, match="subnormal weight"):
-            wavefunction.gram_matrix(model.derive(DESK), 200)
+        # double at its far nodes, where the Laguerre rows are huge; the
+        # eigenvector rows never form either, so nothing is lost there
+        d = model.derive(DESK)
+        assert specfun.gauss_laguerre_rule(206, 2.0 * d.gamma_eff + 1.0).weights.min() < np.finfo(float).tiny
+        gram = wavefunction.gram_matrix(d, 200)
+        assert np.max(np.abs(gram - np.eye(200))) <= 1e-13
 
     def test_derivative_against_finite_differences(self):
         d = model.derive(DESK)
