@@ -5,6 +5,7 @@ extractor that fits the asymptotic form to exact recursion output.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -215,8 +216,8 @@ def fit_asymptotics(seq: pollaczek.PolynomialSequence, window) -> FitResult:
     tolerance.  Near its minimum that squared residual is close to a
     parabola in theta, so the parabolic steps converge in a few fits; the
     search stops once theta is resolved to 4 eps |theta| + 1e-13, or
-    after 100 fits.  Amplitude and residual phase come from a final fit
-    at that theta.
+    after 100 fits.  Amplitude and residual phase come from the search's
+    own fit at that theta.
 
     `window` is (start, length) with start >= 100 and length >= 200.
     Raises FitError when the sequence is not oscillatory (bound-regime
@@ -261,8 +262,12 @@ def fit_asymptotics(seq: pollaczek.PolynomialSequence, window) -> FitResult:
     (theta0, _), *_ = np.linalg.lstsq(design, theta_eff, rcond=None)
 
     # stage 2: refine theta by Brent's search on the squared cosine-fit residual
+    @functools.cache
+    def fit_at(th):
+        return _linear_fit(p, _drift(seq.params, th, n), n)
+
     def cost(th):
-        _, r = _linear_fit(p, _drift(seq.params, th, n), n)
+        _, r = fit_at(th)
         return r * r
 
     lo, hi = theta0 - 2e-3, theta0 + 2e-3
@@ -270,7 +275,7 @@ def fit_asymptotics(seq: pollaczek.PolynomialSequence, window) -> FitResult:
     if theta_est - lo <= tol or hi - theta_est <= tol:
         raise FitError("theta search did not bracket a minimum")
 
-    (coef_c, coef_s), residual = _linear_fit(p, _drift(seq.params, theta_est, n), n)
+    (coef_c, coef_s), residual = fit_at(theta_est)
     amplitude_est = math.hypot(coef_c, coef_s)
     delta = math.atan2(-coef_s, coef_c)
     phi_est = float(pollaczek.phase_parameter(seq.params, theta_est))

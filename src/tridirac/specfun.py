@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BottomPoleError, PoleError
+from .recurrence import _RESCALE_BITS
 
 __all__ = [
     "QuadratureRule",
@@ -269,12 +270,6 @@ def hyp2f1_terminating(n: int, b, c, z) -> complex:
 
 # --- symmetric tridiagonal eigenproblem and Gauss rules ---------------------
 
-# Christoffel sums are rescaled by 2^-_RESCALE_BITS (and the polynomial
-# values by the square root of that) once they pass 2^_RESCALE_BITS, so no
-# square overflows however far a node lies outside the bulk of the spectrum.
-_RESCALE_BITS = 512
-
-
 def tridiag_eigen_first_row(diag, offdiag):
     """Eigenvalues and orthonormal eigenvectors of the symmetric
     tridiagonal matrix with the given diagonal and off-diagonal.
@@ -284,15 +279,16 @@ def tridiag_eigen_first_row(diag, offdiag):
     b_{k-1} p_{k-1}(x): the eigenvector of x_k is (p_n(x_k))_n over its
     norm (Golub & Welsch 1969; Gautschi 2004, section 3.1), so no entry
     exceeds 1 and tiny components keep the relative accuracy and sign
-    that LAPACK's lose.  Each row is stored with the power-of-two exponent
-    of the running sum when it was computed and scaled once at the end,
-    so nothing overflows; that rescaling, over all nodes at once, keeps
-    this loop out of recurrence.forward.  The rows are accurate while the
-    eigenvectors do not decay toward the last row (the Laguerre and
-    wave-operator matrices); a random matrix's localized ones lose
-    orthogonality, though their first row stays accurate.  The name is
-    from when only that row, the Gauss weights, was kept; the benchmark's
-    tracer resolves it so.
+    that LAPACK's lose.  When a node's sum of squares passes 2^512, its
+    stored values are scaled in place by 2^-256 (exact down to the
+    subnormal range), so nothing overflows however far the node lies
+    outside the bulk of the spectrum, and no exponent is stored; that
+    rescaling, over all nodes at once, keeps this loop out of
+    recurrence.forward.  The rows are accurate while the eigenvectors do
+    not decay toward the last row (the Laguerre and wave-operator
+    matrices); a random matrix's localized ones lose orthogonality, though
+    their first row stays accurate.  The name is from when only that row,
+    the Gauss weights, was kept; the benchmark's tracer resolves it so.
 
     Returns (values, vectors) sorted by eigenvalue, column k of `vectors`
     belonging to values[k] with a positive first component.  Raises
@@ -311,24 +307,17 @@ def tridiag_eigen_first_row(diag, offdiag):
         raise ValueError("off-diagonal entries must be nonzero")
     nodes = np.linalg.eigvalsh(np.diag(d) + np.diag(off, -1))
     limit = math.ldexp(1.0, _RESCALE_BITS)
-    rows = np.ones((m, m))  # row n holds p_n * 2^-shifts[n]
-    shifts = np.zeros((m, m), dtype=int)
-    prev = np.zeros(m)
-    cur = np.ones(m)
-    total = np.ones(m)
-    exponent = np.zeros(m, dtype=int)  # sum_n p_n^2 = total * 2^(2 exponent)
+    rows = np.empty((m, m))  # column k holds p_n(x_k), scaled as its sum is
+    rows[0] = 1.0
+    total = np.ones(m)  # sum_n rows[n]^2
     for k in range(m - 1):
-        prev, cur = cur, ((nodes - d[k]) * cur - (off[k - 1] * prev if k else 0.0)) / off[k]
+        rows[k + 1] = cur = ((nodes - d[k]) * rows[k] - (off[k - 1] * rows[k - 1] if k else 0.0)) / off[k]
         total += cur * cur
         big = total > limit
         if big.any():
-            cur[big] = np.ldexp(cur[big], -_RESCALE_BITS // 2)
-            prev[big] = np.ldexp(prev[big], -_RESCALE_BITS // 2)
+            rows[:k + 2, big] = np.ldexp(rows[:k + 2, big], -_RESCALE_BITS // 2)
             total[big] = np.ldexp(total[big], -_RESCALE_BITS)
-            exponent[big] += _RESCALE_BITS // 2
-        rows[k + 1] = cur
-        shifts[k + 1] = exponent
-    return nodes, np.ldexp(rows / np.sqrt(total), shifts - exponent)
+    return nodes, rows / np.sqrt(total)
 
 
 def gauss_rule_from_jacobi(diag, offdiag, mass: float = 1.0) -> QuadratureRule:

@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import recurrence
 from .errors import DomainError, RepulsiveError, ThresholdError
 from .model import (DerivedParams, PhysicalParams, Regime, derive, energy_point, growth_rate, map_to_pollaczek,
                     negative_energy_map, wave_rows)
@@ -132,9 +133,8 @@ def minimal_solution_defect(d: DerivedParams, eps: float, n_probe: int) -> float
     longer purifies the seed, so the actual guard scales with
     the local growth rate (capped at 100000 steps, which resolves levels
     whose growth ratio exceeds ~1 + 1e-4; energies even closer to the
-    threshold are outside the detector's resolvable range).  The loop is
-    its own, not recurrence.backward: it rescales doubles at every step,
-    where a guard of up to 100000 levels would overflow the trial tail.
+    threshold are outside the detector's resolvable range).  The pass is
+    `recurrence.backward` in doubles; a vanishing f_0 scores inf.
     """
     if abs(eps) >= 1.0:
         raise DomainError("minimal-solution probing needs |eps| < 1")
@@ -143,18 +143,10 @@ def minimal_solution_defect(d: DerivedParams, eps: float, n_probe: int) -> float
     guard = max(40, min(100_000, int(10.0 / math.log(max(w, 1.0 + 1e-12))) + 40))
     top = n_probe + guard
     A, B, C = wave_rows(d, pol.x, pol.b, top + 1)
-    f_hi = 0.0
-    f = 1.0
-    for n in range(top, 0, -1):
-        f_lo = (A[n] * f - B[n] * f_hi) / C[n]
-        f_hi, f = f, f_lo
-        if abs(f) > 1e100:  # rescale; only the ratio matters
-            scale = abs(f)
-            f_hi /= scale
-            f /= scale
-    if f == 0.0:
+    f = recurrence.backward(A, B, C, top, 0.0, 1.0)
+    if f[0] == 0.0:
         return math.inf
-    ratio_back = f_hi / f
+    ratio_back = f[1] / f[0]
     ratio_forward = A[0] / B[0]
     return abs(ratio_back - ratio_forward) / (1.0 + abs(ratio_forward))
 

@@ -203,26 +203,26 @@ def coefficients_recursion(d: DerivedParams, eps: float, n_max: int) -> Coeffici
 def coefficients_bound_state(d: DerivedParams, eps: float, n_max: int, guard: int = 40) -> CoefficientVector:
     """Square-summable coefficient vector at (or near) a bound energy by
     backward recurrence with a trial tail seeded `guard` indices above
-    n_max, normalized to f_0 = 1.
+    n_max, normalized to f_0 = 1: one `recurrence.backward` pass in
+    doubles, rescaled by powers of two.
 
     Forward recursion cannot deliver this vector from a double-precision
     energy: an eps rounded by one ulp puts an O(ulp) admixture of the
     growing solution into the exact forward solution, which overtakes
     the decaying part after a few steps.  The backward direction damps
     that admixture instead of amplifying it and is insensitive to the
-    seed beyond the guard range.
+    seed beyond the guard range.  It is stable in doubles: where
+    a_n x + b cancels, the rounding of x and b costs the same digits at
+    any working precision.
     """
     e = energy_point(eps)
     if e.regime is not Regime.BOUND:
         raise DomainError("bound-state coefficients need |eps| < 1")
     pol = map_to_pollaczek(d, e)
     top = n_max + guard
-    with mp.workdps(30):
-        A, B, C = wave_rows(d, mp.mpf(pol.x), mp.mpf(pol.b), top + 1)
-        f = recurrence.backward(A, B, C, top, mp.mpf(0), mp.mpf(1))
-        scale = f[0]
-        vals = [complex(f[n] / scale) for n in range(n_max + 1)]
-    return CoefficientVector(values=np.asarray(vals, dtype=complex), eps=eps, source="miller")
+    A, B, C = wave_rows(d, pol.x, pol.b, top + 1)
+    f = np.asarray(recurrence.backward(A, B, C, top, 0.0, 1.0)[: n_max + 1], dtype=complex)
+    return CoefficientVector(values=f / f[0], eps=eps, source="miller")
 
 
 def coefficients_closed_form(d: DerivedParams, eps: float, n_max: int) -> CoefficientVector:

@@ -70,3 +70,20 @@ def test_verify_path_reports_its_spans(tracing, capsys):
                  "wavefunction.verify_tridiagonal", "wavefunction.gram_matrix"):
         assert tracer.spans[name].calls > 0, name
     assert tracer.spans["specfun.tridiag_eigen_first_row"].counts["order_sum"] == 26 + 26
+
+
+def test_bound_state_path_reports_its_counters(tracing, capsys):
+    # the `basis` workload's bound op: one backward pass of trunc + guard
+    # steps with the default guard of 40, which the tracer reads from the
+    # call's arguments
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        code = cli.main(["wavefunction", "--z", "-1", "--kappa", "1", "--compton", "0.05", "--omega", "1.0",
+                         "--eps", "0.9999218352839324", "--trunc", "64", "--r-grid", "0.5", "60", "500"])
+    finally:
+        tracer.uninstall()
+    assert code == 0 and capsys.readouterr().err == ""
+    span = tracer.spans["wavefunction.coefficients_bound_state"]
+    assert span.calls == 1
+    assert span.counts["guard_steps"] == 40 and span.counts["backward_steps"] == 104

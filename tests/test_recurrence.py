@@ -5,7 +5,9 @@ the hand-written loop it replaced, kept below as a reference: values,
 types and residuals must agree bit for bit (mpmath values exactly), in
 doubles, complex doubles and mpmath.  The exceptions are the Pollaczek
 cases the library no longer runs (another precision than the automatic
-one, a shift a != 0), checked to 1e-12 instead.  The invariants of the
+one, a shift a != 0), checked to 1e-12 instead, and the bound-state
+vector, which the library computes in doubles while its reference loop
+keeps 30 digits, checked to 1e-13 of max|f|.  The invariants of the
 kernel over random parameters are in test_recurrence_properties.py.
 """
 
@@ -214,7 +216,22 @@ def test_coefficients_match_reference_loops(p):
             if abs(eps) < 1.0:
                 for guard in (0, 1, 40):
                     got = wavefunction.coefficients_bound_state(d, eps, n_max, guard=guard)
-                    assert_same(got.values, ref_coefficients_bound_state(d, eps, n_max, guard))
+                    assert_bound_state_close(got.values, ref_coefficients_bound_state(d, eps, n_max, guard))
+
+
+def assert_bound_state_close(got, want):
+    # doubles against the 30-digit loop, to 1e-13 of the vector's scale
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.all(np.isfinite(got))
+    assert np.all(np.abs(got - want) <= 1e-13 * np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("p", PHYSICAL, ids=["kappa1", "kappa-2"])
+def test_bound_state_at_n_max_2000(p):
+    d = model.derive(p)
+    for eps in (0.5, spectrum.bound_energy(p, 1)):
+        got = wavefunction.coefficients_bound_state(d, eps, 2000)
+        assert_bound_state_close(got.values, ref_coefficients_bound_state(d, eps, 2000))
 
 
 @pytest.mark.parametrize("z", [3.0, -2.0, 3 + 0.5j, 20 - 0.05j], ids=repr)
@@ -241,6 +258,19 @@ def test_backward_from_trial_tail():
     A, B, C = [2.0] * 4, [1.0] * 4, [1.0] * 4
     assert recurrence.backward(A, B, C, 3, 0.0, 1.0) == [4.0, 3.0, 2.0, 1.0]
     assert recurrence.backward(A, B, C, 0, 0.0, 1.0) == [1.0]
+
+
+def test_backward_stays_finite_where_doubles_overflow():
+    # u_{n-1} = 3 u_n - u_{n+1} grows by 2.618 a step: u_0 is ~1e418 times
+    # the trial tail at top = 1000, beyond the double range unless rescaled
+    top = 1000
+    A, B, C = [3.0] * (top + 1), [1.0] * (top + 1), [1.0] * (top + 1)
+    u = recurrence.backward(A, B, C, top, 0.0, 1.0)
+    assert all(math.isfinite(v) for v in u)
+    with mp.workdps(30):
+        exact = recurrence.backward([mp.mpf(3)] * (top + 1), B, C, top, mp.mpf(0), mp.mpf(1))
+        want = [float(v / exact[0]) for v in exact]
+    assert max(abs(v / u[0] - w) for v, w in zip(u, want)) <= 1e-15
 
 
 def test_residual_of_diverged_doubles_is_inf():
