@@ -40,12 +40,9 @@ class BottomPoleError(DomainError):
 
 # --- polynomial machinery ---------------------------------------------------
 
-class RadiusError(DomainError):
-    """Generating-function argument outside the convergence disc."""
-
-
 class BranchError(DomainError):
-    """Bound-regime asymptotics requested at |x| <= 1."""
+    """Asymptotic form requested outside its regime: the scattering
+    approximant at theta outside (0, pi)."""
 
 
 # --- physical parameter map -------------------------------------------------

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 
@@ -56,11 +57,11 @@ _THRESHOLD_TOL = 1e-15
 
 @dataclass(frozen=True)
 class PhysicalParams:
-    """Model knobs. Z < 0 is attractive; kappa is a nonzero integer of
-    magnitude at most 2**53, below which every integer is exactly a
-    double; compton and omega are positive; z, compton and omega are
-    finite, and compton^2 (the radial constant's divisor) does not
-    underflow to 0."""
+    """Model knobs. Z < 0 is attractive; kappa is a nonzero integer (an
+    int or a numpy integer, not a float) of magnitude at most 2**53,
+    below which every integer is exactly a double; compton and omega are
+    positive; z, compton and omega are finite, and compton^2 (the radial
+    constant's divisor) does not underflow to 0."""
 
     z: float
     kappa: int
@@ -70,8 +71,8 @@ class PhysicalParams:
     def __post_init__(self):
         if not all(math.isfinite(v) for v in (self.z, self.compton, self.omega)):
             raise ConfigError("z, compton and omega must be finite")
-        if self.kappa == 0:
-            raise ConfigError("kappa must be a nonzero integer")
+        if not isinstance(self.kappa, numbers.Integral) or self.kappa == 0:
+            raise ConfigError(f"kappa must be a nonzero integer, got {self.kappa!r}")
         if abs(self.kappa) > 2**53:
             raise ConfigError(f"|kappa| must be at most 2**53, got {self.kappa}")
         if self.compton <= 0 or self.omega <= 0:
@@ -215,11 +216,10 @@ def map_to_pollaczek(d: DerivedParams, e: EnergyPoint) -> PollaczekMap:
 
 def angle_map(x: float, b: float) -> AngleParameters:
     """theta with cos(theta) = x, e^{i theta} and phi = b/sin(theta)
-    at a real x with |x| != 1, for `theta_phi` and
-    `pollaczek.asymptotic_bound_log`.  |x| < 1: theta = acos(x).  |x| > 1:
-    e^{i theta} = x + sqrt(x^2-1) (positive root), so |e^{i theta}| > 1 for
-    x > 1 ("bound_right") and < 1 for x < -1 ("bound_left"), and
-    sin(theta) = -i sqrt(x^2-1) on both."""
+    at a real x with |x| != 1, for `theta_phi`.  |x| < 1: theta = acos(x).
+    |x| > 1: e^{i theta} = x + sqrt(x^2-1) (positive root), so
+    |e^{i theta}| > 1 for x > 1 ("bound_right") and < 1 for x < -1
+    ("bound_left"), and sin(theta) = -i sqrt(x^2-1) on both."""
     if abs(x) > 1.0:
         root = math.sqrt(x * x - 1.0)
         w = x + root  # real; in (-1,0) for x < -1, above 1 for x > 1

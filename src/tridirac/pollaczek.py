@@ -1,9 +1,9 @@
 """Pollaczek polynomial family at a = 0 (the shift the physical map
-produces): evaluation in the standard, symmetric and orthonormal
-normalizations, generating-function partial sums, and the large-degree
-Darboux approximants for the oscillatory (|x| < 1) and exponential
-(|x| > 1) regimes.  The associated (second) solution of the recursion is
-`resolvent.solution_pair` on `jacobi_coefficients`.
+produces): evaluation in the standard and orthonormal normalizations, the
+large-degree Darboux approximant of the oscillatory regime (|x| < 1), and
+the Jacobi matrix of the orthonormal recursion.  The associated (second)
+solution of the recursion is `resolvent.solution_pair` on
+`jacobi_coefficients`.
 
 Forward recursion is the normative evaluator for |x| <= 1 where the
 polynomials are the dominant solution.  For |x| > 1 the sequences grow
@@ -14,7 +14,6 @@ mpmath floats there.
 
 from __future__ import annotations
 
-import cmath
 import contextlib
 import math
 from dataclasses import dataclass
@@ -23,24 +22,18 @@ import mpmath as mp
 import numpy as np
 
 from . import recurrence, specfun
-from .errors import BranchError, PoleError, RadiusError
-from .model import AngleParameters, RecursionCoefficients, angle_map
+from .errors import BranchError
+from .model import AngleParameters, RecursionCoefficients
 
 __all__ = [
     "PollaczekParams",
     "PolynomialSequence",
     "evaluate",
-    "to_symmetric",
     "to_orthonormal",
-    "recursion_residual",
-    "generating_partial_sum",
-    "generating_closed_form",
     "phase_parameter",
     "scattering_amplitude_phase",
     "drifting_phase",
     "asymptotic_scattering",
-    "asymptotic_bound",
-    "asymptotic_bound_log",
     "jacobi_coefficients",
 ]
 
@@ -53,6 +46,8 @@ class PollaczekParams:
     b: float = 0.0
 
     def __post_init__(self):
+        if not (math.isfinite(self.lam) and np.isfinite(self.b).all()):
+            raise ValueError("lam and b must be finite")
         if not self.lam > 0:
             raise ValueError("lam must be positive")
 
@@ -67,26 +62,6 @@ class PolynomialSequence:
     argument: object
     normalization: str
     params: PollaczekParams
-
-
-def _recursion(params: PollaczekParams, x, n_max: int, symmetric: bool):
-    """(A, B, C) for rows 0..max(1, n_max)-1 of the standard recursion
-
-        (n+1) P_{n+1} = 2[(n+lam)x + b] P_n - (n+2lam-1) P_{n-1}
-
-    or of the symmetrized one,
-
-        b_n Q_{n+1} = [(n+lam)x + b] Q_n - b_{n-1} Q_{n-1},
-        b_n = sqrt((n+1)(n+2lam))/2,
-
-    in the arithmetic of x (a double, a complex or an mpmath number)."""
-    lam, b = params.lam, params.b
-    k = np.arange(max(1, n_max), dtype=float)
-    diag = (k + lam).tolist()
-    if symmetric:
-        off = (0.5 * np.sqrt((k + 1.0) * (k + 2.0 * lam))).tolist()
-        return [d * x + b for d in diag], off, [0.0] + off[:-1]
-    return [2 * (d * x + b) for d in diag], (k + 1.0).tolist(), (k + 2 * lam - 1).tolist()
 
 
 def evaluate(params: PollaczekParams, x, n_max: int) -> PolynomialSequence:
@@ -108,15 +83,11 @@ def evaluate(params: PollaczekParams, x, n_max: int) -> PolynomialSequence:
             xw, one = mp.mpmathify(x), mp.mpf(1)
         else:
             xw, one = x, complex(1.0) if isinstance(x, complex) else 1.0
-        A, B, C = _recursion(params, xw, n_max, False)
-        vals = recurrence.forward(A, B, C, one, 2 * params.lam * xw + 2 * params.b, n_max)
+        lam, b = params.lam, params.b
+        k = np.arange(max(1, n_max), dtype=float)
+        A = [2 * (d * xw + b) for d in (k + lam).tolist()]
+        vals = recurrence.forward(A, (k + 1.0).tolist(), (k + 2 * lam - 1).tolist(), one, 2 * lam * xw + 2 * b, n_max)
     return PolynomialSequence(vals if extended else np.asarray(vals), x, "standard", params)
-
-
-def _symmetric_scale(params: PollaczekParams, n: int) -> float:
-    # P_n = sqrt(Gamma(n+2lam) / (Gamma(n+1) Gamma(2lam+1))) Q_n
-    lam = params.lam
-    return math.exp(0.5 * (math.lgamma(n + 1.0) + math.lgamma(2.0 * lam + 1.0) - math.lgamma(n + 2.0 * lam)))
 
 
 def _orthonormal_scale(params: PollaczekParams, n: int) -> float:
@@ -125,76 +96,25 @@ def _orthonormal_scale(params: PollaczekParams, n: int) -> float:
     return math.exp(0.5 * (math.lgamma(n + 1.0) + math.log(lam + n) - math.lgamma(n + 2.0 * lam)))
 
 
-def _rescaled(seq: PolynomialSequence, scale, name: str) -> PolynomialSequence:
-    vals = seq.values
-    if isinstance(vals, np.ndarray):
-        factors = np.array([scale(seq.params, n) for n in range(len(vals))])
-        return PolynomialSequence(vals * factors, seq.argument, name, seq.params)
-    out = [v * scale(seq.params, n) for n, v in enumerate(vals)]
-    return PolynomialSequence(out, seq.argument, name, seq.params)
-
-
-def to_symmetric(seq: PolynomialSequence) -> PolynomialSequence:
-    """Rescale a standard sequence to the symmetric normalization
-    Q_n = P_n sqrt(Gamma(n+1) Gamma(2lam+1) / Gamma(n+2lam)).  Note
-    Q_0 = sqrt(2 lam), not 1: the transformation is kept verbatim and
-    only ratios and recursion residuals carry meaning."""
-    if seq.normalization != "standard":
-        raise ValueError("to_symmetric expects the standard normalization")
-    return _rescaled(seq, _symmetric_scale, "symmetric")
-
-
 def to_orthonormal(seq: PolynomialSequence) -> PolynomialSequence:
     """Rescale a standard sequence to the orthonormal normalization;
     ratios go through log-Gamma so large degrees do not overflow."""
     if seq.normalization != "standard":
         raise ValueError("to_orthonormal expects the standard normalization")
-    return _rescaled(seq, _orthonormal_scale, "orthonormal")
-
-
-def recursion_residual(seq: PolynomialSequence) -> float:
-    """Max over n of |LHS - RHS| / (1 + |LHS|) of the recursion the
-    sequence is supposed to satisfy (standard or symmetric form)."""
-    if seq.normalization not in ("standard", "symmetric"):
-        raise ValueError(f"no recursion residual for normalization {seq.normalization!r}")
-    A, B, C = _recursion(seq.params, seq.argument, len(seq.values) - 1, seq.normalization == "symmetric")
-    return recurrence.residual(A, B, C, seq.values)
-
-
-# --- generating function -----------------------------------------------------
+    factors = [_orthonormal_scale(seq.params, n) for n in range(len(seq.values))]
+    if isinstance(seq.values, np.ndarray):
+        values = seq.values * np.array(factors)
+    else:
+        values = [v * f for v, f in zip(seq.values, factors)]
+    return PolynomialSequence(values, seq.argument, "orthonormal", seq.params)
 
 
 def phase_parameter(params: PollaczekParams, theta):
     """phi(theta) = b / sin(theta), elementwise: theta
     real or complex, a scalar or an ndarray.  The phi of
-    generating_closed_form, scattering_amplitude_phase and
-    scattering.fit_asymptotics (model.angle_map gives it from x)."""
+    scattering_amplitude_phase and scattering.fit_asymptotics
+    (model.angle_map gives it from x)."""
     return params.b / np.sin(theta)
-
-
-def generating_partial_sum(params: PollaczekParams, theta, t, n_max: int) -> complex:
-    """Partial sum sum_{n=0}^{n_max} P_n(cos theta) t^n.  Requires |t|
-    at least 5% inside the convergence disc bounded by the nearer of the
-    two singularities e^{+-i theta}."""
-    theta = complex(theta)
-    t = complex(t)
-    radius = min(abs(cmath.exp(1j * theta)), abs(cmath.exp(-1j * theta)))
-    if abs(t) > radius / 1.05:
-        raise RadiusError(f"|t| = {abs(t):.6g} outside 0.95 * radius {radius:.6g}")
-    seq = evaluate(params, cmath.cos(theta), n_max)
-    powers = t ** np.arange(n_max + 1)
-    return complex(np.sum(np.asarray(seq.values) * powers))
-
-
-def generating_closed_form(params: PollaczekParams, theta, t) -> complex:
-    """(1 - t e^{i theta})^{-lam + i phi} (1 - t e^{-i theta})^{-lam - i phi}."""
-    theta = complex(theta)
-    t = complex(t)
-    lam = params.lam
-    phi = phase_parameter(params, theta)
-    u = (-lam + 1j * phi) * cmath.log(1 - t * cmath.exp(1j * theta))
-    v = (-lam - 1j * phi) * cmath.log(1 - t * cmath.exp(-1j * theta))
-    return cmath.exp(u + v)
 
 
 # --- Darboux approximants ----------------------------------------------------
@@ -255,49 +175,6 @@ def asymptotic_scattering(params: PollaczekParams, theta: float, n: int) -> floa
         raise ValueError("n must be >= 1")
     amplitude, psi, phi = scattering_amplitude_phase(params, theta)
     return amplitude * math.cos(n * theta + drifting_phase(psi, params.lam, theta, phi, n))
-
-
-def asymptotic_bound_log(params: PollaczekParams, x: float, n: int):
-    """(log modulus, sign) of the leading bound-regime term; sign is the
-    real phase factor (+-1).  Returns (-inf, 1.0) at quantization points
-    where the reciprocal Gamma kills the leading term.  w = e^{i theta}
-    and phi = i q come from model.angle_map; the exponent lam -+ i phi =
-    lam +- q has its Gamma poles at the branch's quantization points."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if abs(x) <= 1.0:
-        raise BranchError("bound-regime form needs |x| > 1")
-    ang = angle_map(x, params.b)
-    w = ang.exp_i_theta.real
-    exponent = params.lam + ang.phi.imag if x > 1.0 else params.lam - ang.phi.imag
-    lam = params.lam
-    try:
-        lg = specfun.log_gamma(exponent)
-    except PoleError:
-        return -math.inf, 1.0
-    if x > 1.0:
-        # n^{lam - i phi - 1} e^{i n theta} (1 - e^{-2 i theta})^{-(lam + i phi)} / Gamma(lam - i phi)
-        other = 2.0 * lam - exponent      # lam + i phi
-        log_mod = (exponent - 1.0) * math.log(n) + n * math.log(w) - other * math.log1p(-w ** -2) - lg.real
-        return log_mod, 1.0
-    # x < -1: n^{lam + i phi - 1} e^{-i n theta} (1 - e^{+2 i theta})^{-(lam - i phi)} / Gamma(lam + i phi)
-    other = 2.0 * lam - exponent
-    log_mod = (exponent - 1.0) * math.log(n) + n * math.log(abs(1.0 / w)) - other * math.log1p(-w * w) - lg.real
-    sign = 1.0 if n % 2 == 0 else -1.0    # e^{-i n theta} = (1/w)^n with 1/w < -1
-    return log_mod, sign
-
-
-def asymptotic_bound(params: PollaczekParams, x: float, n: int) -> complex:
-    """Leading Darboux term of P_n for |x| > 1; exactly zero when the
-    branch exponent lam -+ i phi is a non-positive integer (the
-    quantization condition).  Overflows to inf when the term exceeds
-    double range; use asymptotic_bound_log for ratio tests at large n."""
-    log_mod, sign = asymptotic_bound_log(params, x, n)
-    if log_mod == -math.inf:
-        return 0.0 + 0.0j
-    if log_mod > 709.0:
-        return complex(sign * math.inf)
-    return complex(sign * math.exp(log_mod))
 
 
 def jacobi_coefficients(params: PollaczekParams) -> RecursionCoefficients:

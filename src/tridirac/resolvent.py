@@ -57,7 +57,6 @@ __all__ = [
     "green_function",
     "green_function_truncated",
     "solution_pair",
-    "casoratian",
     "spectral_density",
     "spectral_density_grid",
     "energy_density",
@@ -358,16 +357,6 @@ def solution_pair(coeffs: RecursionCoefficients, z, n_max: int):
     p = recurrence.forward(A, b, C, 1.0 + 0.0j, A[0] / b[0], n_max)
     q = recurrence.forward(A, b, C, 0.0 + 0.0j, 1.0 / b[0], n_max)
     return np.array(p), np.array(q)
-
-
-def casoratian(coeffs: RecursionCoefficients, first, second):
-    """b_n (P_n P*_{n+1} - P_{n+1} P*_n) for n = 0..len-2; constant
-    (equal to 1 for the solution_pair initials) when both sequences
-    solve the same recursion."""
-    b = coeffs.block(0, len(first) - 1)[1]
-    first = np.asarray(first)
-    second = np.asarray(second)
-    return b * (first[:-1] * second[1:] - first[1:] * second[:-1])
 
 
 def spectral_density(coeffs: RecursionCoefficients, x: float, eta: float,

@@ -42,9 +42,6 @@ __all__ = [
     "BasisElement",
     "CoefficientVector",
     "TridiagonalityReport",
-    "basis_value",
-    "basis_derivative",
-    "basis_second_derivative",
     "gram_matrix",
     "coefficients_recursion",
     "coefficients_bound_state",
@@ -102,8 +99,9 @@ def _expansion(values, g: float, omega: float, r, n_trunc: int, orders) -> list:
         zeta_n'' = w^2 zeta_n [g(g+1)/y^2 - (n+g+1)/y + 1/4]
 
     (d/dy L_n^nu = -L_{n-1}^{nu+1}, so the nu+1 rows run one degree behind
-    the nu rows, in lockstep).  The basis_* functions, both reconstructions,
-    spinor and coupled_system_residual are this sum."""
+    the nu rows, in lockstep).  Both reconstructions, spinor and
+    coupled_system_residual are this sum; at a unit vector e_n it is
+    zeta_n and its derivatives alone."""
     if n_trunc > len(values):
         raise ValueError("n_trunc exceeds the available coefficients")
     y = omega * np.asarray(r, dtype=float)
@@ -131,29 +129,6 @@ def _expansion(values, g: float, omega: float, r, n_trunc: int, orders) -> list:
         if second is not None:
             second += f * (omega**2 * zeta * (centrifugal - (n + g + 1.0) / y + 0.25))
     return [(value, first, second)[k] for k in orders]
-
-
-def _basis_function(elem: BasisElement, r, k: int):
-    # the basis sum at the unit coefficient vector e_n
-    unit = np.zeros(elem.n + 1)
-    unit[elem.n] = 1.0
-    (out,) = _expansion(unit, elem.gamma, elem.omega, r, elem.n + 1, (k,))
-    return float(out) if np.ndim(r) == 0 else out
-
-
-def basis_value(elem: BasisElement, r):
-    """zeta_n(r); r may be a scalar or an ndarray of positive radii."""
-    return _basis_function(elem, r, 0)
-
-
-def basis_derivative(elem: BasisElement, r):
-    """d zeta_n / dr, analytic (no differencing)."""
-    return _basis_function(elem, r, 1)
-
-
-def basis_second_derivative(elem: BasisElement, r):
-    """d^2 zeta_n / dr^2, analytic."""
-    return _basis_function(elem, r, 2)
 
 
 def _gauss_basis(d: DerivedParams, n_basis: int):

@@ -15,6 +15,12 @@ resolution.  The Gram and wave-operator matrices, which now come from the
 Gauss rule's eigenvector rows instead of Laguerre values times weights,
 are the last: the two sum different roundings of the same integrals.
 Nothing here calls the code it is compared with.
+
+The basis functions, the symmetric Pollaczek normalization, the standard
+Pollaczek rows, the Casoratian and the bound-regime Darboux term are also
+kept here as test references: the library reaches them only through other
+paths (`wavefunction._expansion` at a unit vector, `model.wave_rows`,
+`pollaczek.evaluate`, `resolvent.solution_pair`) or not at all.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ import numpy as np
 from tridirac import specfun
 from tridirac.errors import BottomPoleError, BranchError, KineticBalanceSingular, PoleError, SingularMapError
 from tridirac.model import Regime, energy_point, map_to_pollaczek, recursion_coefficients, rotation_angle
-from tridirac.wavefunction import BasisElement
+from tridirac.wavefunction import BasisElement, CoefficientVector
 
 
 def hyp2f1_terminating(n, b, c, z):
@@ -89,6 +95,13 @@ def basis_second_derivative(elem, r):
     g = elem.gamma
     out = elem.omega**2 * basis_value(elem, r) * (g * (g + 1.0) / y**2 - (elem.n + g + 1.0) / y + 0.25)
     return float(out) if np.ndim(r) == 0 else out
+
+
+def unit_vector(n):
+    """The coefficient vector e_n, whose expansion is zeta_n alone."""
+    values = np.zeros(n + 1, dtype=complex)
+    values[n] = 1.0
+    return CoefficientVector(values=values, eps=0.9, source="recursion")
 
 
 def expansion(coeffs, d, r, n_trunc, element):
@@ -289,6 +302,35 @@ def asymptotic_bound_log(params, x, n):
     log_mod = (exponent - 1.0) * math.log(n) + n * math.log(abs(1.0 / w)) - other * math.log1p(-w * w) - lg.real
     sign = 1.0 if n % 2 == 0 else -1.0
     return log_mod, sign
+
+
+def standard_rows(seq):
+    """(A, B, C) of the standard Pollaczek recursion
+    (n+1) P_{n+1} = 2[(n+lam)x + b] P_n - (n+2lam-1) P_{n-1} for the rows
+    of a standard sequence, in the arithmetic of its argument x, for
+    `recurrence.residual`."""
+    lam, b, x = seq.params.lam, seq.params.b, seq.argument
+    k = np.arange(max(1, len(seq.values) - 1), dtype=float)
+    return [2 * (d * x + b) for d in (k + lam).tolist()], (k + 1.0).tolist(), (k + 2 * lam - 1).tolist()
+
+
+def symmetric_values(seq):
+    """Q_n = P_n sqrt(Gamma(n+1) Gamma(2lam+1) / Gamma(n+2lam)) of a
+    standard sequence, the solution of the symmetrized recursion
+    b_n Q_{n+1} = [(n+lam)x + b] Q_n - b_{n-1} Q_{n-1},
+    b_n = sqrt((n+1)(n+2lam))/2.  Q_0 = sqrt(2 lam), not 1."""
+    lam = seq.params.lam
+    return [v * math.exp(0.5 * (math.lgamma(n + 1.0) + math.lgamma(2.0 * lam + 1.0) - math.lgamma(n + 2.0 * lam)))
+            for n, v in enumerate(seq.values)]
+
+
+def casoratian(coeffs, first, second):
+    """b_n (P_n P*_{n+1} - P_{n+1} P*_n) for n = 0..len-2: constant, and 1
+    for the initials of `resolvent.solution_pair`, when both sequences
+    solve the recursion of `coeffs`."""
+    b = coeffs.block(0, len(first) - 1)[1]
+    first, second = np.asarray(first), np.asarray(second)
+    return b * (first[:-1] * second[1:] - first[1:] * second[:-1])
 
 
 def minimal_solution_defect(d, eps, n_probe):

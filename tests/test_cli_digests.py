@@ -152,6 +152,9 @@ def test_workflow_runs_on_the_digests_versions():
              "mpmath": re.findall(r"\bmpmath==([\w.]+)", text)}
     pinned = json.loads(DIGESTS.read_text())["versions"]
     assert found == {name: [version] for name, version in pinned.items()}
+    # the test tools are pinned as well, to the versions Tier-1 was last run on
+    tools = {name: re.findall(rf"\b{name}==([\w.]+)", text) for name in ("pytest", "hypothesis")}
+    assert tools == {"pytest": ["9.0.3"], "hypothesis": ["6.155.2"]}
 
 
 if __name__ == "__main__":

@@ -1,9 +1,10 @@
 """The shared definitions against the forms they replaced, with `==`.
 
-The basis sums, the basis functions, the kinetic balance and spinor
-rotation, the Gauss basis table, the angle map in x and the wave rows are
-each written once in the library; `reference_forms` keeps the earlier
-per-caller bodies.  Every comparison is exact, except the Gram and
+The basis sums, the kinetic balance and spinor rotation, the Gauss basis
+table, the angle map in x and the wave rows are each written once in the
+library; `reference_forms` keeps the earlier per-caller bodies, and the
+per-element basis functions, which the library now forms only as the
+basis sum at a unit vector.  Every comparison is exact, except the Gram and
 wave-operator matrices, which now sum the Gauss rule's eigenvector rows,
 not Laguerre values times weights, and the minimal-solution defect, whose
 backward pass now rescales by powers of two at 2^512, not by |f| at 1e100:
@@ -18,7 +19,7 @@ import numpy as np
 import pytest
 
 import reference_forms as ref
-from tridirac import model, pollaczek, specfun, spectrum, wavefunction
+from tridirac import model, specfun, spectrum, wavefunction
 from tridirac.errors import KineticBalanceSingular
 from tridirac.model import PhysicalParams
 from tridirac.wavefunction import BasisElement
@@ -55,15 +56,14 @@ def _same(a, b):
 @pytest.mark.parametrize("name", sorted(CASES))
 class TestBasisSide:
     def test_basis_functions(self, name):
+        # the basis sums at the unit vector e_n, on the grid and at one radius
         d, _, _ = _state(name, 1)
         for n in (0, 1, 2, 7, 30):
             elem = BasisElement(n, d.gamma_eff, d.omega)
-            for new, old in ((wavefunction.basis_value, ref.basis_value),
-                             (wavefunction.basis_derivative, ref.basis_derivative),
-                             (wavefunction.basis_second_derivative, ref.basis_second_derivative)):
-                _same(new(elem, R), old(elem, R))
-                got = new(elem, 2.5)
-                assert type(got) is float and got == old(elem, 2.5)
+            for r in (R, 2.5):
+                sums = wavefunction._expansion(ref.unit_vector(n).values, d.gamma_eff, d.omega, r, n + 1, (0, 1, 2))
+                for got, old in zip(sums, (ref.basis_value, ref.basis_derivative, ref.basis_second_derivative)):
+                    _same(got, old(elem, r))
 
     def test_lower_component(self, name):
         d, eps, coeffs = _state(name)
@@ -160,28 +160,3 @@ def test_minimal_solution_defect():
             for n_probe in (5, 60):
                 want = ref.minimal_solution_defect(d, eps, n_probe)
                 assert abs(spectrum.minimal_solution_defect(d, eps, n_probe) - want) <= 1e-10 * (1.0 + want)
-
-
-@pytest.mark.parametrize("side", ["right", "left"])
-def test_asymptotic_bound_log_random(side):
-    rng = np.random.default_rng(71 if side == "right" else 73)
-    for _ in range(1500):
-        lam = float(rng.uniform(0.05, 6.0))
-        b = float(rng.uniform(-4.0, 4.0))
-        x = float(rng.uniform(1.0 + 1e-9, 1.0 + 10.0 ** rng.uniform(-6, 1.5)))
-        x = x if side == "right" else -x
-        n = int(rng.integers(1, 2000))
-        params = pollaczek.PollaczekParams(lam=lam, b=b)
-        assert pollaczek.asymptotic_bound_log(params, x, n) == ref.asymptotic_bound_log(params, x, n)
-
-
-def test_asymptotic_bound_log_at_quantization_points():
-    # exponent lam -+ i phi a non-positive integer: the reciprocal Gamma kills the term
-    for x, sign in ((1.7, 1.0), (-1.7, -1.0)):
-        root = math.sqrt(x * x - 1.0)
-        for k in range(4):
-            lam = 1.25
-            b = -sign * (lam + k) * root  # lam + sign * b / root = -k
-            params = pollaczek.PollaczekParams(lam=lam, b=b)
-            got = pollaczek.asymptotic_bound_log(params, x, 40)
-            assert got == ref.asymptotic_bound_log(params, x, 40) == (-math.inf, 1.0)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import reference_forms as ref
 from tridirac import model, pollaczek
 from tridirac.errors import ConfigError, SingularMapError, SupercriticalError, ThresholdError
 from tridirac.model import PhysicalParams, Regime
@@ -198,9 +199,8 @@ class TestIdentificationConsistency:
             except SingularMapError:
                 continue
             params = pollaczek.PollaczekParams(lam=pol.lam, b=pol.b)
-            sym = pollaczek.to_symmetric(pollaczek.evaluate(params, pol.x, 100))
+            vals = ref.symmetric_values(pollaczek.evaluate(params, pol.x, 100))
             coeffs = model.recursion_coefficients(d)
-            vals = sym.values
             worst = 0.0
             for n in range(1, 99):
                 lhs = (coeffs.diag(n) * pol.x + pol.b) * vals[n]

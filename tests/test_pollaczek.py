@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import mpmath as mp
@@ -5,8 +6,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import reference_forms as ref
 from tridirac import pollaczek, recurrence, resolvent
-from tridirac.errors import BranchError, RadiusError
 from tridirac.pollaczek import PollaczekParams
 
 
@@ -26,14 +27,14 @@ class TestEvaluate:
     def test_recursion_residual_inside_band(self):
         params = PollaczekParams(lam=1.5, b=-0.3)
         seq = pollaczek.evaluate(params, 0.2, 500)
-        assert pollaczek.recursion_residual(seq) < 1e-10
+        assert recurrence.residual(*ref.standard_rows(seq), seq.values) < 1e-10
 
     @pytest.mark.parametrize("x", [-5.0, -1.5, 0.9, 2.0, 5.0])
     def test_recursion_residual_wide_range(self, x):
         # |x| > 1 runs in extended precision; residual checked there
         params = PollaczekParams(lam=0.8, b=0.4)
         seq = pollaczek.evaluate(params, x, 500)
-        assert pollaczek.recursion_residual(seq) < 1e-10
+        assert recurrence.residual(*ref.standard_rows(seq), seq.values) < 1e-10
 
     def test_degree_property_forward_differences(self):
         # P_n has degree n in x: the (n+1)-th forward difference vanishes
@@ -59,22 +60,6 @@ class TestEvaluate:
 
 
 class TestNormalizations:
-    def test_symmetric_q0(self):
-        for lam in [0.7, 1.0, 2.5]:
-            seq = pollaczek.to_symmetric(pollaczek.evaluate(PollaczekParams(lam=lam), 0.3, 2))
-            assert_allclose(seq.values[0], math.sqrt(2 * lam), rtol=1e-13)
-
-    def test_symmetric_scale_is_one_at_lam_half(self):
-        # 2 lam = 1: the n = 0 factor collapses to 1
-        seq = pollaczek.evaluate(PollaczekParams(lam=0.5), 0.3, 1)
-        sym = pollaczek.to_symmetric(seq)
-        assert_allclose(sym.values[0], seq.values[0], rtol=1e-14)
-
-    def test_symmetric_recursion_residual(self):
-        params = PollaczekParams(lam=1.5, b=-0.3)
-        sym = pollaczek.to_symmetric(pollaczek.evaluate(params, 0.2, 50))
-        assert pollaczek.recursion_residual(sym) < 1e-10
-
     def test_orthonormal_p0(self):
         # p_0 = sqrt(lam/Gamma(2 lam)); equals 1 for lam=1
         seq = pollaczek.to_orthonormal(pollaczek.evaluate(PollaczekParams(lam=1.0), 0.3, 1))
@@ -127,7 +112,7 @@ class TestSecondKind:
         # value 1, to 1e-9 relative for n <= 200
         coeffs = pollaczek.jacobi_coefficients(PollaczekParams(lam=1.5, b=-0.3))
         p, q = resolvent.solution_pair(coeffs, 0.37, 200)
-        w = resolvent.casoratian(coeffs, p, q)
+        w = ref.casoratian(coeffs, p, q)
         assert_allclose(w[0], 1.0, rtol=1e-13)
         assert np.max(np.abs(w / w[0] - 1.0)) < 1e-9
 
@@ -139,27 +124,33 @@ class TestSecondKind:
 
 
 class TestGeneratingFunction:
-    def test_t_zero(self):
-        params = PollaczekParams(lam=1.2, b=-0.4)
-        assert pollaczek.generating_partial_sum(params, 1.0, 0.0, 5) == 1.0
+    """sum_n P_n(cos theta) t^n = (1 - t e^{i theta})^{-lam + i phi}
+    (1 - t e^{-i theta})^{-lam - i phi}, phi = b / sin(theta), inside
+    the disc |t| < 1."""
 
-    def test_radius_guard(self):
-        params = PollaczekParams(lam=1.2, b=-0.4)
-        with pytest.raises(RadiusError):
-            pollaczek.generating_partial_sum(params, 1.0, 0.999, 5)
+    @staticmethod
+    def closed_form(params, theta, t):
+        phi = params.b / math.sin(theta)
+        u = (-params.lam + 1j * phi) * cmath.log(1 - t * cmath.exp(1j * theta))
+        v = (-params.lam - 1j * phi) * cmath.log(1 - t * cmath.exp(-1j * theta))
+        return cmath.exp(u + v)
+
+    @staticmethod
+    def partial_sum(params, theta, t, n_max):
+        values = pollaczek.evaluate(params, math.cos(theta), n_max).values
+        return complex(np.sum(values * t ** np.arange(n_max + 1)))
 
     def test_partial_sums_converge_to_closed_form(self):
         params = PollaczekParams(lam=1.2, b=-0.4)
         theta, t = 1.0, 0.3
-        closed = pollaczek.generating_closed_form(params, theta, t)
-        partial = pollaczek.generating_partial_sum(params, theta, t, 120)
-        assert abs(partial - closed) < 1e-9
+        closed = self.closed_form(params, theta, t)
+        assert abs(self.partial_sum(params, theta, t, 120) - closed) < 1e-9
 
     def test_geometric_error_decay(self):
         params = PollaczekParams(lam=1.2, b=-0.4)
         theta, t = 1.0, 0.3
-        closed = pollaczek.generating_closed_form(params, theta, t)
-        errs = [abs(pollaczek.generating_partial_sum(params, theta, t, n) - closed) for n in (10, 20, 30)]
+        closed = self.closed_form(params, theta, t)
+        errs = [abs(self.partial_sum(params, theta, t, n) - closed) for n in (10, 20, 30)]
         assert errs[1] < 0.1 * errs[0] or errs[1] < 1e-14
         assert errs[2] < 0.1 * errs[1] or errs[2] < 1e-14
 
@@ -210,17 +201,8 @@ class TestScatteringAsymptotics:
 
 
 class TestBoundAsymptotics:
-    def test_branch_guard(self):
-        with pytest.raises(BranchError):
-            pollaczek.asymptotic_bound(PollaczekParams(lam=1.0, b=-0.5), 0.5, 10)
-
-    def test_quantization_zero(self):
-        # choose b so lam - i*phi = 0 exactly on the x > 1 branch:
-        # lam + b/sqrt(x^2-1) = 0
-        lam, x = 1.0, 1.5
-        b = -lam * math.sqrt(x * x - 1.0)
-        val = pollaczek.asymptotic_bound(PollaczekParams(lam=lam, b=b), x, 50)
-        assert val == 0.0
+    """evaluate's 40-digit values at |x| > 1 against the leading
+    Darboux term kept in reference_forms."""
 
     @pytest.mark.parametrize("x", [1.5, -1.5])
     def test_ratio_tends_to_one(self, x):
@@ -229,7 +211,7 @@ class TestBoundAsymptotics:
         params = PollaczekParams(lam=1.0, b=-0.7)
         seq = pollaczek.evaluate(params, x, 1000)
         for n, tol in [(100, 0.02), (1000, 0.002)]:
-            log_mod, sign = pollaczek.asymptotic_bound_log(params, x, n)
+            log_mod, sign = ref.asymptotic_bound_log(params, x, n)
             exact = seq.values[n]
             log_ratio = float(mp.log(abs(exact))) - log_mod
             assert abs(log_ratio) < tol
@@ -238,8 +220,8 @@ class TestBoundAsymptotics:
     def test_moderate_n_complex_value(self):
         params = PollaczekParams(lam=1.0, b=-0.7)
         seq = pollaczek.evaluate(params, 1.5, 60)
-        approx = pollaczek.asymptotic_bound(params, 1.5, 60)
-        assert abs(complex(approx).real / float(seq.values[60]) - 1.0) < 0.01
+        log_mod, sign = ref.asymptotic_bound_log(params, 1.5, 60)
+        assert abs(sign * math.exp(log_mod) / float(seq.values[60]) - 1.0) < 0.01
 
 
 class TestJacobiCoefficients:

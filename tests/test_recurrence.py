@@ -17,6 +17,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+import reference_forms as ref
 from tridirac import model, pollaczek, recurrence, resolvent, spectrum, wavefunction
 from tridirac.model import PhysicalParams, energy_point, map_to_pollaczek, recursion_coefficients
 from tridirac.pollaczek import PollaczekParams
@@ -53,27 +54,14 @@ def ref_evaluate(family, x, n_max, extended=None, dps=40):
     return np.asarray(vals)
 
 
-def _ref_symmetric_offdiag(params, n):
-    return 0.5 * math.sqrt((n + 1.0) * (n + 2.0 * params.lam))
-
-
 def ref_recursion_residual(seq):
     lam, b = seq.params.lam, seq.params.b
     x = seq.argument
     vals = seq.values
     worst = 0.0
-    if seq.normalization == "standard":
-        for n in range(1, len(vals) - 1):
-            lhs = 2 * ((n + lam) * x + b) * vals[n]
-            rhs = (n + 2 * lam - 1) * vals[n - 1] + (n + 1) * vals[n + 1]
-            worst = max(worst, float(abs(lhs - rhs) / (1 + abs(lhs))))
-        return worst
     for n in range(1, len(vals) - 1):
-        lhs = ((n + lam) * x + b) * vals[n]
-        rhs = (
-            _ref_symmetric_offdiag(seq.params, n - 1) * vals[n - 1]
-            + _ref_symmetric_offdiag(seq.params, n) * vals[n + 1]
-        )
+        lhs = 2 * ((n + lam) * x + b) * vals[n]
+        rhs = (n + 2 * lam - 1) * vals[n - 1] + (n + 1) * vals[n + 1]
         worst = max(worst, float(abs(lhs - rhs) / (1 + abs(lhs))))
     return worst
 
@@ -183,10 +171,8 @@ def test_pollaczek_matches_reference_loops(family, x, extended):
         with np.errstate(all="ignore"):  # doubles overflow at 400 levels outside the band
             if a == 0.0 and same_precision:
                 assert_same(seq.values, want)
-                assert repr(pollaczek.recursion_residual(seq)) == repr(ref_recursion_residual(seq))
-                if isinstance(seq.values, np.ndarray):
-                    sym = pollaczek.to_symmetric(seq)
-                    assert repr(pollaczek.recursion_residual(sym)) == repr(ref_recursion_residual(sym))
+                residual = recurrence.residual(*ref.standard_rows(seq), seq.values)
+                assert repr(residual) == repr(ref_recursion_residual(seq))
             else:
                 assert_close(seq.values, want)
 
@@ -279,9 +265,10 @@ def test_residual_of_diverged_doubles_is_inf():
     # the running max) and raised an overflow warning on the way
     seq = pollaczek.evaluate(PollaczekParams(lam=1.5, b=-0.3), 3.0 + 0.0j, 800)
     assert np.sum(~np.isfinite(seq.values)) == 403
-    assert pollaczek.recursion_residual(seq) == math.inf
+    assert recurrence.residual(*ref.standard_rows(seq), seq.values) == math.inf
     # the extended-precision pass of the same sequence stays a roundoff residual
-    assert pollaczek.recursion_residual(pollaczek.evaluate(PollaczekParams(lam=1.5, b=-0.3), 3.0, 800)) < 1e-12
+    extended = pollaczek.evaluate(PollaczekParams(lam=1.5, b=-0.3), 3.0, 800)
+    assert recurrence.residual(*ref.standard_rows(extended), extended.values) < 1e-12
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(math.nan, 0.0), mp.mpf("inf")])

@@ -13,12 +13,17 @@ from tridirac.wavefunction import BasisElement
 DESK = PhysicalParams(z=-1.0, kappa=1, compton=0.05, omega=1.0)
 
 
+def zeta(d, n, r):
+    """zeta_n(r), the expansion of the unit vector e_n."""
+    return wavefunction.reconstruct_upper(reference_forms.unit_vector(n), d, r, n + 1)[0]
+
+
 class TestBasis:
     def test_ground_element_shape(self):
         d = model.derive(DESK)
         elem = BasisElement(0, d.gamma_eff, d.omega)
         r = np.array([0.5, 1.0, 2.0])
-        vals = wavefunction.basis_value(elem, r)
+        vals = zeta(d, 0, r)
         expected = elem.normalization * (d.omega * r) ** (d.gamma_eff + 1) * np.exp(-d.omega * r / 2)
         assert_allclose(vals, expected, rtol=1e-14)
 
@@ -51,23 +56,21 @@ class TestBasis:
         d = model.derive(DESK)
         h = 1e-6
         for n in (0, 1, 5, 12):
-            elem = BasisElement(n, d.gamma_eff, d.omega)
             for r in (0.5, 1.0, 5.0):
-                fd = (wavefunction.basis_value(elem, r + h) - wavefunction.basis_value(elem, r - h)) / (2 * h)
-                assert abs(wavefunction.basis_derivative(elem, r) - fd) < 1e-7 * max(1.0, abs(fd))
+                fd = float(zeta(d, n, r + h) - zeta(d, n, r - h)) / (2 * h)
+                got = float(wavefunction.reconstruct_derivative(reference_forms.unit_vector(n), d, r, n + 1))
+                assert abs(got - fd) < 1e-7 * max(1.0, abs(fd))
 
     def test_second_derivative_against_finite_differences(self):
+        # the analytic zeta_n'' of reference_forms, which the one-pass sums
+        # match bit for bit (test_one_pass_sums_equal_per_element_sums)
         d = model.derive(DESK)
         h = 1e-4
         for n in (0, 3, 9):
             elem = BasisElement(n, d.gamma_eff, d.omega)
             for r in (0.8, 2.0, 6.0):
-                fd = (
-                    wavefunction.basis_value(elem, r + h)
-                    - 2 * wavefunction.basis_value(elem, r)
-                    + wavefunction.basis_value(elem, r - h)
-                ) / h**2
-                assert abs(wavefunction.basis_second_derivative(elem, r) - fd) < 1e-5 * max(1.0, abs(fd))
+                fd = float(zeta(d, n, r + h) - 2 * zeta(d, n, r) + zeta(d, n, r - h)) / h**2
+                assert abs(reference_forms.basis_second_derivative(elem, r) - fd) < 1e-5 * max(1.0, abs(fd))
 
 
 class TestCoefficients:
@@ -230,7 +233,7 @@ class TestReconstruction:
         )
         r = np.linspace(0.5, 8.0, 17)
         out, tail = wavefunction.reconstruct_upper(fake, d, r, 1)
-        assert_allclose(out, wavefunction.basis_value(BasisElement(0, d.gamma_eff, d.omega), r), rtol=1e-14)
+        assert_allclose(out, reference_forms.basis_value(BasisElement(0, d.gamma_eff, d.omega), r), rtol=1e-14)
         assert tail == 0.0
 
     def test_bound_state_truncation_converges(self):
@@ -304,7 +307,7 @@ class TestLowerComponent:
         fake = wavefunction.CoefficientVector(values=np.array([1.0 + 0j]), eps=0.9, source="recursion")
         r = np.array([0.7, 1.3, 4.0])
         lower = wavefunction.lower_component(fake, d, 0.9, r)
-        zeta0 = wavefunction.basis_value(BasisElement(0, d.gamma_eff, d.omega), r)
+        zeta0 = reference_forms.basis_value(BasisElement(0, d.gamma_eff, d.omega), r)
         pref = d.compton / (0.9 + d.gamma / d.kappa)
         expected = pref * (
             (-d.z / d.kappa + d.gamma / r) + ((d.gamma_eff + 1) / r - d.omega / 2)
