@@ -5,29 +5,17 @@ Sign convention, fixed once: G(z) = <0|(z - J)^{-1}|0>, so
 Im G(x + i eta) <= 0 for eta > 0 and the density is
 rho(x) = -Im G(x + i eta) / pi.
 
-The production evaluator is modified Lentz (Thompson & Barnett 1986).
-With real a_n and b_n^2 > 0, each level adds to Im c_n and to Im D_n
-(d_n = 1/D_n) a term of the sign of Im z, and rounding cannot shrink a
-sum of two terms of one sign: both keep the sign of Im z and never fall
-below |Im z|.  So where |Im z| > 1e-14 (1 + |z|), the guard on a
-vanishing partial denominator cannot fire, and Lentz runs a branch-free
-body.  Only inside that band (|Im z| at most 1e-14 (1 + |z|), real z
-included) does each level test D_n and c_n against that bound: off the
-axis a vanishing one takes a 1e-30 floor, on the axis the block stops
-there, and the level is reported as spectrum contact unless an earlier
-level of the block has converged.  The finite truncation G_depth equals
-the resolvent of the depth x depth matrix truncation exactly, which is
-what the Gauss-quadrature cross-check exploits.
-
-Lentz gives the same value, depth and last_delta, bit for bit, as
-level-by-level evaluation.  Both evaluators read the recursion
-coefficients in blocks of levels (`RecursionCoefficients.block`), not one
-map call per level; Lentz's blocks hold about sqrt(240 n) levels from
-level n, 32 to 512.  Either loop body collects a block's ratios as
-Python scalars, and one settle step serves both: np.hypot on the parts
-of ratio - 1 finds the first converged level, and one left-to-right
-product of the ratios up to it updates f, both rounding as CPython's
-abs() and * do.
+One engine evaluates the fraction, to the depth at which Lentz's update
+|Delta_n - 1| first falls below tol (Thompson & Barnett 1986).  A forward
+pass finds that depth from the Casoratian of the convergents, with no
+division and no difference of nearly equal numbers (`_depth_group`); the
+value is then the truncated fraction below.  With real a_n and b_n^2 > 0,
+each level adds to Im(A_n/A_{n-1}) and Im(B_n/B_{n-1}) a term of the sign
+of Im z, and rounding cannot shrink a sum of two terms of one sign, so
+off the axis no convergent vanishes against the one before it; on the
+axis one that does, to within 1e-14 (1 + |z|), is spectrum contact.
+G_depth is the resolvent of the depth x depth matrix truncation (the
+Gauss-quadrature cross-check).  Both passes read coefficient blocks.
 
 The truncated fraction is a product of 2x2 level matrices
 M_k = [[0, s_k], [-1, z - a_k]], s_k = b_{k-1}^2, acting as Mobius maps
@@ -42,9 +30,7 @@ level-by-level sweep to rounding, not bit for bit.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -62,13 +48,11 @@ __all__ = [
     "energy_density",
 ]
 
-_TINY = 1e-30
 MAX_DEFAULT_DEPTH = 2_000_000  # levels; the default depth 15/eta of spectral_density_grid stops here
-_MIN_BLOCK = 32  # levels in Lentz's first block
-_BLOCK = 512  # most levels in one Lentz block
 _STATE_ELEMS = 8_192  # cap on rows x points of the truncated fraction's state; points are tiled to fit
 _MIN_CHUNKS = 4  # a tile with room for fewer chunks than this runs the tail vector alone
-_GROUP_LEVELS = 4_096  # cap on the levels of one group of chunks of the truncated fraction
+_GROUP_LEVELS = 4_096  # cap on the levels of one group of chunks, in either pass
+_FIRST_GROUP = 512  # levels in the depth pass's first group; each next one doubles, up to _GROUP_LEVELS
 _SCALE_BITS = 960  # the truncated fraction's state is rescaled before its bound passes 2**960 or 2**-960
 
 
@@ -79,58 +63,93 @@ class ResolventEstimate:
     last_delta: float
 
 
-def _level_blocks(coeffs: RecursionCoefficients, z: complex, max_depth: int):
-    """For levels n = 1..max_depth, one (lo, pairs) per block [lo, hi)
-    of about sqrt(240 lo) levels, at least _MIN_BLOCK and at most _BLOCK.
-    Reading and settling a block costs about as much as 60 levels, and a
-    fraction that converges inside a block runs on to its end: blocks of
-    sqrt(4 x 60 x lo) levels keep the sum of both costs near its least,
-    about sqrt(240 depth) levels.  `pairs` zips the Python complex pairs
-    (z - a_n, -b_{n-1}^2) of the block, read with one `coeffs.block`
-    call.  Python scalars, not numpy ones, so Lentz's complex rounding is
-    that of the per-level expressions; complex numerators, since CPython
-    widens a float operand to complex anyway and complex-complex
-    operations dispatch faster."""
-    lo = 1
-    while lo <= max_depth:
-        hi = min(lo + min(_BLOCK, max(_MIN_BLOCK, math.isqrt(240 * lo))), max_depth + 1)
-        a, b = coeffs.block(lo - 1, hi)
-        yield lo, zip((z - a[1:]).tolist(), (-(b[:-1] * b[:-1])).astype(complex).tolist())
-        lo = hi
+def _depth_group(coeffs: RecursionCoefficients, z: complex, tol: float, lo: int, hi: int, state: tuple):
+    """((depth, last_delta) at the first level of lo..hi-1 where the update
+    falls below tol, or None; `state` moved on to level hi).
 
-
-def _deltas(ratios: list, tol: float) -> np.ndarray:
-    """abs(ratio - 1.0) for each ratio, as CPython computes it: np.hypot
-    on the parts rounds as abs() does.  Where a finite ratio's value
-    overflows, abs() raises OverflowError; the levels are then redone with
-    abs() itself, up to the first that converges."""
-    r = np.array(ratios, dtype=complex)
-    try:
-        with np.errstate(over="raise"):
-            return np.hypot(r.real - 1.0, r.imag)
-    except FloatingPointError:
-        deltas = []
-        for ratio in ratios:
-            deltas.append(abs(ratio - 1.0))
-            if deltas[-1] < tol:
-                break
-        return np.array(deltas)
+    Level n is scaled by 2**-e_n < 1/(|z - a_n| + b_{n-1} + b_n): X~_n =
+    X_n 2**-(e_0 + ... + e_n) solves X~_n = w_n X~_{n-1} - t_n X~_{n-2},
+    w_n = (z - a_n) 2**-e_n and t_n = b_{n-1}^2 2**-(e_n + e_{n-1}) at most
+    1, and |Delta_n - 1| = t_1 ... t_n 2**-e_0 / |A~_{n-1} B~_n|.  The
+    levels fall into chunks of a power of two near sqrt(hi - lo) levels; a
+    step moves the two basis solutions of every chunk up a level at once.
+    The chunk maps fold, in Python scalars, into each chunk's entry
+    (X~_{n-1}, X~_{n-2}), rescaled by a power of two, and A~, B~ at every
+    level are the entry times the basis.  `state` holds A~ and B~ entering
+    lo with their scale exponents, t_1 ... t_{lo-1} 2**-e_0 as mantissa
+    and exponent, and e_{lo-1}."""
+    a1, a2, b1, b2, ea, eb, cas, cas_e, e_prev = state
+    levels = hi - lo
+    m = 1 << levels.bit_length() // 2  # divides every group but the last, which max_depth cuts
+    chunks = -(-levels // m)
+    a, b = coeffs.block(lo - 1, hi)
+    w = np.ones(chunks * m, dtype=complex)  # the last chunk is padded with levels w = 1, t = 0
+    w[:levels] = z - a[1:]
+    e = -np.frexp(np.abs(w.real[:levels]) + (abs(z.imag) + b[:-1] + b[1:]))[1]
+    w[:levels] *= np.ldexp(1.0, e)
+    t = np.zeros(chunks * m)
+    np.ldexp(b[:-1] * b[:-1], e + np.concatenate(([-e_prev], e[:-1])), out=t[:levels])
+    t = t.reshape(chunks, m).T  # (step, chunk): step i of chunk j is level lo + j m + i
+    steps = np.empty((m, 2, 2, chunks), dtype=complex)  # (X_{n-2}, X_{n-1}) -> (-t_n X_{n-2}, w_n X_{n-1})
+    steps[:, 0] = -t[:, None]
+    steps[:, 1] = w.reshape(chunks, m).T[:, None]
+    cum = np.cumprod(t, axis=0)
+    del a, b, w, t  # the group's memory peaks in the sweep and the test below
+    basis = np.empty((m + 2, 2, chunks), dtype=complex)
+    basis[:2] = [[[0.0], [1.0]], [[1.0], [0.0]]]
+    terms = np.empty((2, 2, chunks), dtype=complex)
+    for pair, step, out in zip([basis[i:i + 2] for i in range(m)], steps, basis[2:]):
+        np.multiply(pair, step, out=terms)
+        np.add(terms[0], terms[1], out=out)
+    del steps, pair, step
+    ent, scale, frexp = [], [], math.frexp
+    for pe, qe, pd, qd, tj in zip(*basis[-1].tolist(), *basis[-2].tolist(), cum[-1].tolist()):
+        ent += a1, a2, b1, b2
+        scale.append((cas, cas_e - ea - eb))
+        a1, a2 = a1 * pe + a2 * qe, a1 * pd + a2 * qd
+        k = max(frexp(abs(a1) + abs(a2))[1], -1000)  # 2.0 ** -k stays finite where the sum is subnormal
+        a1, a2, ea = a1 * 2.0 ** -k, a2 * 2.0 ** -k, ea + k
+        b1, b2 = b1 * pe + b2 * qe, b1 * pd + b2 * qd
+        k = max(frexp(abs(b1) + abs(b2))[1], -1000)
+        b1, b2, eb = b1 * 2.0 ** -k, b2 * 2.0 ** -k, eb + k
+        cas, k = frexp(cas * tj)
+        cas_e += k
+    ent = np.array(ent).reshape(chunks, 4).T
+    mant, expo = np.array(scale).T
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        # rows i = 0..m of chunk j: X~ at level lo + j m + i - 1
+        a = basis[1:, 0] * ent[0] + basis[1:, 1] * ent[1]
+        b = basis[1:, 0] * ent[2] + basis[1:, 1] * ent[3]
+        stop = cum < np.abs(a[:-1] * b[1:]) * np.ldexp(tol / mant, np.clip(-expo, -4000, 4000).astype(int))
+        if z.imag == 0.0:  # A_n or B_n within 1e-14 (1 + |z|) of zero against its predecessor
+            small = np.ldexp(1e-14 * (1.0 + abs(z)), np.concatenate((e, np.zeros(chunks * m - levels, int))))
+            small, a, b = small.reshape(chunks, m).T, np.abs(a), np.abs(b)
+            vanished = (a[1:] <= small * a[:-1]) | (b[1:] <= small * b[:-1])
+            stop |= vanished
+    first = int(np.argmax(stop.T.reshape(-1)[:levels]))
+    j, i = divmod(first, m)
+    if stop[i, j]:
+        if z.imag == 0.0 and vanished[i, j]:
+            raise SpectrumProximity(f"vanishing partial denominator at depth {lo + first}, z={z}")
+        return (lo + first, math.ldexp(cum[i, j] / abs(a[i, j] * b[i + 1, j]) * mant[j], int(expo[j]))), state
+    return None, (a1, a2, b1, b2, ea, eb, cas, cas_e, -int(e[-1]))
 
 
 def green_function(coeffs: RecursionCoefficients, z, tol: float = 1e-12,
                    max_depth: int = 200_000) -> ResolventEstimate:
-    """Evaluate G(z) = 1/(z - a_0 - b_0^2/(z - a_1 - ...)) by modified
-    Lentz until the running update |delta - 1| drops below tol.  The
-    value, depth and last_delta are those of the level-by-level loop, bit
-    for bit.  A partial denominator within 1e-14 (1 + |z|) of zero takes
-    a 1e-30 floor off the axis.
+    """Evaluate G(z) = 1/(z - a_0 - b_0^2/(z - a_1 - ...)) to the first
+    depth n whose update |Delta_n - 1| = s_1 ... s_n / |A_{n-1} B_n| drops
+    below tol, where A_n/B_n is the n-th convergent of 1/G, Delta_n its
+    ratio to the one before and s_k = b_{k-1}^2.  The update bounds the
+    last change of the value, not its error.  The value is
+    green_function_truncated(coeffs, z, depth + 1), bit for bit, and off
+    the real axis it is finite, however close z is to the axis.
 
     Raises ValueError unless tol is finite and positive, max_depth >= 1
-    and 2 (|Re z| + |Im z|) is finite (beyond that the complex division
-    1/(z - a_n) overflows inside and returns 0), NoConvergence when
-    max_depth is hit first, and SpectrumProximity when a partial
-    denominator vanishes (within 1e-14 of the working scale) for real z:
-    the argument sits on the spectrum.
+    and 2 (|Re z| + |Im z|) is finite, NoConvergence when max_depth is hit
+    first, and, for real z, SpectrumProximity where z - a_0, or A_n or B_n
+    against its predecessor, is within 1e-14 (1 + |z|) of zero: the
+    argument sits on the spectrum.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and positive, got {tol}")
@@ -139,47 +158,20 @@ def green_function(coeffs: RecursionCoefficients, z, tol: float = 1e-12,
     z = complex(z)
     if not math.isfinite(2.0 * (abs(z.real) + abs(z.imag))):
         raise ValueError(f"z must be finite with |Re z| + |Im z| below half the largest double, got {z}")
-    on_axis = z.imag == 0.0
-    f = z - coeffs.block(0, 1)[0].item()
-    small = 1e-14 * (1.0 + abs(z))
-    if abs(f) <= small:
-        if on_axis:
-            raise SpectrumProximity(f"vanishing partial denominator at z={z}")
-        f = complex(_TINY)
-    c = f
-    d = 0.0 + 0.0j
-    one = 1.0 + 0.0j
-    band = abs(z.imag) <= small
-    vanished = None
-    for lo, pairs in _level_blocks(coeffs, z, max_depth):
-        ratios = []
-        append = ratios.append
-        if band:
-            for depth, (den, num) in enumerate(pairs, lo):
-                d_new = den + num * d
-                c = den + num / c
-                if abs(d_new) <= small or abs(c) <= small:
-                    if on_axis:
-                        vanished = depth
-                        break
-                    d_new = complex(_TINY) if abs(d_new) <= small else d_new
-                    c = complex(_TINY) if abs(c) <= small else c
-                d = one / d_new
-                append(c * d)
-        else:
-            for den, num in pairs:
-                d = one / (den + num * d)
-                c = den + num / c
-                append(c * d)
-        deltas = _deltas(ratios, tol)
-        hits = np.flatnonzero(deltas < tol)
-        if hits.size:
-            k = int(hits[0])
-            f = reduce(operator.mul, ratios[:k + 1], f)
-            return ResolventEstimate(value=1.0 / f, depth=lo + k, last_delta=float(deltas[k]))
-        if vanished is not None:
-            raise SpectrumProximity(f"vanishing partial denominator at depth {vanished}, z={z}")
-        f = reduce(operator.mul, ratios, f)
+    a0, b0 = (x.item() for x in coeffs.block(0, 1))
+    if z.imag == 0.0 and abs(z - a0) <= 1e-14 * (1.0 + abs(z)):
+        raise SpectrumProximity(f"vanishing partial denominator at z={z}")
+    e0 = math.frexp(abs(z.real - a0) + abs(z.imag) + b0)[1]
+    state = ((z - a0) * 2.0 ** -e0, 1.0 + 0j, 1.0 + 0j, 0j, 0, -e0, 1.0, -e0, e0)
+    lo, size = 1, _FIRST_GROUP
+    while lo <= max_depth:
+        hi = int(min(lo + size, max_depth + 1))  # a float budget counts whole levels
+        found, state = _depth_group(coeffs, z, tol, lo, hi, state)
+        if found:
+            depth, last_delta = found  # green_function_truncated's arithmetic, on its private tail
+            value = 1.0 / (z - a0 - _truncated_tail(coeffs, np.array([z]), depth + 1))
+            return ResolventEstimate(value=complex(value[0]), depth=depth, last_delta=last_delta)
+        lo, size = hi, min(2 * size, _GROUP_LEVELS)
     raise NoConvergence(f"continued fraction did not reach tol={tol} within depth {max_depth}")
 
 
@@ -227,7 +219,8 @@ def _chunk_shape(levels: int, points: int) -> tuple[int, int, int]:
     and a group's chunks x length levels within _GROUP_LEVELS.  Few points
     leave room for many chunks, which share each numpy call of a step, and
     a chunk of about sqrt(levels) levels balances the steps, one per level
-    of a chunk, against the chunk maps folded one by one.  Where fewer
+    of a chunk, against the chunk maps folded one by one (sqrt(levels / 8)
+    for one point, whose maps fold in Python scalars).  Where fewer
     than _MIN_CHUNKS chunks would fit (from 1,171 points on), a tile holds
     the tail vector alone: its steps then scale by one coefficient, not by
     one per row, which numpy does faster, and that outweighs the calls a
@@ -238,6 +231,8 @@ def _chunk_shape(levels: int, points: int) -> tuple[int, int, int]:
         most = 1
     first = min(levels, _GROUP_LEVELS)
     length = max(math.isqrt(first - 1) + 1, -(-first // most))
+    if points == 1:  # one point folds in Python scalars, at about an eighth of a step's cost
+        length = math.isqrt((first + 7) // 8) + 1
     return width, length, min(most, -(-levels // length), _GROUP_LEVELS // length)
 
 
@@ -317,6 +312,8 @@ def _truncated_tail(coeffs: RecursionCoefficients, z: np.ndarray, depth: int) ->
                 np.multiply(qv, s_rows[i], out=pv)
                 qv, wv = wv, qv
             _normalise(pv, qv)
+            if z.size == 1:  # one point folds faster in Python scalars than in width-1 rows
+                pv, qv, plus, minus = (x[:, 0].tolist() for x in (pv, qv, plus, minus))
             t = pv[-1] / qv[-1]
             for j in range(k - 2, -1, -1):
                 # (t, 1) = (t - minus) (plus, 1) + (plus - t) (minus, 1), over plus - minus
@@ -361,9 +358,9 @@ def solution_pair(coeffs: RecursionCoefficients, z, n_max: int):
 
 def spectral_density(coeffs: RecursionCoefficients, x: float, eta: float,
                      tol: float = 1e-9, max_depth: int = 400_000) -> float:
-    """rho_eta(x) = -Im G(x + i eta) / pi for eta > 0.  Raises ValueError
-    for eta <= 0 and for a tol/max_depth budget that green_function
-    rejects."""
+    """rho_eta(x) = -Im G(x + i eta) / pi for eta > 0, from green_function
+    stopped where its update falls below tol.  Raises ValueError for
+    eta <= 0 and for a tol/max_depth budget that green_function rejects."""
     if eta <= 0:
         raise ValueError("eta must be positive")
     est = green_function(coeffs, complex(x, eta), tol=tol, max_depth=max_depth)
@@ -394,8 +391,9 @@ def spectral_density_grid(coeffs: RecursionCoefficients, xs, eta: float,
 
 def energy_density(d: DerivedParams, eps: float, eta: float) -> tuple[float, float]:
     """Density translated to the energy variable: the x-variable density
-    (Lentz to 1e-9) of the energy's own polynomial parameter set times the
-    exact Jacobian of the map x = (s - beta^2)/(s + beta^2), s = eps^2 - 1,
+    (`spectral_density` at tol 1e-9) of the energy's own polynomial
+    parameter set times the exact Jacobian of the map
+    x = (s - beta^2)/(s + beta^2), s = eps^2 - 1,
 
         |dx/d eps| = 4 |eps| beta^2 / (s + beta^2)^2.
 

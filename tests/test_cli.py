@@ -314,6 +314,13 @@ class TestConvergenceExit:
         assert code == 3
         assert "NoConvergence" in err
 
+    def test_green_depth_is_a_budget(self, capsys):
+        # --depth bounds the levels tried; it allocates nothing up front
+        argv = ["green", "--z", "-1", "--kappa", "1", "--compton", "0.05", "--zre", "3.0", "--zim", "0.5"]
+        code, out, err = run_cli(capsys, *argv, "--depth", "1000000000000")
+        assert (code, err) == (0, "")
+        assert out == run_cli(capsys, *argv)[1]
+
 
 class TestEntryPoint:
     """The `tridirac` console script declared in pyproject.toml, run as its

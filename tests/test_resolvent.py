@@ -107,6 +107,17 @@ class TestExactGreenFunction:
         exact = self.exact(d.gamma_eff, z)
         assert abs(est.value - exact) <= 1e-10 * abs(exact)
 
+    @pytest.mark.parametrize("z", [3 + 0.05j, 2 + 0.05j])
+    def test_deep_points_at_tol_1e_12(self, z):
+        # 85,036 and 58,682 levels; at tol 1e-15 they would run past the
+        # 200,000-level budget.  The update stops at 1e-12, yet the value is
+        # about 6e-11 off: tol bounds the last update, not the error
+        d = model.derive(PhysicalParams(z=-1.0, kappa=1, compton=0.05))
+        est = resolvent.green_function(model.recursion_coefficients(d), z, tol=1e-12)
+        exact = self.exact(d.gamma_eff, z)
+        assert est.depth > 50_000
+        assert abs(est.value - exact) <= 1e-10 * abs(exact)
+
 
 class TestExactPollaczekGreenFunction:
     """G(z) = <e_0|(z - J)^-1|e_0> for the Jacobi matrix J of
@@ -291,12 +302,15 @@ class TestSpectralDensity:
             assert abs(rho_eps / rho_x - exact) <= 1e-13 * exact
 
 
-# --- block-fed evaluation against the former per-level loops ----------------
+# --- the depth pass against Lentz's per-level loop and a 30-digit reference --
 
 def _lentz_levels(coeffs, z):
-    """The former per-level modified Lentz loop, one coefficient-map call
-    per level, as a generator of (depth, f, delta).  The float() calls
-    keep Python scalars, as math.sqrt maps gave."""
+    """The per-level modified Lentz loop, one coefficient-map call per
+    level, as a generator of (depth, f, delta): the reference for the
+    stopping rule, which computes delta = c d - 1 in doubles.  Within
+    1e-14 (1 + |z|) of the axis a vanishing partial denominator takes a
+    1e-30 floor off the axis and raises on it.  The float() calls keep
+    Python scalars, as math.sqrt maps gave."""
     z = complex(z)
     on_axis = z.imag == 0.0
     a0 = float(coeffs.diag(0))
@@ -340,6 +354,55 @@ def _lentz_per_level(coeffs, z, tol, max_depth):
             raise NoConvergence(f"continued fraction did not reach tol={tol} within depth {max_depth}")
 
 
+def _reference_stop(coeffs, z, tol, max_depth, dps=30):
+    """(depth, update) at the first level n <= max_depth where the update
+    s_1 ... s_n / |A_{n-1} B_n| (s_k = b_{k-1}^2) is below tol, from the
+    forward recursions of the convergents A_n/B_n of 1/G at `dps` digits
+    on the double coefficients; for real z, SpectrumProximity first where
+    A_n or B_n is within 1e-14 (1 + |z|) of zero against its predecessor,
+    and NoConvergence past max_depth, with green_function's messages."""
+    z = complex(z)
+    a, b = coeffs.block(0, max_depth + 1)
+    small = 1e-14 * (1.0 + abs(z))
+    with mp.workdps(dps):
+        zz = mp.mpc(z.real, z.imag)
+        a_prev, a_cur, b_prev, b_cur, cas = mp.mpc(1), zz - mp.mpf(a[0]), mp.mpc(0), mp.mpc(1), mp.mpf(1)
+        if z.imag == 0.0 and abs(a_cur) <= small:
+            raise SpectrumProximity(f"vanishing partial denominator at z={z}")
+        for n in range(1, max_depth + 1):
+            w, s = zz - mp.mpf(a[n]), mp.mpf(b[n - 1]) ** 2
+            a_prev, a_cur = a_cur, w * a_cur - s * a_prev
+            b_prev, b_cur = b_cur, w * b_cur - s * b_prev
+            cas *= s
+            if z.imag == 0.0 and (abs(a_cur) <= small * abs(a_prev) or abs(b_cur) <= small * abs(b_prev)):
+                raise SpectrumProximity(f"vanishing partial denominator at depth {n}, z={z}")
+            if cas < tol * abs(a_prev * b_cur):
+                return n, float(cas / abs(a_prev * b_cur))
+    raise NoConvergence(f"continued fraction did not reach tol={tol} within depth {max_depth}")
+
+
+def _lentz_window(depth):
+    """Levels by which green_function's depth may differ from Lentz's.
+    Lentz's c d - 1 carries the rounding of its running products: at
+    z = 3 + 0.05i (Z = -1, kappa = 1, compton 0.05) it runs 0.27 % high
+    at 85,036 levels, and Lentz stops 22 levels after the Casoratian."""
+    return 1 + depth // 1000
+
+
+def _check_stop(coeffs, z, tol, lentz_depth=None, max_depth=200_000):
+    """green_function stops where the 30-digit reference does, with its
+    update to 1e-9, within `_lentz_window` of Lentz's depth when given,
+    and returns the truncated fraction one level deeper, bit for bit."""
+    est = resolvent.green_function(coeffs, z, tol=tol, max_depth=max_depth)
+    depth, delta = _reference_stop(coeffs, z, tol, est.depth)
+    assert est.depth == depth
+    assert abs(est.last_delta - delta) <= 1e-9 * delta
+    assert est.value == resolvent.green_function_truncated(coeffs, z, est.depth + 1)
+    if lentz_depth is not None:
+        assert abs(est.depth - lentz_depth) <= _lentz_window(lentz_depth)
+    return est
+
+
 def _truncated_per_level(coeffs, z, depth):
     """The former per-level backward sweep."""
     zs = np.asarray(z, dtype=complex)
@@ -366,35 +429,45 @@ def _parabolic_coeffs(k):
     )
 
 
+def _target_tol(coeffs, z, target):
+    """The tol at which Lentz's loop stops at `target`: one double above its
+    update there."""
+    deltas = {depth: delta for depth, _, delta in itertools.islice(_lentz_levels(coeffs, z), target)}
+    tol = float(np.nextafter(deltas[target], np.inf))
+    assert all(deltas[k] >= tol for k in range(1, target))  # `target` is the first level below tol
+    return tol
+
+
 class TestBlockFedLentz:
-    def _estimate(self, coeffs, z, tol, max_depth=200_000):
-        est = resolvent.green_function(coeffs, z, tol=tol, max_depth=max_depth)
-        return est.value, est.depth, est.last_delta
+    """The depth pass against the per-level Lentz loop: the same stopping
+    rule, so the depth within `_lentz_window`, and the level where the
+    30-digit Casoratian reference stops exactly."""
 
     @pytest.mark.parametrize("target", [511, 512, 513, 1023, 1024, 1025])
     def test_converges_at_block_edges_like_per_level(self, target):
+        # 512 ends the first group of the depth pass; 1024 ends a chunk
         coeffs = _wave_coeffs()
         z = 3.0 + 0.5j
-        deltas = {depth: delta for depth, _, delta in itertools.islice(_lentz_levels(coeffs, z), target)}
-        tol = float(np.nextafter(deltas[target], np.inf))
-        assert all(deltas[k] >= tol for k in range(1, target))  # `target` is the first level below tol
-        got = self._estimate(coeffs, z, tol)
-        assert got == _lentz_per_level(coeffs, z, tol, 200_000)
-        assert got[1] == target
+        tol = _target_tol(coeffs, z, target)
+        est = _check_stop(coeffs, z, tol, lentz_depth=target)
         with pytest.raises(NoConvergence):
-            resolvent.green_function(coeffs, z, tol=tol, max_depth=target - 1)
+            resolvent.green_function(coeffs, z, tol=tol, max_depth=est.depth - 1)
 
     def test_deep_fraction_like_per_level(self):
-        # about 86k levels, 167 blocks
+        # about 85k levels: Lentz stops 22 levels later, both values are
+        # about 6e-11 off the fraction's limit (TestExactGreenFunction)
         coeffs = _wave_coeffs()
-        got = self._estimate(coeffs, 3.0 + 0.05j, 1e-12)
-        assert got == _lentz_per_level(coeffs, 3.0 + 0.05j, 1e-12, 200_000)
-        assert got[1] > 80_000
+        est = resolvent.green_function(coeffs, 3.0 + 0.05j, 1e-12)
+        value, depth, _ = _lentz_per_level(coeffs, 3.0 + 0.05j, 1e-12, 200_000)
+        assert est.depth > 80_000
+        assert abs(est.depth - depth) <= _lentz_window(depth)
+        assert abs(est.value - value) <= 1e-10 * abs(value)
+        assert est.value == resolvent.green_function_truncated(coeffs, 3.0 + 0.05j, est.depth + 1)
 
     def test_bounded_family_like_per_level(self):
         coeffs = pollaczek.jacobi_coefficients(pollaczek.PollaczekParams(lam=1.6, b=-0.2))
         for z in (0.3 + 0.01j, -0.7 + 0.2j, 1.5 - 0.001j):
-            assert self._estimate(coeffs, z, 1e-12) == _lentz_per_level(coeffs, z, 1e-12, 200_000)
+            _check_stop(coeffs, z, 1e-12, lentz_depth=_lentz_per_level(coeffs, z, 1e-12, 200_000)[1])
 
     @pytest.mark.parametrize("k", [1, 511, 512, 513, 1500])
     def test_spectrum_proximity_like_per_level(self, k):
@@ -406,10 +479,11 @@ class TestBlockFedLentz:
         assert str(blocked.value) == str(per_level.value) == f"vanishing partial denominator at depth {k}, z=0j"
 
     def test_floor_off_axis_like_per_level(self):
-        # the same vanishing denominator just off the axis takes the 1e-30 floor
+        # just off the axis the fraction converges at depth 223, before the
+        # denominator that vanishes at depth 700 on the axis
         coeffs = _parabolic_coeffs(700)
-        z = 1e-20j
-        assert self._estimate(coeffs, z, 1e-5) == _lentz_per_level(coeffs, z, 1e-5, 200_000)
+        est = _check_stop(coeffs, 1e-20j, 1e-5, lentz_depth=223)
+        assert abs(est.value - _lentz_per_level(coeffs, 1e-20j, 1e-5, 200_000)[0]) <= 1e-12
 
     def test_no_convergence_like_per_level(self):
         coeffs = _wave_coeffs()
@@ -429,6 +503,35 @@ class TestBlockFedLentz:
             resolvent.spectral_density(coeffs, 3.0, 0.5, tol=tol, max_depth=max_depth)
 
 
+class TestCasoratianStoppingLevel:
+    """Both families, real and complex z, three tolerances, depths up to
+    2,547: the depth, its update and the value against the 30-digit
+    reference."""
+
+    WAVE = [3 + 0.5j, 0.5 + 0.3j, -2 + 1j, 5 - 3j, 25 + 2j, 8 + 0.5j, 0.2 + 0.1j]  # depths 4 to 2,547
+    POLLACZEK = [0.3 + 0.01j, -0.7 + 0.2j, 1.5 - 0.001j, 0.95 + 0.02j, -1.3 + 0.001j, 2.0 + 0.0j, 0.5 + 0.05j]
+
+    @pytest.mark.parametrize("tol", [1e-8, 1e-12, 1e-14])
+    @pytest.mark.parametrize("family", ["wave", "pollaczek"])
+    def test_depth_against_reference(self, family, tol):
+        coeffs = _truncation_families()[family]
+        for z in self.WAVE if family == "wave" else self.POLLACZEK:
+            est = _check_stop(coeffs, z, tol, max_depth=6_000)
+            assert np.isfinite(est.value)
+
+    def test_max_depth_is_a_budget(self):
+        # the levels are read in groups of at most 4,096, however large the budget
+        coeffs = _wave_coeffs()
+        tracemalloc.start()
+        try:
+            got = resolvent.green_function(coeffs, 3.0 + 0.5j, max_depth=10**12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == resolvent.green_function(coeffs, 3.0 + 0.5j, max_depth=200_000)
+        assert peak < 1e6
+
+
 def _edge_coeffs():
     """a_0 = a_1 = 5, then a_n = 0, and b_n = 1/2: at z = 5 + i t the
     partial denominators f_0 and D_1 are exactly i t, and the tail's
@@ -446,18 +549,15 @@ def _cut_parabolic_coeffs(k, cut):
 
 
 class TestOffAxisLentz:
-    """Off the axis outside the guarded band, Lentz settles convergence
-    once per block of levels; inside the band, and on the axis, it checks
-    every level.  Either way it must return what the level-by-level loop
-    returns, or raise what it raises."""
+    """Off the axis the depth pass needs no floor, however close z is to
+    the axis: it stops where the reference stops, within a level of the
+    per-level loop here, and the value is the truncated fraction, finite
+    and of the sign Herglotz requires.  On the axis it raises what the
+    per-level loop raises."""
 
-    def _estimate(self, coeffs, z, tol, max_depth=200_000):
-        est = resolvent.green_function(coeffs, z, tol=tol, max_depth=max_depth)
-        return est.value, est.depth, est.last_delta
-
-    # blocks of about sqrt(240 lo) levels end at 32, 120, 290, 554, 918 and
-    # 1387 levels; 63-65, ..., 1471-1473 straddle the ends of the earlier
-    # 64, 128, 256, 512 schedule and now fall inside blocks
+    # the depth pass's chunks end at multiples of 32 up to 1,536 levels:
+    # 31-33, 63-65, 191-193, 447-449, 959-961 and 1471-1473 straddle chunk
+    # ends, and the rest fall inside chunks
     EDGES = [31, 32, 33, 119, 120, 121, 289, 290, 291, 553, 554, 555, 917, 918, 919, 1386, 1387, 1388]
 
     @pytest.mark.parametrize("target", [1, 63, 64, 65, 191, 192, 193, 447, 448, 449, 959, 960, 961, 1471, 1472, 1473,
@@ -465,77 +565,66 @@ class TestOffAxisLentz:
     def test_converges_at_schedule_edges_like_per_level(self, target):
         coeffs = _wave_coeffs()
         z = 3.0 + 0.35j
-        if target in self.EDGES:
-            ends = [lo - 1 for lo, _ in resolvent._level_blocks(coeffs, z, 1600)][1:]
-            assert min(abs(target - end) for end in ends) <= 1
-        deltas = {depth: delta for depth, _, delta in itertools.islice(_lentz_levels(coeffs, z), target)}
-        tol = float(np.nextafter(deltas[target], np.inf))
-        assert all(deltas[k] >= tol for k in range(1, target))  # `target` is the first level below tol
-        got = self._estimate(coeffs, z, tol)
-        assert got == _lentz_per_level(coeffs, z, tol, 200_000)
-        assert got[1] == target
-        if target > 1:
+        tol = _target_tol(coeffs, z, target)
+        est = _check_stop(coeffs, z, tol, lentz_depth=target)
+        if est.depth > 1:
             with pytest.raises(NoConvergence):
-                resolvent.green_function(coeffs, z, tol=tol, max_depth=target - 1)
+                resolvent.green_function(coeffs, z, tol=tol, max_depth=est.depth - 1)
 
     def test_band_edge_like_per_level(self):
-        # |Im z| equal to 1e-14 (1 + |z|) is inside the guarded band, where
-        # the denominators i Im z of levels 0 and 1 take the 1e-30 floor;
-        # one double above it, no denominator of a level >= 1 is checked
+        # |Im z| equal to 1e-14 (1 + |z|) is inside the band where Lentz
+        # floors the denominators i Im z of levels 0 and 1 to 1e-30, which
+        # changes its value; the depth pass gives the fraction's value both
+        # there and one double above, continuous across the edge
         coeffs = _edge_coeffs()
         edge = 1e-14 * 6.0
         assert edge == 1e-14 * (1.0 + abs(complex(5.0, edge)))
         above = float(np.nextafter(edge, np.inf))
-        assert above > 1e-14 * (1.0 + abs(complex(5.0, above)))
-        floored = self._estimate(coeffs, complex(5.0, edge), 1e-12)
-        unguarded = self._estimate(coeffs, complex(5.0, above), 1e-12)
-        assert floored == _lentz_per_level(coeffs, complex(5.0, edge), 1e-12, 200_000)
-        assert unguarded == _lentz_per_level(coeffs, complex(5.0, above), 1e-12, 200_000)
-        assert abs(floored[0].imag / unguarded[0].imag - 1.0) > 0.5  # the floor changed the value
+        floored = _lentz_per_level(coeffs, complex(5.0, edge), 1e-12, 200_000)
+        unguarded = _lentz_per_level(coeffs, complex(5.0, above), 1e-12, 200_000)
+        assert abs(floored[0].imag / unguarded[0].imag - 1.0) > 0.5  # Lentz's floor changed the value
+        at_edge = _check_stop(coeffs, complex(5.0, edge), 1e-12, lentz_depth=floored[1])
+        past_edge = _check_stop(coeffs, complex(5.0, above), 1e-12, lentz_depth=unguarded[1])
+        assert np.isfinite(at_edge.value) and at_edge.value.imag < 0.0
+        assert abs(at_edge.value - past_edge.value) <= 1e-12 * abs(past_edge.value)
+        assert abs(past_edge.value - unguarded[0]) <= 1e-12 * abs(past_edge.value)
 
     def test_on_axis_converges_before_vanishing_denominator(self):
-        # the denominator vanishes at depth 300, three levels after the
-        # fraction converges; a block that ran ahead would raise
+        # the denominator vanishes at depth 300, two or three levels after
+        # the fraction converges; a pass that ran ahead would raise
         coeffs = _parabolic_coeffs(300)
-        deltas = {depth: delta for depth, _, delta in itertools.islice(_lentz_levels(coeffs, 0.0), 297)}
-        tol = float(np.nextafter(deltas[297], np.inf))
-        assert all(deltas[k] >= tol for k in range(1, 297))
-        got = self._estimate(coeffs, 0.0, tol)
-        assert got == _lentz_per_level(coeffs, 0.0, tol, 200_000)
-        assert got[1] == 297
+        est = _check_stop(coeffs, 0.0, _target_tol(coeffs, 0.0, 297), lentz_depth=297)
+        assert est.depth < 300
         with pytest.raises(SpectrumProximity, match="at depth 300"):
             resolvent.green_function(coeffs, 0.0, tol=1e-13)
 
     def test_floor_mid_block_then_convergence_like_per_level(self):
-        # at z = 1e-20 i the denominator at depth 500 takes the floor, and
-        # the fraction converges five levels later
+        # at z = 1e-20 i Lentz floors the denominator at depth 500, and the
+        # fraction, cut at b_504, converges five levels later; the depth
+        # pass stops there too, with the value of the cut fraction
         coeffs = _cut_parabolic_coeffs(500, 504)
         z = 1e-20j
         deltas = [delta for _, _, delta in itertools.islice(_lentz_levels(coeffs, z), 505)]
         assert deltas[499] > 1e20  # the floored level
-        assert min(deltas[:504]) >= 1e-15 > deltas[504]
-        got = self._estimate(coeffs, z, 1e-15)
-        assert got == _lentz_per_level(coeffs, z, 1e-15, 200_000)
-        assert got[1] == 505
+        est = _check_stop(coeffs, z, 1e-15, lentz_depth=505)
+        assert est.depth == 505
+        want = _mp_truncated(coeffs, z, 506)
+        assert abs(est.value - want) <= 1e-12 * abs(want)
+        assert est.value.imag < 0.0
 
     def test_ratio_overflow_like_per_level(self):
         # ratio_1 = 1 + num/z^2 is about 1.3e308 (1 + i): both parts are
-        # finite, but |ratio_1 - 1| is not, so abs() raises OverflowError
+        # finite, but |ratio_1 - 1| is not, so the per-level loop raises
+        # OverflowError; the depth pass scales every level and returns the
+        # fraction, about 1.7e-308
         z = 0.5 * complex(math.cos(3 * math.pi / 8), math.sin(3 * math.pi / 8))
         coeffs = model.RecursionCoefficients(diag=lambda n: 0.0 * n,
                                              offdiag=lambda n: np.where(n == 0, math.sqrt(4.6e307), 0.5))
-        with pytest.raises(OverflowError) as per_level:
-            _lentz_per_level(coeffs, z, 1e-12, 1000)
-        with pytest.raises(OverflowError) as blocked:
-            resolvent.green_function(coeffs, z, tol=1e-12, max_depth=1000)
-        assert str(blocked.value) == str(per_level.value)
-
-    def test_deltas_stop_at_convergence_before_an_overflow(self):
-        # abs() is reached only up to the first converged level
-        huge = complex(1.3e308, 1.3e308)
-        assert resolvent._deltas([2.0 + 0j, 1.0 + 0j, huge], 1e-12).tolist() == [1.0, 0.0]
         with pytest.raises(OverflowError):
-            resolvent._deltas([2.0 + 0j, huge, 1.0 + 0j], 1e-12)
+            _lentz_per_level(coeffs, z, 1e-12, 1000)
+        est = _check_stop(coeffs, z, 1e-12, max_depth=1000)
+        deep = resolvent.green_function_truncated(coeffs, z, 2 * est.depth + 1)
+        assert np.isfinite(est.value) and abs(est.value - deep) <= 1e-10 * abs(deep)
 
     @pytest.mark.parametrize("z", [1e308 + 1e308j, 1.5e308 + 1.5e308j, complex(math.inf, 1.0), complex(1.0, math.nan),
                                    1e308 + 0j])
@@ -568,9 +657,10 @@ def _denominators_at(coeffs, z, k):
 
 
 class TestMergedDenominatorCheck:
-    """Inside the band one test covers both partial denominators: a level
-    where only D_n vanishes and one where only c_n does must each take the
-    floor off the axis and raise on it, as the level-by-level loop does."""
+    """A level where only D_n = B_n/B_{n-1} vanishes and one where only
+    c_n = A_n/A_{n-1} does: on the axis each raises, as the per-level loop
+    does; just off it the fraction, cut four levels on, converges where
+    the per-level loop does, with the value of the cut fraction."""
 
     VANISHING = {"D": lambda k: _cut_parabolic_coeffs(k, k + 4), "c": _c_vanishing_coeffs}
 
@@ -596,10 +686,10 @@ class TestMergedDenominatorCheck:
         coeffs = self.VANISHING[which](k)
         z = 1e-20j
         self._check_premise(which, coeffs, z, k)
-        est = resolvent.green_function(coeffs, z, tol=1e-15)
-        got = (est.value, est.depth, est.last_delta)
-        assert got == _lentz_per_level(coeffs, z, 1e-15, 200_000)
-        assert got[1] == k + 5
+        est = _check_stop(coeffs, z, 1e-15, lentz_depth=_lentz_per_level(coeffs, z, 1e-15, 200_000)[1])
+        assert est.depth == k + 5
+        want = _mp_truncated(coeffs, z, k + 6)
+        assert abs(est.value - want) <= 1e-12 * abs(want)
 
 
 # The truncated fraction composes chunks of levels as 2x2 matrices, so it

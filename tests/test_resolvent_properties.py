@@ -1,14 +1,15 @@
-"""The invariant behind off-axis Lentz's unchecked levels, and the
-checked levels inside the band.
+"""The invariant behind the depth pass's unchecked levels off the axis,
+and the band next to the axis.
 
-With real a_n and b_n^2 > 0, each level of modified Lentz adds to Im c_n
-and to Im D_n, the partial denominator whose reciprocal is d_n, a term of
-the sign of Im z, and rounding cannot shrink a sum of two terms of one
-sign.  So both keep the sign of Im z and never fall below |Im z|, which
-is why `resolvent.green_function` checks no denominator where
-|Im z| > 1e-14 (1 + |z|): |D_n| and |c_n| cannot fall to that bound.
-Inside that band, real z included, it checks both at every level and
-must do what the level-by-level loop does.
+With real a_n and b_n^2 > 0, each level adds to Im c_n = Im(A_n/A_{n-1})
+and to Im D_n = Im(B_n/B_{n-1}), the ratios of the convergents' numerators
+and denominators that modified Lentz carries, a term of the sign of Im z,
+and rounding cannot shrink a sum of two terms of one sign.  So both keep
+the sign of Im z and never fall below |Im z|: off the axis no A_n or B_n
+vanishes against its predecessor, which is why `resolvent.green_function`
+checks them only for real z.  In the band |Im z| <= 1e-14 (1 + |z|), real
+z included, it must stop, or raise, where the 30-digit Casoratian
+reference does, and off the axis its value is finite.
 The draws are derandomized: the same cases run every time.
 """
 
@@ -17,7 +18,7 @@ import math
 import numpy as np
 import pytest
 
-from test_resolvent import _lentz_per_level
+from test_resolvent import _reference_stop
 from tridirac import model, pollaczek, resolvent
 from tridirac.model import PhysicalParams
 
@@ -57,7 +58,7 @@ def test_imaginary_parts_keep_sign_and_size(coeffs, z):
     sign = math.copysign(1.0, z.imag)
     c = z - a[0].item()
     d = 0.0 + 0.0j
-    # the Lentz body of green_function, on Python scalars
+    # the Lentz recursions of c_n and D_n, on Python scalars
     for n, (den, num) in enumerate(zip((z - a[1:]).tolist(), (-(b[:-1] * b[:-1])).tolist()), 1):
         denominator = den + num * d
         c = den + num / c
@@ -91,6 +92,8 @@ def test_band_like_per_level(coeffs, z):
 
     def blocked():
         est = resolvent.green_function(coeffs, z, max_depth=300)
-        return est.value, est.depth, est.last_delta
+        assert est.value == resolvent.green_function_truncated(coeffs, z, est.depth + 1)
+        assert z.imag == 0.0 or math.isfinite(abs(est.value))
+        return est.depth
 
-    assert _outcome(blocked) == _outcome(lambda: _lentz_per_level(coeffs, z, 1e-12, 300))
+    assert _outcome(blocked) == _outcome(lambda: _reference_stop(coeffs, z, 1e-12, 300)[0])
