@@ -325,7 +325,7 @@ def main(argv=None) -> int:
         # they would flag cannot reach the output, since _emit refuses it
         with np.errstate(all="ignore"):
             args.func(args)
-    except (ConfigError, ValueError, OSError, MemoryError, ConvergenceFailure, DomainError) as exc:
+    except (ConfigError, ValueError, OSError, MemoryError, OverflowError, ConvergenceFailure, DomainError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3 if isinstance(exc, ConvergenceFailure) else 2 if isinstance(exc, DomainError) else 1
     return 0

@@ -5,25 +5,32 @@ Sign convention, fixed once: G(z) = <0|(z - J)^{-1}|0>, so
 Im G(x + i eta) <= 0 for eta > 0 and the density is
 rho(x) = -Im G(x + i eta) / pi.
 
-One engine evaluates the fraction, to the depth at which Lentz's update
-|Delta_n - 1| first falls below tol (Thompson & Barnett 1986).  A forward
-pass finds that depth from the Casoratian of the convergents, with no
-division and no difference of nearly equal numbers (`_depth_group`); the
-value is then the truncated fraction below.  With real a_n and b_n^2 > 0,
-each level adds to Im(A_n/A_{n-1}) and Im(B_n/B_{n-1}) a term of the sign
-of Im z, and rounding cannot shrink a sum of two terms of one sign, so
-off the axis no convergent vanishes against the one before it; on the
-axis one that does, to within 1e-14 (1 + |z|), is spectrum contact.
-G_depth is the resolvent of the depth x depth matrix truncation (the
-Gauss-quadrature cross-check).  Both passes read coefficient blocks.
+The fraction is a product of 2x2 level matrices, Mobius maps of the tail
+(Jones & Thron 1980, section 2.1), which both evaluators cut into chunks
+and build side by side, a multiply-add per level and no division; both
+read coefficient blocks, so memory does not grow with depth.
 
-The truncated fraction is a product of 2x2 level matrices
-M_k = [[0, s_k], [-1, z - a_k]], s_k = b_{k-1}^2, acting as Mobius maps
-t -> s_k / (z - a_k - t) on the tail t (Jones & Thron 1980, section 2.1).
-`green_function_truncated` cuts the levels into chunks and builds the
-chunks' matrices side by side, a multiply-add per level and no division;
-only the deepest chunk is run as one vector from the known tail.  It then
-applies the chunk maps to the tail, deepest first.  It matches the
+`green_function` runs to the depth at which Lentz's update |Delta_n - 1|
+first falls below tol (Thompson & Barnett 1986).  One forward pass of the
+convergents finds that depth from their Casoratian, with no division and
+no difference of nearly equal numbers (`_depth_group`).  With real a_n
+and b_n^2 > 0, each level adds to Im(A_n/A_{n-1}) and Im(B_n/B_{n-1}) a
+term of the sign of Im z, and rounding cannot shrink a sum of two terms
+of one sign, so off the axis no convergent vanishes against the one
+before it; on the axis one that does, to within 1e-14 (1 + |z|), is
+spectrum contact.  The same pass keeps its chunk maps, composed to one
+per group of chunks, and the value is the stopping level's row folded
+back through them to level 0: backward, as the tail is applied, since
+the forward ratio B_n/A_n of the pass loses digits at depth (1e-11 to
+5e-11 at 139,000 levels, where the fold loses 2e-13).  G_depth is the
+resolvent of the depth x depth matrix truncation (the Gauss-quadrature
+cross-check).
+
+`green_function_truncated` applies the level matrices
+M_k = [[0, s_k], [-1, z - a_k]], s_k = b_{k-1}^2, as the maps
+t -> s_k / (z - a_k - t) to the tail t, from a fixed depth: only the
+deepest chunk is run as one vector from the known tail, and the chunk
+maps are then applied to the tail, deepest first.  It matches the
 level-by-level sweep to rounding, not bit for bit.
 """
 
@@ -63,9 +70,10 @@ class ResolventEstimate:
     last_delta: float
 
 
-def _depth_group(coeffs: RecursionCoefficients, z: complex, tol: float, lo: int, hi: int, state: tuple):
-    """((depth, last_delta) at the first level of lo..hi-1 where the update
-    falls below tol, or None; `state` moved on to level hi).
+def _depth_group(coeffs: RecursionCoefficients, z: complex, tol: float, lo: int, hi: int, state: tuple,
+                 maps: list):
+    """((depth, last_delta, row) at the first level of lo..hi-1 where the
+    update falls below tol, or None; `state` moved on to level hi).
 
     Level n is scaled by 2**-e_n < 1/(|z - a_n| + b_{n-1} + b_n): X~_n =
     X_n 2**-(e_0 + ... + e_n) solves X~_n = w_n X~_{n-1} - t_n X~_{n-2},
@@ -77,7 +85,15 @@ def _depth_group(coeffs: RecursionCoefficients, z: complex, tol: float, lo: int,
     (X~_{n-1}, X~_{n-2}), rescaled by a power of two, and A~, B~ at every
     level are the entry times the basis.  `state` holds A~ and B~ entering
     lo with their scale exponents, t_1 ... t_{lo-1} 2**-e_0 as mantissa
-    and exponent, and e_{lo-1}."""
+    and exponent, and e_{lo-1}.
+
+    `maps` holds one 2x2 map per group before lo, its chunk maps composed
+    from the deepest (`_fold_back`); a group that finds no stop appends
+    its own.  At a stop the basis row (r1, r2) of the stopping level n,
+    X~_n = r1 X~_{lo-1} + r2 X~_{lo-2} for both solutions, folds back
+    through this group's earlier chunks and then through `maps`, so that
+    X~_n = r1 X~_0 + r2 X~_{-1} up to a common scale, and is returned
+    with the depth and update."""
     a1, a2, b1, b2, ea, eb, cas, cas_e, e_prev = state
     levels = hi - lo
     m = 1 << levels.bit_length() // 2  # divides every group but the last, which max_depth cuts
@@ -103,7 +119,8 @@ def _depth_group(coeffs: RecursionCoefficients, z: complex, tol: float, lo: int,
         np.add(terms[0], terms[1], out=out)
     del steps, pair, step
     ent, scale, frexp = [], [], math.frexp
-    for pe, qe, pd, qd, tj in zip(*basis[-1].tolist(), *basis[-2].tolist(), cum[-1].tolist()):
+    chunk_maps = list(zip(*basis[-1].tolist(), *basis[-2].tolist()))
+    for (pe, qe, pd, qd), tj in zip(chunk_maps, cum[-1].tolist()):
         ent += a1, a2, b1, b2
         scale.append((cas, cas_e - ea - eb))
         a1, a2 = a1 * pe + a2 * qe, a1 * pd + a2 * qd
@@ -131,8 +148,24 @@ def _depth_group(coeffs: RecursionCoefficients, z: complex, tol: float, lo: int,
     if stop[i, j]:
         if z.imag == 0.0 and vanished[i, j]:
             raise SpectrumProximity(f"vanishing partial denominator at depth {lo + first}, z={z}")
-        return (lo + first, math.ldexp(cum[i, j] / abs(a[i, j] * b[i + 1, j]) * mant[j], int(expo[j]))), state
+        last_delta = math.ldexp(cum[i, j] / abs(a[i, j] * b[i + 1, j]) * mant[j], int(expo[j]))
+        row = _fold_back(basis[i + 2, 0, j].item(), basis[i + 2, 1, j].item(), 0j, 0j, maps + chunk_maps[:j])
+        return (lo + first, last_delta, row[:2]), state
+    maps.append(_fold_back(*chunk_maps[-1], chunk_maps[:-1]))
     return None, (a1, a2, b1, b2, ea, eb, cas, cas_e, -int(e[-1]))
+
+
+def _fold_back(p1, q1, p2, q2, maps):
+    """The rows (p1, q1) and (p2, q2) times M_k ... M_1 M_0, where `maps`
+    lists M_0, ..., M_k as (pe, qe, pd, qd) for [[pe, qe], [pd, qd]]: the
+    rows travel toward level 0, rescaled together by a power of two after
+    each map, which leaves the ratio of any two entries as it is."""
+    frexp = math.frexp
+    for pe, qe, pd, qd in reversed(maps):
+        p1, q1, p2, q2 = p1 * pe + q1 * pd, p1 * qe + q1 * qd, p2 * pe + q2 * pd, p2 * qe + q2 * qd
+        k = 2.0 ** -max(frexp(abs(p1) + abs(q1) + abs(p2) + abs(q2))[1], -1000)
+        p1, q1, p2, q2 = p1 * k, q1 * k, p2 * k, q2 * k
+    return p1, q1, p2, q2
 
 
 def green_function(coeffs: RecursionCoefficients, z, tol: float = 1e-12,
@@ -141,9 +174,11 @@ def green_function(coeffs: RecursionCoefficients, z, tol: float = 1e-12,
     depth n whose update |Delta_n - 1| = s_1 ... s_n / |A_{n-1} B_n| drops
     below tol, where A_n/B_n is the n-th convergent of 1/G, Delta_n its
     ratio to the one before and s_k = b_{k-1}^2.  The update bounds the
-    last change of the value, not its error.  The value is
-    green_function_truncated(coeffs, z, depth + 1), bit for bit, and off
-    the real axis it is finite, however close z is to the axis.
+    last change of the value, not its error.  The value is B_n/A_n, the
+    fraction cut after level n = depth, as
+    green_function_truncated(coeffs, z, depth + 1) is, to rounding (both
+    apply the levels backward, in different chunks); off the real axis it
+    is finite, however close z is to the axis.
 
     Raises ValueError unless tol is finite and positive, max_depth >= 1
     and 2 (|Re z| + |Im z|) is finite, NoConvergence when max_depth is hit
@@ -162,15 +197,20 @@ def green_function(coeffs: RecursionCoefficients, z, tol: float = 1e-12,
     if z.imag == 0.0 and abs(z - a0) <= 1e-14 * (1.0 + abs(z)):
         raise SpectrumProximity(f"vanishing partial denominator at z={z}")
     e0 = math.frexp(abs(z.real - a0) + abs(z.imag) + b0)[1]
-    state = ((z - a0) * 2.0 ** -e0, 1.0 + 0j, 1.0 + 0j, 0j, 0, -e0, 1.0, -e0, e0)
-    lo, size = 1, _FIRST_GROUP
+    head = (z - a0) * 2.0 ** -e0
+    state = (head, 1.0 + 0j, 1.0 + 0j, 0j, 0, -e0, 1.0, -e0, e0)
+    lo, size, maps = 1, _FIRST_GROUP, []
     while lo <= max_depth:
         hi = int(min(lo + size, max_depth + 1))  # a float budget counts whole levels
-        found, state = _depth_group(coeffs, z, tol, lo, hi, state)
+        found, state = _depth_group(coeffs, z, tol, lo, hi, state, maps)
         if found:
-            depth, last_delta = found  # green_function_truncated's arithmetic, on its private tail
-            value = 1.0 / (z - a0 - _truncated_tail(coeffs, np.array([z]), depth + 1))
-            return ResolventEstimate(value=complex(value[0]), depth=depth, last_delta=last_delta)
+            depth, last_delta, (r1, r2) = found
+            # A_n / B_n = z - a0 + 2**e0 r2 / r1, formed at the scale 2**-e0 of
+            # head: the tail 2**e0 r2 / r1 may pass the largest double where G
+            # does not
+            g = 1.0 / (head + r2 / r1)
+            value = complex(math.ldexp(g.real, -e0), math.ldexp(g.imag, -e0))
+            return ResolventEstimate(value=value, depth=depth, last_delta=last_delta)
         lo, size = hi, min(2 * size, _GROUP_LEVELS)
     raise NoConvergence(f"continued fraction did not reach tol={tol} within depth {max_depth}")
 
@@ -219,8 +259,7 @@ def _chunk_shape(levels: int, points: int) -> tuple[int, int, int]:
     and a group's chunks x length levels within _GROUP_LEVELS.  Few points
     leave room for many chunks, which share each numpy call of a step, and
     a chunk of about sqrt(levels) levels balances the steps, one per level
-    of a chunk, against the chunk maps folded one by one (sqrt(levels / 8)
-    for one point, whose maps fold in Python scalars).  Where fewer
+    of a chunk, against the chunk maps folded one by one.  Where fewer
     than _MIN_CHUNKS chunks would fit (from 1,171 points on), a tile holds
     the tail vector alone: its steps then scale by one coefficient, not by
     one per row, which numpy does faster, and that outweighs the calls a
@@ -231,8 +270,6 @@ def _chunk_shape(levels: int, points: int) -> tuple[int, int, int]:
         most = 1
     first = min(levels, _GROUP_LEVELS)
     length = max(math.isqrt(first - 1) + 1, -(-first // most))
-    if points == 1:  # one point folds in Python scalars, at about an eighth of a step's cost
-        length = math.isqrt((first + 7) // 8) + 1
     return width, length, min(most, -(-levels // length), _GROUP_LEVELS // length)
 
 
@@ -258,7 +295,8 @@ def _truncated_tail(coeffs: RecursionCoefficients, z: np.ndarray, depth: int) ->
     rescaled every _SCALE_BITS // e steps and where the tail vector
     enters, so neither bound passes 2**_SCALE_BITS.  A power-of-two
     rescale commutes with the step, so where it happens changes no
-    value."""
+    value.  The fold divides as numpy does, by way of 1 / den; points where
+    that comes out non-finite fold again with `_divide_direct`."""
     tail = np.zeros_like(z)
     levels = depth - 1
     if levels == 0 or z.size == 0:
@@ -312,16 +350,42 @@ def _truncated_tail(coeffs: RecursionCoefficients, z: np.ndarray, depth: int) ->
                 np.multiply(qv, s_rows[i], out=pv)
                 qv, wv = wv, qv
             _normalise(pv, qv)
-            if z.size == 1:  # one point folds faster in Python scalars than in width-1 rows
-                pv, qv, plus, minus = (x[:, 0].tolist() for x in (pv, qv, plus, minus))
-            t = pv[-1] / qv[-1]
-            for j in range(k - 2, -1, -1):
-                # (t, 1) = (t - minus) (plus, 1) + (plus - t) (minus, 1), over plus - minus
-                up, down = t - minus[j], plus[j] - t
-                t = (pv[2 * j] * up + pv[2 * j + 1] * down) / (qv[2 * j] * up + qv[2 * j + 1] * down)
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                t = _fold_chunks(pv, qv, plus, minus, np.divide)
+            bad = ~np.isfinite(t)
+            if bad.any():
+                t[bad] = _fold_chunks(pv[:, bad], qv[:, bad], plus[:, bad], minus[:, bad], _divide_direct)
             tt[...] = t
         hi, lo = lo, lo - span
     return tail
+
+
+def _fold_chunks(pv, qv, plus, minus, divide):
+    """The tail entering a group's top level, at every point of a tile: the
+    tail vector's value, then each chunk's map applied to it, deepest
+    first, with `divide` taking every quotient."""
+    t = divide(pv[-1], qv[-1])
+    for j in range(len(plus) - 1, -1, -1):
+        # (t, 1) = (t - minus) (plus, 1) + (plus - t) (minus, 1), over plus - minus
+        up, down = t - minus[j], plus[j] - t
+        t = divide(pv[2 * j] * up + pv[2 * j + 1] * down, qv[2 * j] * up + qv[2 * j + 1] * down)
+    return t
+
+
+def _divide_direct(num, den):
+    """num / den as Python divides complex numbers (Smith 1962), with no
+    reciprocal.  numpy divides by way of 1 / den, which overflows where
+    den is subnormal though the quotient is finite: a chunk whose s is
+    near the largest double leaves its q rows subnormal once normalised."""
+    turn = np.abs(den.imag) > np.abs(den.real)  # there divide -i num by -i den
+    num = np.where(turn, -1j * num, num)
+    den = np.where(turn, -1j * den, den)
+    ratio = den.imag / den.real
+    scale = den.real + den.imag * ratio
+    out = np.empty_like(num)
+    out.real = (num.real + num.imag * ratio) / scale
+    out.imag = (num.imag - num.real * ratio) / scale
+    return out
 
 
 def green_function_truncated(coeffs: RecursionCoefficients, z, depth: int):

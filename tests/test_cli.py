@@ -525,6 +525,14 @@ class TestNoTracebackAtExtremeParameters:
         assert (got, out) == (code, "")
         assert err.startswith(message) and err.count("\n") == 1
 
+    @pytest.mark.parametrize("extra", [["--omega", "1", "--eps", "1.3", "--n-max", "200"],
+                                       ["--eps", "0.9", "--n-max", "600"]], ids=["eps1.3_n200", "eps0.9_n600"])
+    def test_closed_form_overflow_exits_1(self, capsys, extra):
+        # the closed-form column's Pochhammer ratio overflows (ROADMAP item 16);
+        # the run ends with one error line, not a traceback
+        code, out, err = run_cli(capsys, "coefficients", "--z", "-1", "--kappa", "1", "--compton", "0.05", *extra)
+        assert (code, out, err) == (1, "", "error: OverflowError: math range error\n")
+
     def test_verify_at_kappa_minus_79_is_finite(self, capsys):
         # nu = 2g + 1 ~ 157: Gauss weights up to 2e277 times two Laguerre
         # values once overflowed to a non-finite matrix (exit 2); the

@@ -1,3 +1,4 @@
+import cmath
 import itertools
 import math
 import tracemalloc
@@ -117,6 +118,17 @@ class TestExactGreenFunction:
         exact = self.exact(d.gamma_eff, z)
         assert est.depth > 50_000
         assert abs(est.value - exact) <= 1e-10 * abs(exact)
+
+    @pytest.mark.parametrize("z, depth", [(3 + 0.05j, 139_274), (2 + 0.05j, 95_417)])
+    def test_deep_points_at_tol_1e_15(self, z, depth):
+        # the value folds the depth pass's chunk maps back from the stopping
+        # level; the forward ratio B_D / A_D of the same pass is 1e-11 to
+        # 5e-11 off here, the fold about 2e-13 at most
+        d = model.derive(PhysicalParams(z=-1.0, kappa=1, compton=0.05))
+        est = resolvent.green_function(model.recursion_coefficients(d), z, tol=1e-15)
+        exact = self.exact(d.gamma_eff, z)
+        assert est.depth == depth
+        assert abs(est.value - exact) <= 5e-13 * abs(exact)
 
 
 class TestExactPollaczekGreenFunction:
@@ -392,12 +404,13 @@ def _lentz_window(depth):
 def _check_stop(coeffs, z, tol, lentz_depth=None, max_depth=200_000):
     """green_function stops where the 30-digit reference does, with its
     update to 1e-9, within `_lentz_window` of Lentz's depth when given,
-    and returns the truncated fraction one level deeper, bit for bit."""
+    and returns the truncated fraction one level deeper to 1e-12."""
     est = resolvent.green_function(coeffs, z, tol=tol, max_depth=max_depth)
     depth, delta = _reference_stop(coeffs, z, tol, est.depth)
     assert est.depth == depth
     assert abs(est.last_delta - delta) <= 1e-9 * delta
-    assert est.value == resolvent.green_function_truncated(coeffs, z, est.depth + 1)
+    truncated = resolvent.green_function_truncated(coeffs, z, est.depth + 1)
+    assert abs(est.value - truncated) <= 1e-12 * abs(truncated)
     if lentz_depth is not None:
         assert abs(est.depth - lentz_depth) <= _lentz_window(lentz_depth)
     return est
@@ -462,7 +475,8 @@ class TestBlockFedLentz:
         assert est.depth > 80_000
         assert abs(est.depth - depth) <= _lentz_window(depth)
         assert abs(est.value - value) <= 1e-10 * abs(value)
-        assert est.value == resolvent.green_function_truncated(coeffs, 3.0 + 0.05j, est.depth + 1)
+        truncated = resolvent.green_function_truncated(coeffs, 3.0 + 0.05j, est.depth + 1)
+        assert abs(est.value - truncated) <= 1e-12 * abs(truncated)
 
     def test_bounded_family_like_per_level(self):
         coeffs = pollaczek.jacobi_coefficients(pollaczek.PollaczekParams(lam=1.6, b=-0.2))
@@ -625,6 +639,18 @@ class TestOffAxisLentz:
         est = _check_stop(coeffs, z, 1e-12, max_depth=1000)
         deep = resolvent.green_function_truncated(coeffs, z, 2 * est.depth + 1)
         assert np.isfinite(est.value) and abs(est.value - deep) <= 1e-10 * abs(deep)
+
+    def test_tail_beyond_the_double_range(self):
+        # s_1 = 1e308: the tail below level 0 is about 2e308, past the
+        # largest double, but G is 5e-309; the value is formed at the depth
+        # pass's scale 2**-e0 (it read -0 before)
+        z = 0.05 + 1e-3j
+        coeffs = model.RecursionCoefficients(diag=lambda n: 0.0 * n,
+                                             offdiag=lambda n: np.where(n == 0, math.sqrt(1e308), 0.5))
+        est = resolvent.green_function(coeffs, z)
+        want = _mp_truncated(coeffs, z, est.depth + 1)
+        assert est.depth == 14_490
+        assert abs(est.value - want) <= 1e-12 * abs(want)
 
     @pytest.mark.parametrize("z", [1e308 + 1e308j, 1.5e308 + 1.5e308j, complex(math.inf, 1.0), complex(1.0, math.nan),
                                    1e308 + 0j])
@@ -854,6 +880,23 @@ class TestChunkedTruncation:
         assert np.all(np.isfinite(want))
         self._check(z, 3000, families={"wave"})
 
+    @pytest.mark.parametrize("s1, z, depth", [(4.6e307, 0.5 * cmath.exp(3j * math.pi / 8), 34),
+                                              (1e308, 0.3 + 0.2j, 40)], ids=["s4.6e307", "s1e308"])
+    def test_subnormal_fold_denominator(self, s1, z, depth):
+        # normalising the top chunk leaves its q rows subnormal, where
+        # numpy's division by way of 1 / q overflows; those points fold
+        # again with Python's division, for one point or many (two points
+        # were NaN before, and the tails are near the largest double).  The
+        # regular point between them keeps numpy's quotients
+        coeffs = model.RecursionCoefficients(diag=lambda n: 0.0 * n,
+                                             offdiag=lambda n: np.where(n == 0, math.sqrt(s1), 0.5))
+        zs = [z, 2.0 + 1j, z]
+        results = [(resolvent.green_function_truncated(coeffs, z, depth), z),
+                   *zip(resolvent.green_function_truncated(coeffs, np.array(zs), depth), zs)]
+        for got, at in results:
+            want = _mp_truncated(coeffs, at, depth)
+            assert abs(got - want) <= 1e-12 * abs(want)
+
 
 class TestBlockFedMemory:
     """Blocks bound the temporaries: a deep fraction costs no memory that
@@ -879,3 +922,13 @@ class TestBlockFedMemory:
     def test_lentz_peak(self):
         coeffs = _wave_coeffs()
         assert self._peak(lambda: resolvent.green_function(coeffs, 3.0 + 0.05j, max_depth=200_000)) < 1e6
+
+    def test_exhausted_budget_peak(self):
+        # each of the 51 groups keeps its composed chunk map until the budget runs out
+        coeffs = _wave_coeffs()
+
+        def exhaust():
+            with pytest.raises(NoConvergence):
+                resolvent.green_function(coeffs, 2.0 + 0.02j, max_depth=200_000)
+
+        assert self._peak(exhaust) < 1e6
