@@ -85,6 +85,23 @@ class TestResolvent:
         with pytest.raises(ValueError, match="eta must be positive"):
             resolvent.spectral_density(pollaczek.jacobi_coefficients(PARAMS), 0.3, eta)
 
+    @pytest.mark.parametrize("eta", [math.nan, math.inf])
+    def test_density_needs_finite_eta(self, eta):
+        coeffs = pollaczek.jacobi_coefficients(PARAMS)
+        for density in (resolvent.spectral_density, resolvent.spectral_density_grid):
+            with pytest.raises(ValueError, match="eta must be finite"):
+                density(coeffs, 0.3, eta)
+
+    @pytest.mark.parametrize("z", [complex(math.nan, 0.1), complex(0.3, math.inf), complex(-math.inf, 0.0),
+                                   np.array([0.3 + 0.1j, complex(math.nan, math.nan)])])
+    def test_truncated_needs_finite_z(self, z):
+        with pytest.raises(ValueError, match="z must be finite"):
+            resolvent.green_function_truncated(pollaczek.jacobi_coefficients(PARAMS), z, 10)
+
+    def test_density_grid_needs_finite_x(self):
+        with pytest.raises(ValueError, match="z must be finite"):
+            resolvent.spectral_density_grid(pollaczek.jacobi_coefficients(PARAMS), [0.3, math.inf], 1e-2)
+
 
 def _sequence(values, normalization="orthonormal"):
     return pollaczek.PolynomialSequence(values=np.asarray(values, dtype=float), argument=0.3,

@@ -105,3 +105,29 @@ def test_every_public_function_is_reached_or_kept():
 
 def test_kept_names_are_public_functions():
     assert set(KEPT) <= set(_public_functions())
+
+
+def _private_definitions(statements: list) -> list:
+    """(name, statement) for every top-level private function and
+    constant among `statements`."""
+    found = []
+    for stmt in statements:
+        if isinstance(stmt, ast.FunctionDef):
+            names = [stmt.name]
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            names = [target.id for target in targets if isinstance(target, ast.Name)]
+        else:
+            continue
+        found += [(name, stmt) for name in names if name.startswith("_") and name != "__all__"]
+    return found
+
+
+def test_every_private_definition_is_referenced():
+    # a private helper or constant that no other top-level definition of
+    # the library names is dead code, left behind when its caller went
+    statements = [stmt for module in MODULES for stmt in _parse(SRC / f"{module}.py").body]
+    private = _private_definitions(statements)
+    dead = [name for name, own in private
+            if not any(name in _referenced(stmt) for stmt in statements if stmt is not own)]
+    assert private and dead == [], f"private definitions nothing else references: {dead}"

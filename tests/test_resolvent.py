@@ -150,7 +150,7 @@ class TestExactPollaczekGreenFunction:
     fixed-depth grid at its default depth within 1e-10 |G| / pi."""
 
     SETS = [(2.0, 8.9e-4), (1.6, -0.2), (0.6, 0.3), (1.0, -0.6), (2.3, 0.5)]
-    ETAS = [0.5, 0.05, 0.01]
+    ETAS = [0.5, 0.05, 0.01, 1e-3]  # 1e-3 is the `density` default
     XS = [-0.6, 0.1, 0.85]
 
     @staticmethod
@@ -816,16 +816,16 @@ class TestChunkedTruncation:
         assert (width, chunks, length) == (2048, 1, min(levels, 4096))
         self._check(z, levels + 1)
 
-    @pytest.mark.parametrize("levels", [4120, 7999, 8000, 8001])
+    @pytest.mark.parametrize("levels", [4120, 7980, 7981, 7999, 8000, 8001])
     def test_group_edges_and_padding(self, levels):
-        # 99 points, 4,096 levels or more: groups of 40 chunks of 100
+        # 99 points, 4,096 levels or more: groups of 30 chunks of 133
         # levels, the deepest group taken first.  At 4120 that group holds
-        # two chunks, the deepest padded by 80 levels; 7999 pads one level
-        # of a full group, 8000 fills two groups, and 8001 adds a group of
-        # one level padded by 99
+        # one chunk padded by 3 levels; 7980 fills two groups, 7981 adds a
+        # group of one level padded by 132, and 7999 to 8001 add one of a
+        # chunk padded by 114 to 112
         z = np.linspace(-0.99, 0.99, 99) + 1e-3j
         _, length, chunks = resolvent._chunk_shape(levels, z.size)
-        assert (length, chunks) == (100, 40)
+        assert (length, chunks) == (133, 30)
         self._check(z, levels + 1)
 
     def test_few_levels_per_chunk(self):
@@ -835,18 +835,16 @@ class TestChunkedTruncation:
             self._check(0.4 + 0.01j, depth)
 
     def test_points_above_the_tile(self):
-        # tiles of 8,192 and 808 points
+        # tiles of 3,072, 3,072 and 2,856 points
         z = np.linspace(-0.99, 3.0, 9000) + 0.02j
-        assert resolvent._chunk_shape(299, z.size)[0] == 8192
+        assert resolvent._chunk_shape(299, z.size)[0] == 3072
         self._check(z, 300)
 
     @pytest.mark.parametrize("z", [1.0 + 0j, -1.0 + 0j, 1.0 + 1e-9j])
     def test_coinciding_fixed_points(self, z):
         # a_n = 0, b_n = 1/2: at z = +-1, w^2 = 4s and the fixed points of
-        # every level coincide; the basis is pulled apart
+        # every level coincide, a parabolic map
         coeffs = model.RecursionCoefficients(diag=lambda n: 0.0 * n, offdiag=lambda n: 0.5 + 0.0 * n)
-        plus, minus = resolvent._fixed_points(np.array([[z]]), np.array([0.25]))
-        assert abs(plus - minus).item() == pytest.approx((abs(z) + 1.0) / 16.0)
         for depth in (2, 50, 700):
             got = resolvent.green_function_truncated(coeffs, z, depth)
             assert _max_rel(got, _truncated_per_level(coeffs, z, depth)) <= 1e-13
@@ -881,13 +879,15 @@ class TestChunkedTruncation:
         self._check(z, 3000, families={"wave"})
 
     @pytest.mark.parametrize("s1, z, depth", [(4.6e307, 0.5 * cmath.exp(3j * math.pi / 8), 34),
-                                              (1e308, 0.3 + 0.2j, 40)], ids=["s4.6e307", "s1e308"])
+                                              (1e308, 0.3 + 0.2j, 40), (1e308, 0.05 + 1e-3j, 14_491)],
+                             ids=["s4.6e307", "s1e308", "s1e308-tail"])
     def test_subnormal_fold_denominator(self, s1, z, depth):
-        # normalising the top chunk leaves its q rows subnormal, where
-        # numpy's division by way of 1 / q overflows; those points fold
-        # again with Python's division, for one point or many (two points
-        # were NaN before, and the tails are near the largest double).  The
-        # regular point between them keeps numpy's quotients
+        # s_1 near the largest double: the tail below level 0 may pass it
+        # (about 2e308 in the third case, where G is -2.5e-310 - 5.0e-309i),
+        # so the value is formed at the scale 2**-e0 of level 0, and the
+        # fold multiplies rows, with no division that could overflow by way
+        # of 1 / q, for one point or many.  The regular point between the
+        # two bad ones keeps its own value
         coeffs = model.RecursionCoefficients(diag=lambda n: 0.0 * n,
                                              offdiag=lambda n: np.where(n == 0, math.sqrt(s1), 0.5))
         zs = [z, 2.0 + 1j, z]
@@ -896,6 +896,17 @@ class TestChunkedTruncation:
         for got, at in results:
             want = _mp_truncated(coeffs, at, depth)
             assert abs(got - want) <= 1e-12 * abs(want)
+
+    @pytest.mark.parametrize("depth", [50, 3000])
+    def test_points_are_independent(self, depth):
+        # each point is rescaled on its own: a grid mixing |z| from 1e-3
+        # to 1e150 gives every point its one-point value
+        z = np.array([1e-3 + 1e-3j, 0.5 + 1e-3j, 1e150 + 1e149j, -1e100 + 1j, 3.0 + 0.05j])
+        for family, coeffs in _truncation_families().items():
+            got = resolvent.green_function_truncated(coeffs, z, depth)
+            alone = [resolvent.green_function_truncated(coeffs, point, depth) for point in z]
+            assert _max_rel(got, alone) <= 1e-13, family
+            assert _max_rel(got, _truncated_per_level(coeffs, z, depth)) <= TRUNCATION_RTOL[family], family
 
 
 class TestBlockFedMemory:
