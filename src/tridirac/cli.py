@@ -23,8 +23,10 @@ import sys
 
 import numpy as np
 
-from . import __version__, model, pollaczek, resolvent, scattering, spectrum, wavefunction
+from . import __version__, _csvtext, model, pollaczek, resolvent, scattering, spectrum, wavefunction
 from .errors import BottomPoleError, ConfigError, ConvergenceFailure, DomainError, SingularMapError, ThresholdError
+
+_CSV_ARRAY_VALUES = 200  # below this many values, per-row %-formatting is faster than the array passes
 
 
 def _physical_params(args) -> model.PhysicalParams:
@@ -91,24 +93,41 @@ def _eps_grid(args, regimes=(model.Regime.BOUND, model.Regime.SCATTERING)):
     return grid
 
 
+def _columns(table: dict) -> list:
+    """The columns of the table {name: column} as arrays; ValueError
+    unless they have one length."""
+    columns = [np.asarray(column) for column in table.values()]
+    if len({len(column) for column in columns}) > 1:
+        lengths = ", ".join(f"{name}: {len(column)}" for name, column in zip(table, columns))
+        raise ValueError(f"table columns differ in length ({lengths})")
+    return columns
+
+
 def table_to_csv(table: dict) -> str:
     """CSV text of the table {name: column}: the header line, then one
     line per row, float columns as %.16e and integer columns as %s; the
-    one CSV writer of the package.  Every column has the same length."""
-    columns = [np.asarray(column) for column in table.values()]
-    fmt = ",".join("%.16e" if column.dtype.kind == "f" else "%s" for column in columns)
-    lines = map(fmt.__mod__, zip(*(column.tolist() for column in columns)))
-    return "\n".join([",".join(table), *lines]) + "\n"
+    one CSV writer of the package.  A table of at least _CSV_ARRAY_VALUES
+    values, all float or integer, is formatted by numpy array passes
+    (`_csvtext.csv_rows`) with the same bytes: exact 17-digit decimals
+    from a double-double product, and Python's '%.16e' for the values
+    within 2**-40 of a rounding tie and the non-finite ones.  A smaller
+    table, or one with another kind of column, is formatted row by row."""
+    columns = _columns(table)
+    header = ",".join(table) + "\n"
+    if sum(map(len, columns)) >= _CSV_ARRAY_VALUES and all(column.dtype.kind in "fiu" for column in columns):
+        return header + _csvtext.csv_rows(columns)
+    fmt = ",".join("%.16e" if column.dtype.kind == "f" else "%s" for column in columns) + "\n"
+    return header + "".join(map(fmt.__mod__, zip(*(column.tolist() for column in columns))))
 
 
 def table_to_json(table: dict) -> str:
     """JSON text of the table {name: column}: a list of {name: value}
     objects, indent 2, byte for byte what `json.dumps(..., indent=2)`
     gives for finite float and integer columns of the same length."""
+    columns = _columns(table)
     fields = ",\n".join("    %s: %%s" % json.dumps(name).replace("%", "%%") for name in table)
     template = "  {\n" + fields + "\n  }"
-    values = (map(float.__repr__ if column.dtype.kind == "f" else int.__repr__, column.tolist())
-              for column in map(np.asarray, table.values()))
+    values = (map(float.__repr__ if column.dtype.kind == "f" else int.__repr__, column.tolist()) for column in columns)
     objects = list(map(template.__mod__, zip(*values)))
     if not objects:
         return "[]\n"

@@ -14,7 +14,9 @@ different points of the same minimum, so they agree to the search's
 resolution.  The Gram and wave-operator matrices, which now come from the
 Gauss rule's eigenvector rows instead of Laguerre values times weights,
 are the last: the two sum different roundings of the same integrals.
-Nothing here calls the code it is compared with.
+The per-row CSV writer, which `cli.table_to_csv` keeps only for small
+tables, is compared byte for byte with the numpy pass that replaced it
+for the others.  Nothing here calls the code it is compared with.
 
 The basis functions, the symmetric Pollaczek normalization, the standard
 Pollaczek rows, the Casoratian and the bound-regime Darboux term are also
@@ -375,3 +377,12 @@ def golden_section_minimize(f, lo, hi):
             c2 = lo + inv_phi * (hi - lo)
             f2 = f(c2)
     return 0.5 * (lo + hi)
+
+
+def table_to_csv(table):
+    """CSV text of the table {name: column} formatted one row at a time:
+    float columns as %.16e, the others as %s."""
+    columns = [np.asarray(column) for column in table.values()]
+    fmt = ",".join("%.16e" if column.dtype.kind == "f" else "%s" for column in columns)
+    lines = map(fmt.__mod__, zip(*(column.tolist() for column in columns)))
+    return "\n".join([",".join(table), *lines]) + "\n"

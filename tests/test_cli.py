@@ -1,14 +1,17 @@
 import gc
 import json
+import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from tridirac import cli, model, wavefunction
+import reference_forms
+from tridirac import _csvtext, cli, model, wavefunction
 
 
 def run_cli(capsys, *argv):
@@ -678,3 +681,90 @@ class TestSerializers:
             assert cli.table_to_json(table) == ref_rows_to_json(list(table), rows)
 
         check()
+
+
+def test_csv_refuses_unequal_columns():
+    with pytest.raises(ValueError, match=r"a: 2, b: 1"):
+        cli.table_to_csv({"a": [1.0, 2.0], "b": [3.0]})
+
+
+def test_json_refuses_unequal_columns():
+    with pytest.raises(ValueError, match=r"a: 2, b: 1"):
+        cli.table_to_json({"a": [1.0, 2.0], "b": [3.0]})
+
+
+# --- the array passes of table_to_csv against '%.16e' % v, byte for byte ---
+
+
+def _powers_and_neighbours(powers):
+    return [x for p in powers for x in (math.nextafter(p, 0.0), p, math.nextafter(p, math.inf))]
+
+
+EXTREMES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308,
+            1.7976931348623157e308, -1.7976931348623157e308]
+TIES = [1000000000000000.25, -1000000000000000.25, 1000000000000000.75]
+
+
+class TestArrayCsvPass:
+    @staticmethod
+    def assert_formats(values):
+        values = np.asarray(values)
+        expected = "".join("%.16e\n" % v for v in values.tolist())
+        assert _csvtext.csv_rows([values]) == expected
+
+    def test_extremes(self):
+        self.assert_formats(EXTREMES)
+
+    def test_every_power_of_ten_and_its_neighbours(self):
+        self.assert_formats(_powers_and_neighbours([float(f"1e{k}") for k in range(-323, 309)]))
+
+    def test_both_ends_of_every_binade(self):
+        # each binary exponent sets the first guess of the decimal exponent
+        self.assert_formats(_powers_and_neighbours([math.ldexp(1.0, k) for k in range(-1074, 1024)]))
+
+    def test_rounding_that_carries_into_the_exponent(self):
+        assert Fraction(1e-305) < Fraction(1, 10**305)  # below 1e-305, yet written as 1.0...e-305
+        self.assert_formats([9.9999999999999995e22, 1e-305, -1e-305, 1e-243])
+
+    def test_ties_round_half_to_even_through_the_fallback(self):
+        values = np.array(TIES + [2.0**53 + 2])
+        assert _csvtext._decimal(values)[3].tolist() == [True, True, True, False]
+        self.assert_formats(values)
+        assert _csvtext.csv_rows([values[:1]]) == "1.0000000000000002e+15\n"
+
+    def test_non_finite_values_fall_back(self):
+        values = np.array([math.nan, math.inf, -math.inf, 1.5])
+        assert _csvtext._decimal(values)[3].tolist() == [True, True, True, False]
+        self.assert_formats(values)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float16, ">f8"])
+    def test_other_float_types(self, dtype):
+        rng = np.random.default_rng(7)
+        column = (rng.standard_normal(300) * 10.0 ** rng.integers(-4, 4, 300)).astype(dtype)
+        table = {"x": column, "y": column[::-1]}
+        assert cli.table_to_csv(table) == reference_forms.table_to_csv(table)
+
+    def test_random_bit_patterns(self):
+        bits = np.random.default_rng(20240601).integers(0, 2**64, size=10**5, dtype=np.uint64, endpoint=False)
+        self.assert_formats(bits.view(np.float64))
+
+    def test_integer_columns(self):
+        ints = [0, -1, 1, 9999, 10000, -10000, 123456789, 2**63 - 1, -(2**63)]
+        table = {
+            "i": np.array(ints * 30, dtype=np.int64),
+            "u": np.array([0, 1, 10**4, 2**64 - 1] * 68, dtype=np.uint64)[:270],
+            "small": (np.arange(270) % 256 - 128).astype(np.int8),
+            "x": np.linspace(-1.0, 1.0, 270)[::-1],
+        }
+        assert cli.table_to_csv(table) == reference_forms.table_to_csv(table)
+
+    def test_table_of_2000_rows_and_5_columns(self):
+        rng = np.random.default_rng(11)
+        table = {name: rng.standard_normal(2000) * 10.0 ** rng.integers(-30, 30, 2000)
+                 for name in ("eps", "theta", "Phi", "psi", "amplitude")}
+        table["theta"] = table["theta"][::-1]  # a strided column
+        assert cli.table_to_csv(table) == reference_forms.table_to_csv(table)
+
+    def test_small_tables_use_the_per_row_writer(self, monkeypatch):
+        monkeypatch.setattr(_csvtext, "csv_rows", None)
+        assert cli.table_to_csv({"a": [1.0], "b": [2]}) == "a,b\n1.0000000000000000e+00,2\n"

@@ -47,7 +47,7 @@ def pair_casoratian(lam, a, b, x):
     return np.array(B) * (u[:-1] * v[1:] - u[1:] * v[:-1]), np.max(np.array(B) * np.abs(u[:-1] * v[1:]))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(**BAND)
 def test_casoratian_of_forward_pair_is_constant(lam, a, b, x):
     w, _ = pair_casoratian(lam, a, b, x)
@@ -55,14 +55,14 @@ def test_casoratian_of_forward_pair_is_constant(lam, a, b, x):
     assert np.max(np.abs(w / w[0] - 1.0)) < 1e-9
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(**EDGE)
 def test_casoratian_drift_is_roundoff_times_growth(lam, a, b, x):
     w, size = pair_casoratian(lam, a, b, x)
     assert np.max(np.abs(w / w[0] - 1.0)) <= N * np.finfo(float).eps * size
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(**BAND)
 def test_residual_of_forward_sequence_is_roundoff(lam, a, b, x):
     A, B, C = symmetric_coefficients(lam, a, b, x, 300)
@@ -70,7 +70,7 @@ def test_residual_of_forward_sequence_is_roundoff(lam, a, b, x):
     assert recurrence.residual(A, B, C, u) <= 1e-12
 
 
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
 @given(**BAND, top=st.integers(1, 60))
 def test_mpmath_in_mpmath_out(lam, a, b, x, top):
     with mp.workdps(30):
