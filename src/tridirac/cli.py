@@ -27,6 +27,7 @@ from . import __version__, _csvtext, model, pollaczek, resolvent, scattering, sp
 from .errors import BottomPoleError, ConfigError, ConvergenceFailure, DomainError, SingularMapError, ThresholdError
 
 _CSV_ARRAY_VALUES = 200  # below this many values, per-row %-formatting is faster than the array passes
+_JSON_ARRAY_VALUES = 400  # the same for repr, whose array pass costs more per table
 
 
 def _physical_params(args) -> model.PhysicalParams:
@@ -123,9 +124,23 @@ def table_to_csv(table: dict) -> str:
 def table_to_json(table: dict) -> str:
     """JSON text of the table {name: column}: a list of {name: value}
     objects, indent 2, byte for byte what `json.dumps(..., indent=2)`
-    gives for finite float and integer columns of the same length."""
+    gives for finite float and integer columns of the same length; a NaN
+    or an infinity, which JSON cannot hold, is a ValueError naming its
+    column and row.  A table of at least _JSON_ARRAY_VALUES values, all
+    float or integer, is formatted by numpy array passes
+    (`_csvtext.json_rows`) with the same bytes: the shortest digits that
+    read back, from the rounding interval of each value in double-double
+    arithmetic, and Python's float.__repr__ for the values a test within
+    2**-40 decides and the subnormal ones.  A smaller table, or one with
+    another kind of column, is formatted row by row."""
     columns = _columns(table)
-    fields = ",\n".join("    %s: %%s" % json.dumps(name).replace("%", "%%") for name in table)
+    message = _non_finite(table, columns)
+    if message:
+        raise ValueError(message)
+    keys = [json.dumps(name) for name in table]
+    if sum(map(len, columns)) >= _JSON_ARRAY_VALUES and all(column.dtype.kind in "fiu" for column in columns):
+        return _csvtext.json_rows(keys, columns)
+    fields = ",\n".join("    %s: %%s" % key.replace("%", "%%") for key in keys)
     template = "  {\n" + fields + "\n  }"
     values = (map(float.__repr__ if column.dtype.kind == "f" else int.__repr__, column.tolist()) for column in columns)
     objects = list(map(template.__mod__, zip(*values)))
@@ -134,14 +149,23 @@ def table_to_json(table: dict) -> str:
     return "[\n" + ",\n".join(objects) + "\n]\n"
 
 
+def _non_finite(names, columns: list) -> str | None:
+    """'<name> is not finite at row <k>' for the first float column that
+    holds a NaN or an infinity, else None."""
+    for name, column in zip(names, columns):
+        if column.dtype.kind == "f" and not np.isfinite(column).all():
+            return f"{name} is not finite at row {int(np.argmin(np.isfinite(column)))}"
+    return None
+
+
 def _emit(args, table: dict) -> None:
     """Write the table {name: column}, or refuse it (DomainError, nothing
     written) when a float column holds a NaN or an infinity.  An OSError
     while writing --output or its sidecar removes the data file again."""
     table = {name: np.asarray(column) for name, column in table.items()}
-    for name, column in table.items():
-        if column.dtype.kind == "f" and not np.isfinite(column).all():
-            raise DomainError(f"{name} is not finite at row {int(np.argmin(np.isfinite(column)))}")
+    message = _non_finite(table, list(table.values()))
+    if message:
+        raise DomainError(message)
     text = table_to_json(table) if args.format == "json" else table_to_csv(table)
     if not args.output:
         sys.stdout.write(text)
@@ -179,17 +203,27 @@ def _cmd_coefficients(args) -> None:
     d = model.derive(p)
     grid = _eps_grid(args)
     levels = np.arange(args.n_max + 1)
-    f, dev = np.empty((len(grid), len(levels)), dtype=complex), []
-    for row, eps in zip(f, grid):
+    f = np.empty((len(grid), len(levels)), dtype=complex)
+    dev = np.full(f.shape, -1.0)  # -1 where the closed form is undefined
+    for row, dev_row, eps in zip(f, dev, grid):
         row[:] = wavefunction.coefficients_recursion(d, eps, args.n_max).values
         try:
             closed = wavefunction.coefficients_closed_form(d, eps, args.n_max).values
         except (BottomPoleError, SingularMapError):
-            dev += [-1.0] * len(row)  # closed form undefined here
             continue
-        dev += [abs(c - v) / max(1e-300, abs(v)) for c, v in zip(closed, row)]
+        dev_row[:] = _relative_deviation(closed, row)
     _emit(args, {"eps": np.repeat(grid, len(levels)), "n": np.tile(levels, len(grid)),
-                 "f_re": f.real.ravel(), "f_im": f.imag.ravel(), "closed_rel_dev": dev})
+                 "f_re": f.real.ravel(), "f_im": f.imag.ravel(), "closed_rel_dev": dev.ravel()})
+
+
+def _relative_deviation(closed: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """|closed - values| / max(1e-300, |values|) per element, with the
+    bytes of Python's abs and max on each pair: np.hypot of the real and
+    imaginary parts is the scalar abs of a complex (np.abs of an array is
+    not, in the last bit), and a NaN |values| takes the 1e-300 floor."""
+    diff = closed - values
+    magnitude = np.hypot(values.real, values.imag)
+    return np.hypot(diff.real, diff.imag) / np.where(magnitude > 1e-300, magnitude, 1e-300)
 
 
 def _cmd_green(args) -> None:

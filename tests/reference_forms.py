@@ -16,7 +16,9 @@ Gauss rule's eigenvector rows instead of Laguerre values times weights,
 are the last: the two sum different roundings of the same integrals.
 The per-row CSV writer, which `cli.table_to_csv` keeps only for small
 tables, is compared byte for byte with the numpy pass that replaced it
-for the others.  Nothing here calls the code it is compared with.
+for the others, and so is the per-element relative deviation of the
+`coefficients` command with its array form.  Nothing here calls the code
+it is compared with.
 
 The basis functions, the symmetric Pollaczek normalization, the standard
 Pollaczek rows, the Casoratian and the bound-regime Darboux term are also
@@ -386,3 +388,9 @@ def table_to_csv(table):
     fmt = ",".join("%.16e" if column.dtype.kind == "f" else "%s" for column in columns)
     lines = map(fmt.__mod__, zip(*(column.tolist() for column in columns)))
     return "\n".join([",".join(table), *lines]) + "\n"
+
+
+def closed_rel_dev(closed, values):
+    """`coefficients`' closed_rel_dev of one energy's coefficients, one
+    element at a time."""
+    return [abs(c - v) / max(1e-300, abs(v)) for c, v in zip(closed, values)]

@@ -768,3 +768,133 @@ class TestArrayCsvPass:
     def test_small_tables_use_the_per_row_writer(self, monkeypatch):
         monkeypatch.setattr(_csvtext, "csv_rows", None)
         assert cli.table_to_csv({"a": [1.0], "b": [2]}) == "a,b\n1.0000000000000000e+00,2\n"
+
+
+# --- the array pass of table_to_json against float.__repr__, byte for byte --
+
+
+def _objects(values):
+    return "[\n" + ",\n".join('  {\n    "x": %s\n  }' % float.__repr__(v) for v in values) + "\n]\n"
+
+
+def _written(values):
+    """The value texts of the one-column JSON table of float64 `values`."""
+    text = _csvtext.json_rows(['"x"'], [np.array(values, dtype=np.float64)])
+    return [line[len('    "x": '):] for line in text.splitlines() if line.startswith('    "x": ')]
+
+
+class TestArrayJsonPass:
+    @staticmethod
+    def assert_formats(values):
+        values = np.asarray(values, dtype=np.float64)
+        assert _csvtext.json_rows(['"x"'], [values]) == _objects(values.tolist())
+
+    def test_extremes(self):
+        self.assert_formats(EXTREMES)
+
+    def test_both_ends_of_the_positional_range(self):
+        ends = _powers_and_neighbours([1e-4, 1e16])
+        self.assert_formats(ends + [-v for v in ends])
+        assert _written(ends) == ["9.999999999999999e-05", "0.0001", "0.00010000000000000002",
+                                  "9999999999999998.0", "1e+16", "1.0000000000000002e+16"]
+
+    def test_every_power_of_ten_and_its_neighbours(self):
+        self.assert_formats(_powers_and_neighbours([float(f"1e{k}") for k in range(-323, 309)]))
+
+    def test_every_power_of_two_and_its_neighbours(self):
+        # a mantissa of 2**52 has a lower neighbour half as far as the upper
+        self.assert_formats(_powers_and_neighbours([math.ldexp(1.0, k) for k in range(-1074, 1024)]))
+
+    def test_short_values(self):
+        values = [0.1, 0.3, 123.0, 1e16, 1e-05, -0.0, 0.0, 1.5, 100.0, 1e22, 5e-324]
+        assert _written(values) == ["0.1", "0.3", "123.0", "1e+16", "1e-05", "-0.0", "0.0", "1.5", "100.0",
+                                    "1e+22", "5e-324"]
+
+    def test_integers_whose_half_width_is_five_units(self):
+        # 2**52 <= v < 2**53: an interval exactly 10 units of the 17th digit wide
+        values = [2.0**52, 2.0**52 + 1, 4503599627370505.0, 5e15, 6e15 + 5, 9007199254740991.0, 8e15 + 3]
+        self.assert_formats(values + [-v for v in values])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float16, ">f8"])
+    def test_other_float_types(self, dtype):
+        rng = np.random.default_rng(7)
+        column = (rng.standard_normal(300) * 10.0 ** rng.integers(-4, 4, 300)).astype(dtype)
+        table = {"x": column, "y": column[::-1]}
+        assert cli.table_to_json(table) == ref_rows_to_json(list(table), _rows({k: v.tolist() for k, v in table.items()}))
+
+    def test_random_bit_patterns(self):
+        bits = np.random.default_rng(20240601).integers(0, 2**64, size=10**5, dtype=np.uint64, endpoint=False)
+        values = bits.view(np.float64)
+        self.assert_formats(values[np.isfinite(values)])
+
+    def test_the_fallback_runs_where_a_test_is_too_close_to_call(self):
+        # a tie between the two nearest 17-digit candidates, a subnormal,
+        # and a value the pass decides
+        values = np.array([1974014629615873.75, 2.0**-1074 * 3, 1.5])
+        assert _csvtext._shortest(values.copy())[3].tolist() == [True, True, False]
+        self.assert_formats(values)
+
+    def test_integer_columns(self):
+        ints = [0, -1, 1, 9999, 10000, -10000, 123456789, 2**63 - 1, -(2**63)]
+        table = {
+            "i": np.array(ints * 30, dtype=np.int64),
+            "u": np.array([0, 1, 10**4, 2**64 - 1] * 68, dtype=np.uint64)[:270],
+            "small": (np.arange(270) % 256 - 128).astype(np.int8),
+            "x": np.linspace(-1.0, 1.0, 270)[::-1],
+        }
+        assert cli.table_to_json(table) == ref_rows_to_json(list(table), _rows({k: v.tolist() for k, v in table.items()}))
+
+    def test_spectrum_shaped_table(self):
+        p = model.PhysicalParams(z=-1.0, kappa=1, compton=7.297e-3)
+        levels = np.arange(2001)
+        eps = np.sort(np.random.default_rng(3).uniform(0.99999, 1.0, 2001))
+        table = {"n": levels, "kappa": np.full_like(levels, p.kappa), "eps": eps,
+                 "oracle_residual": np.abs(np.random.default_rng(4).standard_normal(2001)) * 1e-15}
+        assert table["n"].dtype == np.int64
+        assert cli.table_to_json(table) == ref_rows_to_json(list(table), _rows({k: v.tolist() for k, v in table.items()}))
+
+    def test_small_tables_use_the_per_row_writer(self, monkeypatch):
+        monkeypatch.setattr(_csvtext, "json_rows", lambda keys, columns: "array pass")
+        assert cli.table_to_json({"a": np.ones(cli._JSON_ARRAY_VALUES)}) == "array pass"
+        table = {"a": [1.5] * (cli._JSON_ARRAY_VALUES - 1)}
+        assert cli.table_to_json(table) == ref_rows_to_json(list(table), _rows(table))
+
+
+@pytest.mark.parametrize("rows", [1, 300])
+def test_json_refuses_non_finite_values(rows):
+    # JSON has no NaN or Infinity; the row-by-row and the array writer both refuse
+    for bad in (math.nan, math.inf, -math.inf):
+        x = np.zeros(rows)
+        x[rows // 2] = bad
+        with pytest.raises(ValueError, match=rf"^x is not finite at row {rows // 2}$"):
+            cli.table_to_json({"n": np.arange(rows), "x": x})
+
+
+class TestClosedRelativeDeviation:
+    """closed_rel_dev as one array pass has the bytes of the per-element
+    abs and max it replaced."""
+
+    @staticmethod
+    def assert_same(closed, values):
+        with np.errstate(all="ignore"):
+            got = cli._relative_deviation(closed, values)
+            want = np.array(reference_forms.closed_rel_dev(closed, values))
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("eps", [0.9, 1.3, 2.0])
+    def test_recursion_rows(self, eps):
+        d = model.derive(model.PhysicalParams(z=-1.0, kappa=1, compton=0.05))
+        row = wavefunction.coefficients_recursion(d, eps, 150).values
+        self.assert_same(wavefunction.coefficients_closed_form(d, eps, 150).values, row)
+
+    def test_non_finite_and_tiny_entries(self):
+        nan, inf = math.nan, math.inf
+        values = np.array([complex(nan, 0), complex(inf, 1), complex(1, nan), complex(1, nan), 1e-310, 0,
+                           complex(-inf, nan), 3 + 4j])
+        closed = np.array([1, complex(inf, 0), complex(2, 2), complex(inf, 0), 2e-310, 1e-300, 1, complex(nan, inf)])
+        self.assert_same(closed, values)
+
+    def test_random_magnitudes(self):
+        rng = np.random.default_rng(11)
+        closed, values = (np.exp(rng.uniform(-300, 300, 10**4) + 1j * rng.uniform(0, 7, 10**4)) for _ in range(2))
+        self.assert_same(closed, values)
