@@ -90,22 +90,23 @@ def evaluate(params: PollaczekParams, x, n_max: int) -> PolynomialSequence:
     return PolynomialSequence(vals if extended else np.asarray(vals), x, "standard", params)
 
 
-def _orthonormal_scale(params: PollaczekParams, n: int) -> float:
-    # p_n = sqrt(Gamma(n+1)(lam+n) / Gamma(n+2lam)) P_n
-    lam = params.lam
-    return math.exp(0.5 * (math.lgamma(n + 1.0) + math.log(lam + n) - math.lgamma(n + 2.0 * lam)))
-
-
 def to_orthonormal(seq: PolynomialSequence) -> PolynomialSequence:
-    """Rescale a standard sequence to the orthonormal normalization;
-    ratios go through log-Gamma so large degrees do not overflow."""
+    """Rescale a standard sequence to the orthonormal normalization,
+    p_n = s_n P_n with s_n = sqrt(n! (lam+n) / Gamma(n+2lam)): s_0 =
+    exp((ln lam - lgamma(2lam)) / 2) times the running product of
+    sqrt(k (lam+k) / ((lam+k-1) (k+2lam-1))), k = 1..n, so no factor
+    overflows at large degrees or large lam."""
     if seq.normalization != "standard":
         raise ValueError("to_orthonormal expects the standard normalization")
-    factors = [_orthonormal_scale(seq.params, n) for n in range(len(seq.values))]
+    lam = seq.params.lam
+    k = np.arange(1.0, len(seq.values))
+    steps = np.sqrt(k * (lam + k) / ((lam + k - 1.0) * (k + 2.0 * lam - 1.0)))
+    scale = math.exp(0.5 * (math.log(lam) - math.lgamma(2.0 * lam)))
+    factors = np.cumprod(np.concatenate(([scale], steps)))
     if isinstance(seq.values, np.ndarray):
-        values = seq.values * np.array(factors)
+        values = seq.values * factors
     else:
-        values = [v * f for v, f in zip(seq.values, factors)]
+        values = [v * f for v, f in zip(seq.values, factors.tolist())]
     return PolynomialSequence(values, seq.argument, "orthonormal", seq.params)
 
 

@@ -11,7 +11,6 @@ Everything here is a pure function of its arguments; no global state.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -79,36 +78,24 @@ class QuadratureRule:
         return float(np.dot(self.weights, vals))
 
 
-def _is_nonpositive_integer(z: complex) -> bool:
-    return (
-        abs(z.imag) <= _POLE_TOL
-        and z.real <= 0.5
-        and abs(z.real - round(z.real)) <= _POLE_TOL
-    )
+def _poles(z: np.ndarray) -> np.ndarray:
+    # within _POLE_TOL of a non-positive integer, elementwise
+    return (np.abs(z.imag) <= _POLE_TOL) & (z.real <= 0.5) & (np.abs(z.real - np.round(z.real)) <= _POLE_TOL)
 
 
-def _lanczos_log_gamma(z, log=cmath.log):
-    # valid for Re z >= 0.5; z is a complex or a complex ndarray (log=np.log)
+def _lanczos_log_gamma(z: np.ndarray) -> np.ndarray:
+    # valid for Re z >= 0.5
     zm1 = z - 1.0
     s = _LANCZOS_C[0]
     for k in range(1, len(_LANCZOS_C)):
         s += _LANCZOS_C[k] / (zm1 + k)
     t = zm1 + _LANCZOS_G + 0.5
-    return _LOG_SQRT_2PI + (zm1 + 0.5) * log(t) - t + log(s)
-
-
-def _log_sin_pi(z: complex) -> complex:
-    # log sin(pi z), stable for large |Im z| where sin overflows.
-    if abs(z.imag) < 10.0:
-        return cmath.log(cmath.sin(cmath.pi * z))
-    if z.imag > 0:
-        return -1j * cmath.pi * z + 0.5j * cmath.pi - _LOG_2 + cmath.log(1.0 - cmath.exp(2j * cmath.pi * z))
-    return 1j * cmath.pi * z - 0.5j * cmath.pi - _LOG_2 + cmath.log(1.0 - cmath.exp(-2j * cmath.pi * z))
+    return _LOG_SQRT_2PI + (zm1 + 0.5) * np.log(t) - t + np.log(s)
 
 
 def _log_sin_pi_array(z: np.ndarray) -> np.ndarray:
-    # _log_sin_pi per element; each formula sees only its own elements,
-    # so no sin overflows.  sign = +1 above the real axis, -1 below.
+    # log sin(pi z), stable for large |Im z| where sin overflows: each formula
+    # sees only its own elements.  sign = +1 above the real axis, -1 below.
     out = np.empty_like(z)
     near = np.abs(z.imag) < 10.0
     out[near] = np.log(np.sin(np.pi * z[near]))
@@ -120,16 +107,17 @@ def _log_sin_pi_array(z: np.ndarray) -> np.ndarray:
 
 
 def _log_gamma_array(z: np.ndarray) -> np.ndarray:
-    pole = (np.abs(z.imag) <= _POLE_TOL) & (z.real <= 0.5) & (np.abs(z.real - np.round(z.real)) <= _POLE_TOL)
+    pole = _poles(z)
     if pole.any():
         raise PoleError(f"log_gamma pole at z={complex(z[pole][0])}")
     left = z.real < 0.5
     if not left.any():
-        return _lanczos_log_gamma(z, np.log)
+        return _lanczos_log_gamma(z)
     out = np.empty_like(z)
-    out[~left] = _lanczos_log_gamma(z[~left], np.log)
+    out[~left] = _lanczos_log_gamma(z[~left])
     zl = z[left]
-    out[left] = math.log(math.pi) - _log_sin_pi_array(zl) - _lanczos_log_gamma(1.0 - zl, np.log)
+    # reflection; exact mod 2*pi*i, principal on the right half plane
+    out[left] = math.log(math.pi) - _log_sin_pi_array(zl) - _lanczos_log_gamma(1.0 - zl)
     return out
 
 
@@ -140,42 +128,47 @@ def log_gamma(z):
     when z is within 1e-13 of a non-positive integer; callers that probe
     1/Gamma = 0 (the bound-state condition) rely on that signal.
 
-    Elementwise: a scalar gives a complex; an ndarray gives a complex
-    ndarray of its shape, each element from the same Lanczos table and
-    sum, the same reflection branch and the same pole check (the first
-    pole found is raised).  Array elements agree with the scalar call to
-    rounding (numpy's complex log, not cmath's); the scalar result is the
-    cmath one.
+    Elementwise, with one implementation: an ndarray gives a complex
+    ndarray of its shape (the first pole found is raised); a scalar runs
+    as a one-element array and gives a complex.
     """
     if isinstance(z, np.ndarray):
         return _log_gamma_array(z.astype(complex))
-    z = complex(z)
-    if _is_nonpositive_integer(z):
-        raise PoleError(f"log_gamma pole at z={z}")
-    if z.real < 0.5:
-        # reflection; exact mod 2*pi*i, principal on the right half plane
-        return math.log(math.pi) - _log_sin_pi(z) - _lanczos_log_gamma(1.0 - z)
-    return _lanczos_log_gamma(z)
+    return complex(_log_gamma_array(np.array([z], dtype=complex))[0])
 
 
-def pochhammer(c, n: int):
-    """Rising factorial c (c+1) ... (c+n-1).
+def pochhammer(c, n):
+    """Rising factorial (c)_n = c (c+1) ... (c+n-1), elementwise in n.
 
-    Direct product for n <= 64 or when c sits near a non-positive integer
-    (where the log-Gamma route would hit a pole); log-Gamma differences
-    otherwise.  The two branches agree to ~1e-13 relative at the crossover.
+    A scalar n gives a complex, an int ndarray a complex ndarray of its
+    shape.  Orders n <= 64 (all orders when c is within 1e-13 of a
+    non-positive integer, a log-Gamma pole) come from one running product
+    in Python complex arithmetic, each bit for bit the product of its
+    order alone; larger orders are one array log-Gamma difference,
+    agreeing to ~1e-13 relative at the crossover.  Raises ValueError for
+    a negative order, and OverflowError, naming the first such order,
+    where (c)_n leaves the double range.
     """
-    if n < 0:
+    orders = np.asarray(n)
+    if orders.size and orders.min() < 0:
         raise ValueError("pochhammer order must be non-negative")
     c = complex(c)
-    if n == 0:
-        return 1.0 + 0.0j
-    if n <= 64 or _is_nonpositive_integer(c):
-        out = 1.0 + 0.0j
-        for k in range(n):
-            out *= c + k
-        return out
-    return cmath.exp(log_gamma(c + n) - log_gamma(c))
+    ns = orders.reshape(-1).astype(int)
+    direct = (ns <= 64) | _poles(np.array([c]))
+    out = np.empty(ns.size, dtype=complex)
+    if direct.any():
+        products = [1.0 + 0.0j]
+        for k in range(int(ns[direct].max())):
+            products.append(products[-1] * (c + k))
+        out[direct] = np.array(products)[ns[direct]]
+    if not direct.all():
+        lg = log_gamma(c + np.concatenate(([0], ns[~direct])))
+        with np.errstate(over="ignore", invalid="ignore"):
+            out[~direct] = np.exp(lg[1:] - lg[0])
+    bad = ~np.isfinite(out)
+    if bad.any():
+        raise OverflowError(f"pochhammer leaves the double range at n={int(ns[bad][0])}")
+    return complex(out[0]) if orders.ndim == 0 else out.reshape(orders.shape)
 
 
 def laguerre_rows(n: int, nu: float, x):

@@ -209,13 +209,14 @@ def coefficients_closed_form(d: DerivedParams, eps: float, n_max: int) -> Coeffi
 
     the variant that reproduces the recursion to machine precision in
     both regimes (validated against coefficients_recursion; the
-    recursion stays normative).  The n_max + 1 series come from one
-    `specfun.hyp2f1_terminating_rows` pass; the prefactor and the
-    Pochhammer factor are formed per n.  Raises BottomPoleError, with the
-    offending (n, k), if a bottom Pochhammer factor of a series vanishes
-    before termination (in the physical parameter range this happens
-    only at exact quantization points), and OverflowError once a
-    Pochhammer factor leaves the double range.
+    recursion stays normative).  One array pass over n = 0..n_max: the
+    series from one `specfun.hyp2f1_terminating_rows` call, the
+    Pochhammer factors from one elementwise `specfun.pochhammer` call,
+    and the prefactor as the running product of 1/sqrt((k+1)(k+2 lam)),
+    k < n.  Raises BottomPoleError, with the offending (n, k), if a
+    bottom Pochhammer factor of a series vanishes before termination (in
+    the physical parameter range this happens only at exact quantization
+    points), and OverflowError once a factor leaves the double range.
     """
     e = energy_point(eps)
     pol = map_to_pollaczek(d, e)
@@ -226,11 +227,13 @@ def coefficients_closed_form(d: DerivedParams, eps: float, n_max: int) -> Coeffi
     phi = ang.phi
     ns = np.arange(n_max + 1)
     series = specfun.hyp2f1_terminating_rows(ns, lam + 1j * phi, 1.0 - ns - lam + 1j * phi, z)
-    factors = []
-    for n in range(n_max + 1):
-        pref = math.exp(0.5 * (math.lgamma(2.0 * lam) - math.lgamma(n + 1.0) - math.lgamma(n + 2.0 * lam)))
-        factors.append(pref * specfun.pochhammer(complex(lam, 0) - 1j * phi, n) * w**n)
-    return CoefficientVector(values=np.asarray(factors, dtype=complex) * series, eps=eps, source="closed_form")
+    pref = np.cumprod(np.concatenate(([1.0], 1.0 / np.sqrt(ns[1:] * (ns[1:] + 2.0 * lam - 1.0)))))
+    with np.errstate(over="ignore", invalid="ignore"):
+        factors = pref * specfun.pochhammer(complex(lam, 0) - 1j * phi, ns) * w**ns
+    bad = ~np.isfinite(factors)
+    if bad.any():
+        raise OverflowError(f"closed-form factor leaves the double range at n={int(np.argmax(bad))}")
+    return CoefficientVector(values=factors * series, eps=eps, source="closed_form")
 
 
 def reconstruct_upper(coeffs: CoefficientVector, d: DerivedParams, r_grid, n_trunc: int):

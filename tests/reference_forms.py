@@ -20,6 +20,10 @@ for the others, and so is the per-element relative deviation of the
 `coefficients` command with its array form.  Nothing here calls the code
 it is compared with.
 
+The cmath form of log sin(pi z), which the scalar branch of
+`specfun.log_gamma` used before every call went through the array kernel,
+is kept as the reference of the reflection-identity tests.
+
 The basis functions, the symmetric Pollaczek normalization, the standard
 Pollaczek rows, the Casoratian and the bound-regime Darboux term are also
 kept here as test references: the library reaches them only through other
@@ -38,6 +42,15 @@ from tridirac import specfun
 from tridirac.errors import BottomPoleError, BranchError, KineticBalanceSingular, PoleError, SingularMapError
 from tridirac.model import Regime, energy_point, map_to_pollaczek, recursion_coefficients, rotation_angle
 from tridirac.wavefunction import BasisElement, CoefficientVector
+
+
+def log_sin_pi(z):
+    """log sin(pi z) of a complex z, stable for large |Im z| where sin overflows."""
+    if abs(z.imag) < 10.0:
+        return cmath.log(cmath.sin(cmath.pi * z))
+    if z.imag > 0:
+        return -1j * cmath.pi * z + 0.5j * cmath.pi - math.log(2.0) + cmath.log(1.0 - cmath.exp(2j * cmath.pi * z))
+    return 1j * cmath.pi * z - 0.5j * cmath.pi - math.log(2.0) + cmath.log(1.0 - cmath.exp(-2j * cmath.pi * z))
 
 
 def hyp2f1_terminating(n, b, c, z):

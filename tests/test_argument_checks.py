@@ -168,10 +168,11 @@ class TestSpecfun:
 
 class TestSpectrum:
     def test_quantization_condition_is_bound_only(self):
-        with pytest.raises(DomainError, match="bound-regime"):
-            spectrum.quantization_condition(model.derive(DESK), 1.3)
+        for eps in (1.3, 1.005):
+            with pytest.raises(DomainError, match="bound-regime"):
+                spectrum.quantization_condition(model.derive(DESK), eps)
 
-    @pytest.mark.parametrize("eps", [1.0, -1.3])
+    @pytest.mark.parametrize("eps", [1.0, -1.3, 1.005])
     def test_minimal_solution_defect_is_bound_only(self, eps):
         with pytest.raises(DomainError, match="needs \\|eps\\| < 1"):
             spectrum.minimal_solution_defect(model.derive(DESK), eps, 10)

@@ -87,3 +87,19 @@ def test_bound_state_path_reports_its_counters(tracing, capsys):
     span = tracer.spans["wavefunction.coefficients_bound_state"]
     assert span.calls == 1
     assert span.counts["guard_steps"] == 40 and span.counts["backward_steps"] == 104
+
+
+def test_closed_form_path_reports_its_spans(tracing, capsys):
+    # the `sweep` workload's coefficients op: the closed form forms its
+    # Pochhammer factors in one specfun.pochhammer call, whose orders
+    # above 64 take one array specfun.log_gamma call
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        code = cli.main(["coefficients", "--z", "-1", "--kappa", "1", "--compton", "0.05", "--eps", "1.3",
+                         "--n-max", "150"])
+    finally:
+        tracer.uninstall()
+    assert code == 0 and capsys.readouterr().err == ""
+    assert tracer.spans["specfun.pochhammer"].calls == 1
+    assert tracer.spans["specfun.log_gamma"].calls == 1

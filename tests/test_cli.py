@@ -534,7 +534,7 @@ class TestNoTracebackAtExtremeParameters:
         # the closed-form column's Pochhammer ratio overflows (ROADMAP item 16);
         # the run ends with one error line, not a traceback
         code, out, err = run_cli(capsys, "coefficients", "--z", "-1", "--kappa", "1", "--compton", "0.05", *extra)
-        assert (code, out, err) == (1, "", "error: OverflowError: math range error\n")
+        assert (code, out, err) == (1, "", "error: OverflowError: pochhammer leaves the double range at n=170\n")
 
     def test_verify_at_kappa_minus_79_is_finite(self, capsys):
         # nu = 2g + 1 ~ 157: Gauss weights up to 2e277 times two Laguerre

@@ -68,6 +68,18 @@ class TestNormalizations:
         seq = pollaczek.to_orthonormal(pollaczek.evaluate(PollaczekParams(lam=lam), 0.3, 1))
         assert_allclose(seq.values[0], math.sqrt(lam / math.gamma(2 * lam)), rtol=1e-13)
 
+    @pytest.mark.parametrize("lam", [0.6, 1.9998, 20.0])
+    def test_orthonormal_scale_against_mpmath(self, lam):
+        # s_n = sqrt(n! (lam+n) / Gamma(n+2lam)), whose Gamma factors leave
+        # the double range from n ~ 170 on
+        params = PollaczekParams(lam=lam)
+        ones = pollaczek.PolynomialSequence(np.ones(2001), 0.5, "standard", params)
+        scale = pollaczek.to_orthonormal(ones).values
+        with mp.workdps(40):
+            for n in (10, 100, 1000, 2000):
+                want = mp.sqrt(mp.factorial(n) * (lam + n) / mp.gamma(n + 2 * mp.mpf(lam)))
+                assert abs(scale[n] - want) <= 1e-13 * want
+
     def test_orthonormal_bounded_standard_grows(self):
         # p_n stays bounded at fixed |x| < 1 while P_n grows like n^{lam-1}
         params = PollaczekParams(lam=1.8, b=-0.2)

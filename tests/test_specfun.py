@@ -39,7 +39,7 @@ class TestLogGamma:
             if abs(z.imag) < 1e-2 and abs(z.real - round(z.real)) < 5e-2:
                 continue
             lhs = specfun.log_gamma(z) + specfun.log_gamma(1 - z)
-            rhs = math.log(math.pi) - specfun._log_sin_pi(z)
+            rhs = math.log(math.pi) - ref.log_sin_pi(z)
             diff = lhs - rhs
             wrapped = (diff.imag + math.pi) % (2 * math.pi) - math.pi
             assert abs(diff.real) < 1e-11
@@ -70,12 +70,11 @@ class TestLogGamma:
 
 
 def ref_log_gamma(z):
-    """The scalar log-Gamma as it stood before the array path: the
-    scalar result must keep every bit (pochhammer and the closed-form
-    coefficients go through it)."""
+    """The scalar cmath log-Gamma that `specfun.log_gamma` kept beside
+    its array kernel until every call went through the kernel."""
     z = complex(z)
     if z.real < 0.5:
-        return math.log(math.pi) - specfun._log_sin_pi(z) - ref_log_gamma(1.0 - z)
+        return math.log(math.pi) - ref.log_sin_pi(z) - ref_log_gamma(1.0 - z)
     zm1 = z - 1.0
     s = specfun._LANCZOS_C[0]
     for k in range(1, len(specfun._LANCZOS_C)):
@@ -93,18 +92,23 @@ def sample_points(seed, size):
 
 
 class TestLogGammaArray:
-    def test_scalar_bits_unchanged(self):
-        for z in sample_points(3, 400).tolist() + [0.5, 1.0, 2.5 + 0.0j, 0.436 + 20j, -3.5 - 11j]:
-            assert specfun.log_gamma(z) == ref_log_gamma(z)
+    def test_against_cmath_reference(self):
+        z = sample_points(3, 400).tolist() + [0.5, 1.0, 2.5 + 0.0j, 0.436 + 20j, -3.5 - 11j]
+        want = np.array([ref_log_gamma(v) for v in z])
+        scalar = [specfun.log_gamma(v) for v in z]
+        assert all(type(v) is complex for v in scalar)
+        # same table, same sum and same branch; numpy's complex log rounds
+        # differently from cmath's
+        for got in (np.array(scalar), specfun.log_gamma(np.array(z))):
+            assert np.all(np.abs(got - want) <= 1e-14 * np.maximum(1.0, np.abs(want)))
 
     def test_elementwise_agrees_with_scalar(self):
         z = sample_points(5, 600)
         got = specfun.log_gamma(z)
         assert got.dtype == complex and got.shape == z.shape
         want = np.array([specfun.log_gamma(v) for v in z.tolist()])
-        # same table, same sum and same branch; numpy's complex log rounds
-        # differently from cmath's
-        assert np.all(np.abs(got - want) <= 1e-14 * np.maximum(1.0, np.abs(want)))
+        # a scalar runs through the same array kernel
+        assert np.array_equal(got, want)
 
     def test_shape_and_real_input(self):
         z = np.array([[0.5, 1.0], [2.0, 3.5]])
@@ -155,6 +159,21 @@ class TestPochhammer:
 
     def test_nonpositive_integer_base_large_n(self):
         assert specfun.pochhammer(-3.0, 100) == 0.0
+
+    def test_array_orders_equal_scalar_calls(self):
+        ns = np.array([[0, 1, 5, 64], [65, 66, 120, 9]])
+        for c in [1.7 - 0.3j, 0.3 + 1.2j, -3.0, 2.5 + 40j]:
+            got = specfun.pochhammer(c, ns)
+            assert got.dtype == complex and got.shape == ns.shape
+            assert got.tolist() == [[specfun.pochhammer(c, n) for n in row] for row in ns.tolist()]
+
+    def test_overflow_names_first_order(self):
+        # (1)_n = n!, and 171! is the first factorial beyond the double range
+        assert abs(specfun.pochhammer(1.0, 170) / float(math.factorial(170)) - 1.0) < 1e-12
+        with pytest.raises(OverflowError, match="n=171"):
+            specfun.pochhammer(1.0, np.arange(200))
+        with pytest.raises(OverflowError, match="n=171"):
+            specfun.pochhammer(1.0, 171)
 
 
 class TestLaguerre:

@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -92,6 +93,19 @@ class TestQuantizationCondition:
         with pytest.raises(ThresholdError):
             spectrum.quantization_condition(d, 1.0)
 
+    @pytest.mark.parametrize("z", [-2.0, -0.5])
+    @pytest.mark.parametrize("kappa", [1, -2])
+    def test_value_against_mpmath(self, z, kappa):
+        # gamma_eff + 1 + compton Z eps / sqrt(1 - eps^2) away from Z = -1
+        compton = 0.05
+        d = model.derive(PhysicalParams(z=z, kappa=kappa, compton=compton))
+        with mp.workdps(40):
+            gamma = kappa * mp.sqrt(1 - (mp.mpf(compton) * z / kappa) ** 2)
+            lam = gamma + 1 if kappa > 0 else -gamma
+            for eps in (0.3, 0.9, 0.9999):
+                want = lam + mp.mpf(compton) * z * eps / mp.sqrt(1 - mp.mpf(eps) ** 2)
+                assert abs(spectrum.quantization_condition(d, eps) - want) <= 1e-13 * abs(want)
+
 
 class TestNonrelativisticLimit:
     def test_documented_value(self):
@@ -111,6 +125,18 @@ class TestNonrelativisticLimit:
     def test_charge_scaling(self):
         p = PhysicalParams(z=-2.0, kappa=1, compton=1e-4)
         assert abs(spectrum.nonrelativistic_limit_check(p, 0) + 0.5) < 2e-6
+
+    @pytest.mark.parametrize("compton", [0.05, 0.5])
+    @pytest.mark.parametrize("z, kappa, n", [(-1.0, 1, 0), (-1.5, -1, 3)])
+    def test_against_mpmath_level(self, compton, z, kappa, n):
+        # (eps_n - 1)/compton^2 in 40 digits pins the O(compton^2) term
+        p = PhysicalParams(z=z, kappa=kappa, compton=compton)
+        with mp.workdps(40):
+            c = mp.mpf(compton)
+            gamma = kappa * mp.sqrt(1 - (c * z / kappa) ** 2)
+            u = c * z / (n + (gamma + 1 if kappa > 0 else -gamma))
+            want = (1 / mp.sqrt(1 + u * u) - 1) / c**2
+            assert abs(spectrum.nonrelativistic_limit_check(p, n) - want) <= 1e-13 * abs(want)
 
 
 class TestMinimalSolutionDefect:

@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -145,6 +146,24 @@ class TestCoefficients:
         monkeypatch.setattr(wavefunction.specfun, "pochhammer", poch)
         with pytest.raises(error):
             wavefunction.coefficients_closed_form(model.derive(DESK), 0.9996872555384283, 20)
+
+    @pytest.mark.parametrize("z, kappa, compton", [(-16.0, -1, 0.05), (-1.0, 1, 0.02), (-1.0, 19, 0.05)],
+                             ids=["lam0.6", "lam1.9998", "lam20"])
+    def test_closed_form_prefactor_against_mpmath(self, monkeypatch, z, kappa, compton):
+        # sqrt(Gamma(2 lam) / (n! Gamma(n+2 lam))) alone: the series and the
+        # Pochhammer factor are ones, and e^{i n theta} is divided out.  From
+        # n ~ 170 on the prefactor is below the double range
+        d = model.derive(PhysicalParams(z=z, kappa=kappa, compton=compton))
+        e = model.energy_point(1.3)
+        lam, w = model.map_to_pollaczek(d, e).lam, model.theta_phi(d, e).exp_i_theta
+        monkeypatch.setattr(wavefunction.specfun, "hyp2f1_terminating_rows",
+                            lambda n, b, c, z: np.ones(len(n), dtype=complex))
+        monkeypatch.setattr(wavefunction.specfun, "pochhammer", lambda c, n: np.ones(np.shape(n), dtype=complex))
+        f = wavefunction.coefficients_closed_form(d, 1.3, 100).values
+        with mp.workdps(40):
+            for n in (10, 100):
+                want = mp.sqrt(mp.gamma(2 * mp.mpf(lam)) / (mp.factorial(n) * mp.gamma(n + 2 * mp.mpf(lam))))
+                assert abs(f[n] / w**n - want) <= 1e-13 * want
 
     def test_closed_matches_recursion_scattering(self):
         rng = np.random.default_rng(23)
