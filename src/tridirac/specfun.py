@@ -175,9 +175,13 @@ def laguerre_rows(n: int, nu: float, x):
     """Yield the associated Laguerre polynomials L_0^nu(x), ...,
     L_{n-1}^nu(x) in one pass of the forward three-term recurrence in the
     degree (stable for x >= 0); nothing for n <= 0.  x may be a scalar or
-    an ndarray; each row has the shape of x.  Every basis sum runs over
-    these rows, so each degree is computed once per sum.  The loop is its
-    own, not recurrence.forward: it streams rows instead of holding them."""
+    an ndarray; each row has the shape of x.  The basis sum of
+    `wavefunction` is one stream of these rows: its value and both
+    r-derivatives come from the same L_n^nu (the first derivative by
+    d/dx L_n^nu = -L_{n-1}^{nu+1} = -sum_{k<n} L_k^nu), so each degree is
+    computed once per sum.  The loop is its own, not recurrence.forward: it
+    streams rows instead of holding them, so memory stays O(size of x)
+    at any n."""
     x = np.asarray(x, dtype=float) if isinstance(x, np.ndarray) else x
     if n <= 0:
         return

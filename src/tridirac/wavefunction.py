@@ -14,6 +14,11 @@ tridiagonal construction is built on; the plain-dr overlap matrix is
 itself tridiagonal (2 a_n on the diagonal, -2 b_n off it) and is what
 turns the wave equation into a three-term recursion.
 
+Every basis-side value is one sum over these elements (`_expansion`):
+one stream of the rows L_n^{2g+1}(w r), A_n as the running product
+A_0 prod_{k<=n} sqrt(k/(k+2g+1)), and both derivatives from the same
+rows (d/dy L_n^nu = -L_{n-1}^{nu+1} = -sum_{k<n} L_k^nu).
+
 The radial second-order equation used throughout is
 
     [-d^2/dr^2 + g(g+1)/r^2 + 2 Z eps / r + (1 - eps^2)/compton^2] phi = 0,
@@ -26,7 +31,6 @@ g -> -g-1, so either angular parameter gives the same operator.
 from __future__ import annotations
 
 import contextlib
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -39,7 +43,6 @@ from .model import (DerivedParams, Regime, energy_point, eps_sq_minus_one, growt
                     recursion_coefficients, rotation_angle, spinor_rotation, theta_phi, wave_rows)
 
 __all__ = [
-    "BasisElement",
     "CoefficientVector",
     "TridiagonalityReport",
     "gram_matrix",
@@ -54,19 +57,6 @@ __all__ = [
     "verify_tridiagonal",
     "coupled_system_residual",
 ]
-
-
-@dataclass(frozen=True)
-class BasisElement:
-    n: int
-    gamma: float  # effective angular parameter of the basis
-    omega: float
-
-    @property
-    def normalization(self) -> float:
-        return math.exp(
-            0.5 * (math.log(self.omega) + math.lgamma(self.n + 1.0) - math.lgamma(self.n + 2.0 * self.gamma + 2.0))
-        )
 
 
 @dataclass(frozen=True)
@@ -87,48 +77,51 @@ class TridiagonalityReport:
     matrix: np.ndarray
 
 
-def _expansion(values, g: float, omega: float, r, n_trunc: int, orders) -> list:
-    """The one basis sum: sum_{n<n_trunc} f_n zeta_n^(k)(r) for each k in
-    `orders` (0, 1, 2 for zeta_n and its first and second r-derivatives),
-    in that order, from one pass over the Laguerre rows; terms whose Re f_n
-    is zero or not finite are skipped, and only the requested sums are
-    formed.  With y = w r and nu = 2g+1,
+def _expansion(values, g: float, omega: float, r, n_trunc: int):
+    """The one basis sum: (phi, phi', phi'') = sum_{n<n_trunc} f_n
+    (zeta_n, zeta_n', zeta_n'')(r), from one stream of the Laguerre rows
+    L_n^nu(y), y = w r, nu = 2g+1; terms whose Re f_n is zero or not
+    finite are dropped.  With c_n = f_n A_n and E = y^{g+1} e^{-y/2},
 
-        zeta_n   = A_n y^{g+1} e^{-y/2} L_n^nu(y),
-        zeta_n'  = w A_n y^{g+1} e^{-y/2} [((g+1)/y - 1/2) L_n^nu(y) - L_{n-1}^{nu+1}(y)],
-        zeta_n'' = w^2 zeta_n [g(g+1)/y^2 - (n+g+1)/y + 1/4]
+        phi   = E s0,
+        phi'  = w E [((g+1)/y - 1/2) s0 - s1],
+        phi'' = w^2 E [(g(g+1)/y^2 + 1/4) s0 - s2/y],
 
-    (d/dy L_n^nu = -L_{n-1}^{nu+1}, so the nu+1 rows run one degree behind
-    the nu rows, in lockstep).  Both reconstructions, spinor and
+    where s0, s1 and s2 sum L_n^nu(y) times c_n, the tail sums
+    sum_{m>n} c_m and (n+g+1) c_n.  s1 is sum_n c_n L_{n-1}^{nu+1}(y)
+    regrouped by degree, since d/dy L_n^nu = -L_{n-1}^{nu+1} =
+    -sum_{k<n} L_k^nu; s2 comes from the radial equation of each element,
+    zeta_n'' = w^2 zeta_n [g(g+1)/y^2 - (n+g+1)/y + 1/4].  The tail sums
+    are used rather than y d/dy L_n^nu = n L_n^nu - (n+nu) L_{n-1}^nu
+    (DLMF 18.9.14), whose regrouped terms cancel to O(y) before a division
+    by y: at r = 1e-4 that form put phi- 1.4e-13 off (relative to its
+    largest value), the tail sums 5e-15.  Each degree adds its three
+    coefficients times its row to a (3, len r) accumulator, so memory
+    stays O(len r) at any n_trunc.  The derivatives divide by y, so r = 0
+    draws numpy's divide-by-zero warning.  Both reconstructions, spinor and
     coupled_system_residual are this sum; at a unit vector e_n it is
     zeta_n and its derivatives alone."""
     if n_trunc > len(values):
         raise ValueError("n_trunc exceeds the available coefficients")
     y = omega * np.asarray(r, dtype=float)
-    power, decay = y ** (g + 1.0), np.exp(-0.5 * y)
     nu = 2.0 * g + 1.0
-    value, first, second = (np.zeros_like(y) if k in orders else None for k in range(3))
-    rows = specfun.laguerre_rows(n_trunc, nu, y)
-    lowered = itertools.repeat(None)
-    if first is not None:
-        slope = (g + 1.0) / y - 0.5
-        lowered = itertools.chain([0.0], specfun.laguerre_rows(n_trunc - 1, nu + 1.0, y))
-    if second is not None:
-        centrifugal = g * (g + 1.0) / y**2
-    for n, (lag, lag_shifted) in enumerate(zip(rows, lowered)):
-        f = values[n].real
-        if f == 0.0 or not math.isfinite(f):
-            continue
-        norm = BasisElement(n, g, omega).normalization
-        if value is not None or second is not None:
-            zeta = norm * power * decay * lag
-        if value is not None:
-            value += f * zeta
-        if first is not None:
-            first += f * (omega * norm * power * decay * (slope * lag - lag_shifted))
-        if second is not None:
-            second += f * (omega**2 * zeta * (centrifugal - (n + g + 1.0) / y + 0.25))
-    return [(value, first, second)[k] for k in orders]
+    f = np.real(values[:n_trunc])
+    n = np.arange(float(n_trunc))
+    # A_n = sqrt(w n!/Gamma(n+nu+1)) as a running product, A_0 in log space:
+    # Gamma(nu+1) leaves the double range at nu ~ 171
+    steps = np.sqrt(n[1:] / (n[1:] + nu))
+    norms = np.cumprod(np.concatenate(([math.exp(0.5 * (math.log(omega) - math.lgamma(nu + 1.0)))], steps)))
+    c = np.append(np.where(np.isfinite(f), f, 0.0) * norms, 0.0)
+    tails = np.cumsum(c[::-1])[::-1]  # sum_{m>=n} c_m, summed from the top degree down
+    columns = np.stack([c[:-1], tails[1:], (n + g + 1.0) * c[:-1]], axis=1)
+    sums = np.zeros((3,) + y.shape)
+    for column, row in zip(columns, specfun.laguerre_rows(n_trunc, nu, y)):
+        sums += np.multiply.outer(column, row)
+    s0, s1, s2 = sums
+    envelope = y ** (g + 1.0) * np.exp(-0.5 * y)
+    first = omega * envelope * (((g + 1.0) / y - 0.5) * s0 - s1)
+    second = omega**2 * envelope * ((g * (g + 1.0) / y**2 + 0.25) * s0 - s2 / y)
+    return envelope * s0, first, second
 
 
 def _gauss_basis(d: DerivedParams, n_basis: int):
@@ -241,7 +234,7 @@ def reconstruct_upper(coeffs: CoefficientVector, d: DerivedParams, r_grid, n_tru
     the tail-norm fraction sum_{n>=n_trunc}|f_n|^2 / sum|f_n|^2 (None
     when the vector holds no coefficients beyond the truncation).  Raises
     ValueError when n_trunc exceeds the vector."""
-    (out,) = _expansion(coeffs.values, d.gamma_eff, d.omega, r_grid, n_trunc, (0,))
+    out = _expansion(coeffs.values, d.gamma_eff, d.omega, r_grid, n_trunc)[0]
     tail = None
     if len(coeffs) > n_trunc:
         sq = np.abs(coeffs.values) ** 2
@@ -254,18 +247,20 @@ def reconstruct_upper(coeffs: CoefficientVector, d: DerivedParams, r_grid, n_tru
 def reconstruct_derivative(coeffs: CoefficientVector, d: DerivedParams, r_grid, n_trunc: int):
     """d/dr of the truncated expansion (analytic basis derivatives).
     Raises ValueError when n_trunc exceeds the vector."""
-    (out,) = _expansion(coeffs.values, d.gamma_eff, d.omega, r_grid, n_trunc, (1,))
-    return out
+    return _expansion(coeffs.values, d.gamma_eff, d.omega, r_grid, n_trunc)[1]
 
 
-def _kinetic_balance(d: DerivedParams, eps: float) -> float:
-    """The kinetic-balance prefactor compton/(eps + gamma/kappa) of
-    spinor and coupled_system_residual; raises KineticBalanceSingular
-    when its denominator vanishes (within 1e-12)."""
+def _kinetic_balance(d: DerivedParams, eps: float, r, phi, dphi):
+    """The kinetic-balance relation of spinor and coupled_system_residual,
+
+        [compton/(eps + gamma/kappa)] ((-Z/kappa + gamma/r) phi + dphi);
+
+    raises KineticBalanceSingular when its denominator vanishes (within
+    1e-12)."""
     denom = eps + d.gamma / d.kappa
     if abs(denom) < 1e-12:
         raise KineticBalanceSingular(f"eps + gamma/kappa = {denom:.3e}")
-    return d.compton / denom
+    return d.compton / denom * ((-d.z / d.kappa + d.gamma / r) * phi + dphi)
 
 
 def spinor(coeffs: CoefficientVector, d: DerivedParams, eps: float, r_grid, n_trunc: int):
@@ -280,10 +275,9 @@ def spinor(coeffs: CoefficientVector, d: DerivedParams, eps: float, r_grid, n_tr
     prefactor denominator vanishes, ValueError when n_trunc exceeds the
     vector.
     """
-    pref = _kinetic_balance(d, eps)
     r = np.asarray(r_grid, dtype=float)
-    phi_plus, dphi = _expansion(coeffs.values, d.gamma_eff, d.omega, r, n_trunc, (0, 1))
-    return phi_plus, pref * ((-d.z / d.kappa + d.gamma / r) * phi_plus + dphi)
+    phi_plus, dphi, _ = _expansion(coeffs.values, d.gamma_eff, d.omega, r, n_trunc)
+    return phi_plus, _kinetic_balance(d, eps, r, phi_plus, dphi)
 
 
 def lower_component(coeffs: CoefficientVector, d: DerivedParams, eps: float, r_grid,
@@ -397,12 +391,10 @@ def coupled_system_residual(coeffs: CoefficientVector, d: DerivedParams, eps: fl
         n_trunc = len(coeffs)
     r = np.asarray(r_values, dtype=float)
     lam = d.compton
-    pref = _kinetic_balance(d, eps)
-
-    phi_p, dphi_p, d2phi_p = _expansion(coeffs.values, d.gamma_eff, d.omega, r, n_trunc, (0, 1, 2))
-    op = -d.z / d.kappa + d.gamma / r
-    phi_m = pref * (op * phi_p + dphi_p)
-    dphi_m = pref * (op * dphi_p - d.gamma / r**2 * phi_p + d2phi_p)
+    phi_p, dphi_p, d2phi_p = _expansion(coeffs.values, d.gamma_eff, d.omega, r, n_trunc)
+    phi_m = _kinetic_balance(d, eps, r, phi_p, dphi_p)
+    # d/dr of the relation: the same operator on phi_p', plus -gamma/r^2 phi_p
+    dphi_m = _kinetic_balance(d, eps, r, dphi_p, d2phi_p - d.gamma / r**2 * phi_p)
 
     xi = rotation_angle(d)
     chi_p, chi_m = spinor_rotation(-xi, phi_p, phi_m)

@@ -1,9 +1,8 @@
 """Earlier, one-definition-per-caller forms of code that is now shared.
 
-Each function here is the body a library function had before the basis
-sums, the Gauss basis table, the kinetic balance, the spinor rotation,
-the angle map in x, the wave rows and the growth rate were each written
-once.  The tests compare the shared forms against these with `==`, so a
+Each function here is the body a library function had before the Gauss
+basis table, the angle map in x, the wave rows and the growth rate were
+each written once.  The tests compare the shared forms against these with `==`, so a
 change to the order of any product shows up.  The exception is the
 term-by-term Kahan loop of the terminating 2F1, which the array pass of
 `specfun.hyp2f1_terminating_rows` replaced: numpy rounds complex products
@@ -29,19 +28,46 @@ Pollaczek rows, the Casoratian and the bound-regime Darboux term are also
 kept here as test references: the library reaches them only through other
 paths (`wavefunction._expansion` at a unit vector, `model.wave_rows`,
 `pollaczek.evaluate`, `resolvent.solution_pair`) or not at all.
+
+The basis sums, the kinetic balance and the coupled-system residual are
+checked against 40-digit mpmath instead (`mp_basis_sums`,
+`mp_kinetic_balance`, `mp_coupled_residual`): the library takes the first
+derivative from the L_n^{2g+1} rows by tail sums of the coefficients and
+A_n as a running product, so it no longer matches the per-element forms
+bit for bit, and these re-sum the per-element zeta_n, zeta_n' and
+zeta_n'' of the same double coefficients.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from dataclasses import dataclass
 
+import mpmath as mp
 import numpy as np
 
 from tridirac import specfun
-from tridirac.errors import BottomPoleError, BranchError, KineticBalanceSingular, PoleError, SingularMapError
-from tridirac.model import Regime, energy_point, map_to_pollaczek, recursion_coefficients, rotation_angle
-from tridirac.wavefunction import BasisElement, CoefficientVector
+from tridirac.errors import BottomPoleError, BranchError, PoleError, SingularMapError
+from tridirac.model import Regime, energy_point, map_to_pollaczek, recursion_coefficients
+from tridirac.wavefunction import CoefficientVector
+
+
+@dataclass(frozen=True)
+class BasisElement:
+    """zeta_n of the basis, with A_n = sqrt(w n!/Gamma(n+2g+2)) from two
+    log-Gamma calls: the per-degree normalization the basis sums used
+    before A_n became a running product."""
+
+    n: int
+    gamma: float  # effective angular parameter of the basis
+    omega: float
+
+    @property
+    def normalization(self) -> float:
+        return math.exp(
+            0.5 * (math.log(self.omega) + math.lgamma(self.n + 1.0) - math.lgamma(self.n + 2.0 * self.gamma + 2.0))
+        )
 
 
 def log_sin_pi(z):
@@ -84,26 +110,10 @@ def _envelope(gamma, omega, r):
     return y, y ** (gamma + 1.0), np.exp(-0.5 * y)
 
 
-def laguerre_derivative(n, nu, x):
-    """d/dx L_n^nu(x) = -L_{n-1}^{nu+1}(x); zero for n = 0."""
-    if n == 0:
-        return np.zeros_like(x) if isinstance(x, np.ndarray) else 0.0
-    return -specfun.laguerre(n - 1, nu + 1.0, x)
-
-
 def basis_value(elem, r):
     y, power, decay = _envelope(elem.gamma, elem.omega, r)
     nu = 2.0 * elem.gamma + 1.0
     out = elem.normalization * power * decay * specfun.laguerre(elem.n, nu, y)
-    return float(out) if np.ndim(r) == 0 else out
-
-
-def basis_derivative(elem, r):
-    y, power, decay = _envelope(elem.gamma, elem.omega, r)
-    nu = 2.0 * elem.gamma + 1.0
-    lag = specfun.laguerre(elem.n, nu, y)
-    dlag = laguerre_derivative(elem.n, nu, y)
-    out = elem.omega * elem.normalization * power * decay * (((elem.gamma + 1.0) / y - 0.5) * lag + dlag)
     return float(out) if np.ndim(r) == 0 else out
 
 
@@ -121,69 +131,85 @@ def unit_vector(n):
     return CoefficientVector(values=values, eps=0.9, source="recursion")
 
 
-def expansion(coeffs, d, r, n_trunc, element):
-    """sum_{n < n_trunc} f_n element(zeta_n), one element at a time."""
-    r = np.asarray(r, dtype=float)
-    out = np.zeros_like(r)
-    for n in range(n_trunc):
-        f = coeffs.values[n].real
-        if f != 0.0 and math.isfinite(f):
-            out += f * element(BasisElement(n, d.gamma_eff, d.omega), r)
-    return out
+_MP_DPS = 40
 
 
-def lower_component(coeffs, d, eps, r_grid, n_trunc=None):
-    denom = eps + d.gamma / d.kappa
-    if abs(denom) < 1e-12:
-        raise KineticBalanceSingular(f"eps + gamma/kappa = {denom:.3e}")
-    if n_trunc is None:
-        n_trunc = len(coeffs)
-    r = np.asarray(r_grid, dtype=float)
-    phi_plus = expansion(coeffs, d, r, n_trunc, basis_value)
-    dphi = expansion(coeffs, d, r, n_trunc, basis_derivative)
-    pref = d.compton / denom
-    out = pref * ((-d.z / d.kappa + d.gamma / r) * phi_plus + dphi)
-    return float(out) if np.ndim(r_grid) == 0 else out
+def _mp_laguerre_rows(n, nu, y):
+    """L_0^nu(y)..L_{n-1}^nu(y) by the forward recurrence, in mpmath."""
+    rows = [mp.mpf(1), 1 + nu - y]
+    for k in range(1, n - 1):
+        rows.append(((2 * k + nu + 1 - y) * rows[k] - (k + nu) * rows[k - 1]) / (k + 1))
+    return rows[:n]
 
 
-def coupled_system_residual(coeffs, d, eps, r_values, n_trunc=None):
-    if n_trunc is None:
-        n_trunc = len(coeffs)
-    r = np.asarray(r_values, dtype=float)
-    lam = d.compton
-    denom = eps + d.gamma / d.kappa
-    if abs(denom) < 1e-12:
-        raise KineticBalanceSingular(f"eps + gamma/kappa = {denom:.3e}")
-    pref = lam / denom
+def mp_basis_sums(values, g, omega, r, n_trunc):
+    """(phi, phi', phi'') = sum_{n<n_trunc} f_n (zeta_n, zeta_n', zeta_n'')
+    at each radius of r, as three lists of 40-digit mpf.  f_n is the
+    double Re values[n], skipped where zero or not finite; y is the double
+    w r, as in the library; c_n = f_n A_n, A_n = sqrt(w n!/Gamma(n+2g+2)),
+    and with E = y^{g+1} e^{-y/2}, nu = 2g+1,
 
-    phi_p = expansion(coeffs, d, r, n_trunc, basis_value)
-    dphi_p = expansion(coeffs, d, r, n_trunc, basis_derivative)
-    g = d.gamma_eff
-    y, power, decay = _envelope(g, d.omega, r)
-    d2phi_p = np.zeros_like(r)
-    for n, lag in enumerate(specfun.laguerre_rows(n_trunc, 2.0 * g + 1.0, y)):
-        f = coeffs.values[n].real
-        if f == 0.0 or not math.isfinite(f):
-            continue
-        zeta = BasisElement(n, g, d.omega).normalization * power * decay * lag
-        d2phi_p += f * (d.omega**2 * zeta * (g * (g + 1.0) / y**2 - (n + g + 1.0) / y + 0.25))
-    op = -d.z / d.kappa + d.gamma / r
-    phi_m = pref * (op * phi_p + dphi_p)
-    dphi_m = pref * (op * dphi_p - d.gamma / r**2 * phi_p + d2phi_p)
+        zeta_n   = A_n E L_n^nu(y),
+        zeta_n'  = w A_n E [((g+1)/y - 1/2) L_n^nu(y) - L_{n-1}^{nu+1}(y)],
+        zeta_n'' = w^2 zeta_n [g(g+1)/y^2 - (n+g+1)/y + 1/4],
 
-    xi = rotation_angle(d)
-    c, s = math.cos(0.5 * xi), math.sin(0.5 * xi)
-    chi_p = c * phi_p - s * phi_m
-    chi_m = s * phi_p + c * phi_m
-    dchi_p = c * dphi_p - s * dphi_m
-    dchi_m = s * dphi_p + c * dphi_m
+    each Laguerre family by its own recurrence, and E, w and the bracket's
+    n-free part taken out of the sums."""
+    with mp.workdps(_MP_DPS):
+        g, w = mp.mpf(g), mp.mpf(omega)
+        nu = 2 * g + 1
+        terms = [(n, float(values[n].real)) for n in range(n_trunc)]
+        terms = [(n, f * mp.sqrt(w * mp.factorial(n) / mp.gamma(n + nu + 1)))
+                 for n, f in terms if f != 0.0 and math.isfinite(f)]
+        sums = ([], [], [])
+        for radius in np.atleast_1d(r).tolist():
+            y = mp.mpf(omega * radius)
+            envelope = y ** (g + 1) * mp.exp(-y / 2)
+            lag = _mp_laguerre_rows(n_trunc, nu, y)
+            lowered = [0, *_mp_laguerre_rows(n_trunc - 1, nu + 1, y)]
+            value = shifted = weighted = mp.mpf(0)  # sums of c_n L_n^nu, c_n L_{n-1}^{nu+1}, n c_n L_n^nu
+            for n, c in terms:
+                term = c * lag[n]
+                value += term
+                shifted += c * lowered[n]
+                weighted += n * term
+            sums[0].append(envelope * value)
+            sums[1].append(w * envelope * (((g + 1) / y - mp.mpf(0.5)) * value - shifted))
+            bracket = g * (g + 1) / y**2 - (g + 1) / y + mp.mpf(0.25)
+            sums[2].append(w**2 * envelope * (bracket * value - weighted / y))
+        return sums
 
-    row1 = (1.0 + lam * lam * d.z / r - eps) * chi_p + lam * (d.kappa / r * chi_m - dchi_m)
-    row2 = lam * (d.kappa / r * chi_p + dchi_p) + (-1.0 + lam * lam * d.z / r - eps) * chi_m
-    scale = np.maximum(np.abs(chi_p), np.abs(chi_m)).max()
-    if scale == 0.0:
-        return 0.0
-    return float(np.max(np.abs(np.concatenate([row1, row2]))) / scale)
+
+def mp_kinetic_balance(d, eps, radius, phi, dphi):
+    """[compton/(eps + gamma/kappa)] ((-Z/kappa + gamma/r) phi + dphi) in mpmath."""
+    with mp.workdps(_MP_DPS):
+        kappa, gamma, r = mp.mpf(d.kappa), mp.mpf(d.gamma), mp.mpf(radius)
+        return d.compton / (eps + gamma / kappa) * ((-d.z / kappa + gamma / r) * phi + dphi)
+
+
+def mp_coupled_residual(d, eps, r, sums):
+    """(residual, largest term) of the coupled first-order system in
+    40-digit mpmath, from the mp_basis_sums of r: the max row residual
+    and the largest single term of either row, each over the largest
+    |chi|, with chi the spinor rotated back by -xi."""
+    with mp.workdps(_MP_DPS):
+        lam, z, kappa, gamma = (mp.mpf(v) for v in (d.compton, d.z, d.kappa, d.gamma))
+        xi = mp.atan2(lam * z / kappa, gamma / kappa)
+        c, s = mp.cos(xi / 2), -mp.sin(xi / 2)
+        rows, terms, chis = [], [], []
+        for radius, phi, dphi, d2phi in zip(np.atleast_1d(r).tolist(), *sums):
+            rr = mp.mpf(radius)
+            phi_m = mp_kinetic_balance(d, eps, radius, phi, dphi)
+            dphi_m = mp_kinetic_balance(d, eps, radius, dphi, d2phi - gamma / rr**2 * phi)
+            chi_p, chi_m = c * phi + s * phi_m, -s * phi + c * phi_m
+            dchi_p, dchi_m = c * dphi + s * dphi_m, -s * dphi + c * dphi_m
+            row1 = [(1 + lam * lam * z / rr - eps) * chi_p, lam * kappa / rr * chi_m, -lam * dchi_m]
+            row2 = [lam * kappa / rr * chi_p, lam * dchi_p, (-1 + lam * lam * z / rr - eps) * chi_m]
+            rows += [abs(mp.fsum(row1)), abs(mp.fsum(row2))]
+            terms += [abs(t) for t in row1 + row2]
+            chis += [abs(chi_p), abs(chi_m)]
+        scale = max(chis)
+        return float(max(rows) / scale), float(max(terms) / scale)
 
 
 def tridiag_eigen_first_row(diag, offdiag):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import reference_forms
-from tridirac import _csvtext, cli, model, wavefunction
+from tridirac import _csvtext, cli, model, specfun, wavefunction
 
 
 def run_cli(capsys, *argv):
@@ -580,18 +580,22 @@ class TestWavefunctionCommand:
 
     @pytest.mark.parametrize("eps", ["0.99968725", "1.3"])
     def test_one_basis_pass(self, capsys, monkeypatch, eps):
-        # phi+ and phi- come from one sum over the basis, bound or scattering
-        orders = []
-        expansion = wavefunction._expansion
+        # phi+ and phi- come from one sum over the basis, bound or scattering,
+        # and that sum from one stream of Laguerre rows
+        calls = []
+        expansion, rows = wavefunction._expansion, specfun.laguerre_rows
 
-        def counted(*args):
-            orders.append(args[-1])
-            return expansion(*args)
+        def counted(name, function):
+            def wrapped(*args):
+                calls.append(name)
+                return function(*args)
+            return wrapped
 
-        monkeypatch.setattr(wavefunction, "_expansion", counted)
+        monkeypatch.setattr(wavefunction, "_expansion", counted("expansion", expansion))
+        monkeypatch.setattr(specfun, "laguerre_rows", counted("rows", rows))
         code, _, _ = run_cli(capsys, "wavefunction", "--z", "-1", "--kappa", "1", "--compton", "0.05",
                              "--eps", eps, "--trunc", "16")
-        assert code == 0 and orders == [(0, 1)]
+        assert code == 0 and calls == ["expansion", "rows"]
 
     def test_kinetic_balance_singular_energy_exits_2(self, tmp_path, capsys):
         # eps = -gamma/kappa zeroes the kinetic-balance denominator

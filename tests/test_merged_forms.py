@@ -2,13 +2,18 @@
 
 The basis sums, the kinetic balance and spinor rotation, the Gauss basis
 table, the angle map in x and the wave rows are each written once in the
-library; `reference_forms` keeps the earlier per-caller bodies, and the
-per-element basis functions, which the library now forms only as the
-basis sum at a unit vector.  Every comparison is exact, except the Gram and
-wave-operator matrices, which now sum the Gauss rule's eigenvector rows,
-not Laguerre values times weights, and the minimal-solution defect, whose
-backward pass now rescales by powers of two at 2^512, not by |f| at 1e100:
-those agree to a rounding bound.
+library; `reference_forms` keeps the earlier per-caller bodies.  Every
+comparison is exact, except these, which agree to a bound:
+- the basis sums (zeta_n and its derivatives at a unit vector, phi-, the
+  coupled-system residual), which take the derivative from the same rows
+  by tail sums and A_n as a running product: against a 40-digit mpmath
+  re-sum of the per-element forms, to 2e-13 of the grid's largest
+  magnitude (spinor still equals reconstruct_upper and lower_component
+  bit for bit);
+- the Gram and wave-operator matrices, which now sum the Gauss rule's
+  eigenvector rows, not Laguerre values times weights;
+- the minimal-solution defect, whose backward pass now rescales by powers
+  of two at 2^512, not by |f| at 1e100.
 """
 
 from __future__ import annotations
@@ -22,7 +27,6 @@ import reference_forms as ref
 from tridirac import model, specfun, spectrum, wavefunction
 from tridirac.errors import KineticBalanceSingular
 from tridirac.model import PhysicalParams
-from tridirac.wavefunction import BasisElement
 
 # (params, energy): bound levels and scattering energies at kappa = 1, -1, 2,
 # and the bound-left branch at omega = 3
@@ -37,6 +41,11 @@ CASES = {
 }
 
 R = np.concatenate([np.linspace(0.3, 60.0, 211), [1e-3, 150.0]])
+# and small radii, where a regrouped derivative can cancel
+R_SMALL = np.concatenate([R, [1e-4, 1e-2, 0.1]])
+# the basis sums against their 40-digit re-sum, relative to the largest
+# magnitude on the grid (fixed before measuring)
+TOL = 2e-13
 
 
 def _state(name, n_max=48):
@@ -53,34 +62,50 @@ def _same(a, b):
     assert np.array_equal(a, b)
 
 
+def _close(got, want):
+    """got within TOL of the mpmath values want, relative to max |want|."""
+    want = np.array([float(v) for v in want])
+    assert np.max(np.abs(np.ravel(got) - want)) <= TOL * np.max(np.abs(want))
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 class TestBasisSide:
     def test_basis_functions(self, name):
-        # the basis sums at the unit vector e_n, on the grid and at one radius
+        # the basis sums at the unit vector e_n are zeta_n, zeta_n' and
+        # zeta_n'' alone, on the grid and at one radius
         d, _, _ = _state(name, 1)
         for n in (0, 1, 2, 7, 30):
-            elem = BasisElement(n, d.gamma_eff, d.omega)
-            for r in (R, 2.5):
-                sums = wavefunction._expansion(ref.unit_vector(n).values, d.gamma_eff, d.omega, r, n + 1, (0, 1, 2))
-                for got, old in zip(sums, (ref.basis_value, ref.basis_derivative, ref.basis_second_derivative)):
-                    _same(got, old(elem, r))
+            values = ref.unit_vector(n).values
+            for r in (R_SMALL, 2.5):
+                sums = wavefunction._expansion(values, d.gamma_eff, d.omega, r, n + 1)
+                for got, want in zip(sums, ref.mp_basis_sums(values, d.gamma_eff, d.omega, r, n + 1)):
+                    assert np.shape(got) == np.shape(r)
+                    _close(got, want)
 
     def test_lower_component(self, name):
         d, eps, coeffs = _state(name)
-        for n_trunc in (1, 17, 48):
-            lower = wavefunction.lower_component(coeffs, d, eps, R, n_trunc)
-            _same(lower, ref.lower_component(coeffs, d, eps, R, n_trunc))
-            phi_plus, phi_minus = wavefunction.spinor(coeffs, d, eps, R, n_trunc)
-            _same(phi_plus, wavefunction.reconstruct_upper(coeffs, d, R, n_trunc)[0])
-            _same(phi_minus, lower)
-        assert wavefunction.lower_component(coeffs, d, eps, 1.7) == ref.lower_component(coeffs, d, eps, 1.7)
+        r = np.append(R_SMALL, 1.7)
+        for n_trunc in (1, 17, None):
+            count = n_trunc or len(coeffs)
+            phi, dphi, _ = ref.mp_basis_sums(coeffs.values, d.gamma_eff, d.omega, r, count)
+            want = [ref.mp_kinetic_balance(d, eps, *point) for point in zip(r.tolist(), phi, dphi)]
+            _close(wavefunction.lower_component(coeffs, d, eps, r, n_trunc), want)
+            phi_plus, phi_minus = wavefunction.spinor(coeffs, d, eps, R, count)
+            _same(phi_plus, wavefunction.reconstruct_upper(coeffs, d, R, count)[0])
+            _same(phi_minus, wavefunction.lower_component(coeffs, d, eps, R, n_trunc))
+        # the whole vector by default, a float at a scalar radius
+        scalar = wavefunction.lower_component(coeffs, d, eps, 1.7)
+        assert isinstance(scalar, float)
+        assert abs(scalar - float(want[-1])) <= TOL * max(abs(float(v)) for v in want)
 
     def test_coupled_system_residual(self, name):
         d, eps, coeffs = _state(name)
         r = np.array([0.8, 1.5, 2.5, 5.0, 9.0, 20.0])
         for n_trunc in (5, 48, None):
-            assert (wavefunction.coupled_system_residual(coeffs, d, eps, r, n_trunc)
-                    == ref.coupled_system_residual(coeffs, d, eps, r, n_trunc))
+            sums = ref.mp_basis_sums(coeffs.values, d.gamma_eff, d.omega, r, n_trunc or len(coeffs))
+            want, largest_term = ref.mp_coupled_residual(d, eps, r, sums)
+            got = wavefunction.coupled_system_residual(coeffs, d, eps, r, n_trunc)
+            assert abs(got - want) <= TOL * largest_term
 
     def test_gram_matrix(self, name):
         d, _, _ = _state(name, 1)

@@ -9,7 +9,6 @@ import reference_forms
 from tridirac import model, specfun, spectrum, wavefunction
 from tridirac.errors import BottomPoleError, GridError, KineticBalanceSingular
 from tridirac.model import PhysicalParams
-from tridirac.wavefunction import BasisElement
 
 DESK = PhysicalParams(z=-1.0, kappa=1, compton=0.05, omega=1.0)
 
@@ -22,7 +21,7 @@ def zeta(d, n, r):
 class TestBasis:
     def test_ground_element_shape(self):
         d = model.derive(DESK)
-        elem = BasisElement(0, d.gamma_eff, d.omega)
+        elem = reference_forms.BasisElement(0, d.gamma_eff, d.omega)
         r = np.array([0.5, 1.0, 2.0])
         vals = zeta(d, 0, r)
         expected = elem.normalization * (d.omega * r) ** (d.gamma_eff + 1) * np.exp(-d.omega * r / 2)
@@ -63,12 +62,12 @@ class TestBasis:
                 assert abs(got - fd) < 1e-7 * max(1.0, abs(fd))
 
     def test_second_derivative_against_finite_differences(self):
-        # the analytic zeta_n'' of reference_forms, which the one-pass sums
-        # match bit for bit (test_one_pass_sums_equal_per_element_sums)
+        # the analytic zeta_n'' of reference_forms, the per-element form
+        # that the one-pass sums are checked against (test_one_pass_sums_against_mpmath)
         d = model.derive(DESK)
         h = 1e-4
         for n in (0, 3, 9):
-            elem = BasisElement(n, d.gamma_eff, d.omega)
+            elem = reference_forms.BasisElement(n, d.gamma_eff, d.omega)
             for r in (0.8, 2.0, 6.0):
                 fd = float(zeta(d, n, r + h) - 2 * zeta(d, n, r) + zeta(d, n, r - h)) / h**2
                 assert abs(reference_forms.basis_second_derivative(elem, r) - fd) < 1e-5 * max(1.0, abs(fd))
@@ -213,7 +212,7 @@ class TestCoefficients:
         eps0 = spectrum.bound_energy(DESK, 0)
         d = model.derive(DESK)
         vals = np.abs(wavefunction.coefficients_bound_state(d, eps0, 40).values)
-        assert vals[0] == 1.0
+        assert len(vals) == 41 and vals[0] == 1.0
         assert vals[10] < 1e-20  # minimal solution, fast geometric decay
         assert vals[40] < vals[10]
 
@@ -252,8 +251,18 @@ class TestReconstruction:
         )
         r = np.linspace(0.5, 8.0, 17)
         out, tail = wavefunction.reconstruct_upper(fake, d, r, 1)
-        assert_allclose(out, reference_forms.basis_value(BasisElement(0, d.gamma_eff, d.omega), r), rtol=1e-14)
+        zeta0 = reference_forms.basis_value(reference_forms.BasisElement(0, d.gamma_eff, d.omega), r)
+        assert_allclose(out, zeta0, rtol=1e-14)
         assert tail == 0.0
+
+    def test_non_finite_coefficients_are_dropped(self):
+        # a NaN or infinite f_n contributes nothing, exactly as f_n = 0
+        d = model.derive(DESK)
+        r = np.linspace(0.5, 8.0, 17)
+        sums = wavefunction._expansion(np.array([1.0, np.nan, 0.5, np.inf, -np.inf]), d.gamma_eff, d.omega, r, 5)
+        want = wavefunction._expansion(np.array([1.0, 0.0, 0.5, 0.0, 0.0]), d.gamma_eff, d.omega, r, 5)
+        for got, expected in zip(sums, want):
+            assert np.array_equal(got, expected)
 
     def test_bound_state_truncation_converges(self):
         eps0 = spectrum.bound_energy(DESK, 0)
@@ -269,25 +278,41 @@ class TestReconstruction:
         assert tail < 1e-30  # only the (negligible) n = 64 coefficient remains
 
     @pytest.mark.parametrize("bound", [True, False], ids=["bound", "scattering"])
-    def test_one_pass_sums_equal_per_element_sums(self, bound):
-        # same products in the same order as the per-element forms of
-        # zeta_n, zeta_n' and zeta_n'' kept in reference_forms, so the
-        # one-pass sums must agree bit for bit
+    def test_one_pass_sums_against_mpmath(self, bound):
+        # phi, phi' and phi'' at trunc 64 against a 40-digit re-sum of the
+        # same coefficients, on the grid and at small radii, where a
+        # regrouped derivative can cancel, to 2e-13 of the grid's largest
+        # magnitude (fixed before measuring)
         d = model.derive(DESK)
         if bound:
             coeffs = wavefunction.coefficients_bound_state(d, spectrum.bound_energy(DESK, 2), 64)
         else:
             coeffs = wavefunction.coefficients_recursion(d, 1.3, 64)
-        r = np.linspace(0.5, 60.0, 500)
-        value, first, second = (reference_forms.expansion(coeffs, d, r, 64, element) for element in (
-            reference_forms.basis_value, reference_forms.basis_derivative, reference_forms.basis_second_derivative))
-        assert np.array_equal(wavefunction.reconstruct_upper(coeffs, d, r, 64)[0], value)
-        assert np.array_equal(wavefunction.reconstruct_derivative(coeffs, d, r, 64), first)
-        sums = wavefunction._expansion(coeffs.values, d.gamma_eff, d.omega, r, 64, (0, 1, 2))
-        for got, want in zip(sums, (value, first, second)):
-            assert np.array_equal(got, want)
-        (alone,) = wavefunction._expansion(coeffs.values, d.gamma_eff, d.omega, r, 64, (2,))
-        assert np.array_equal(alone, second)
+        r = np.concatenate([np.linspace(0.3, 60.0, 211), [1e-3, 150.0, 1e-4, 1e-2, 0.1]])
+        sums = wavefunction._expansion(coeffs.values, d.gamma_eff, d.omega, r, 64)
+        for got, want in zip(sums, reference_forms.mp_basis_sums(coeffs.values, d.gamma_eff, d.omega, r, 64)):
+            want = np.array([float(v) for v in want])
+            assert np.max(np.abs(got - want)) <= 2e-13 * np.max(np.abs(want))
+        # the reconstructions are that one pass
+        assert np.array_equal(wavefunction.reconstruct_upper(coeffs, d, r, 64)[0], sums[0])
+        assert np.array_equal(wavefunction.reconstruct_derivative(coeffs, d, r, 64), sums[1])
+
+    @pytest.mark.parametrize("g", [0.9987, 19.0, 85.0])
+    def test_normalization_against_mpmath(self, g):
+        # A_n = sqrt(w n!/Gamma(n+2g+2)), read through the basis sum at e_n,
+        # phi = A_n E L_n^{2g+1}(y), by dividing out the same E and L_n; y
+        # lies where neither E nor A_n L_n leaves the double range
+        omega = 0.7
+        for n in (10, 1000, 2000):
+            r = min(2.0 * g + 2.0 * n + 2.0, 200.0) / omega
+            values = np.zeros(n + 1)
+            values[n] = 1.0
+            phi = wavefunction._expansion(values, g, omega, r, n + 1)[0]
+            y = omega * np.asarray(r)
+            got = float(phi / (y ** (g + 1.0) * np.exp(-0.5 * y) * specfun.laguerre(n, 2.0 * g + 1.0, y)))
+            with mp.workdps(40):
+                want = mp.sqrt(omega * mp.factorial(n) / mp.gamma(n + 2 * mp.mpf(g) + 2))
+                assert abs(got / want - 1) <= 5e-14
 
     def test_truncation_beyond_vector_refused(self):
         d = model.derive(DESK)
@@ -303,6 +328,16 @@ class TestReconstruction:
             wavefunction.lower_component(coeffs, d, 1.3, r, 10)
         with pytest.raises(ValueError, match="n_trunc"):
             wavefunction.coupled_system_residual(coeffs, d, 1.3, r, 10)
+
+    def test_tail_fraction_exact(self):
+        # sum_{n>=n_trunc} |f_n|^2 / sum |f_n|^2; None with nothing past the
+        # truncation or nothing to normalize by
+        d = model.derive(DESK)
+        r = np.array([1.0, 2.0])
+        coeffs = wavefunction.CoefficientVector(values=np.array([1.0, 2.0j, -2.0]), eps=0.9, source="recursion")
+        assert [wavefunction.reconstruct_upper(coeffs, d, r, n)[1] for n in (0, 1, 2, 3)] == [1.0, 8 / 9, 4 / 9, None]
+        zero = wavefunction.CoefficientVector(values=np.zeros(3, dtype=complex), eps=0.9, source="recursion")
+        assert wavefunction.reconstruct_upper(zero, d, r, 1)[1] is None
 
     def test_tail_fraction_reported(self):
         d = model.derive(DESK)
@@ -326,7 +361,7 @@ class TestLowerComponent:
         fake = wavefunction.CoefficientVector(values=np.array([1.0 + 0j]), eps=0.9, source="recursion")
         r = np.array([0.7, 1.3, 4.0])
         lower = wavefunction.lower_component(fake, d, 0.9, r)
-        zeta0 = reference_forms.basis_value(BasisElement(0, d.gamma_eff, d.omega), r)
+        zeta0 = reference_forms.basis_value(reference_forms.BasisElement(0, d.gamma_eff, d.omega), r)
         pref = d.compton / (0.9 + d.gamma / d.kappa)
         expected = pref * (
             (-d.z / d.kappa + d.gamma / r) + ((d.gamma_eff + 1) / r - d.omega / 2)
@@ -359,6 +394,31 @@ class TestSchrodingerResidual:
             wavefunction.schrodinger_residual([1, 2, 3], [0.1, 0.2, 0.3], d, 0.9)
         with pytest.raises(GridError):
             wavefunction.schrodinger_residual(np.ones(6), np.array([0.1, 0.2, 0.4, 0.5, 0.6, 0.7]), d, 0.9)
+        with pytest.raises(GridError):
+            wavefunction.schrodinger_residual(np.ones(6), np.ones(6), d, 0.9)
+        # steps that differ by 1e-8 h are not uniform; by 1e-10 h they are
+        r = np.linspace(1.0, 2.0, 6)
+        with pytest.raises(GridError):
+            wavefunction.schrodinger_residual(np.ones(6), r + np.array([0, 0, 2e-9, 0, 0, 0]), d, 0.9)
+        wavefunction.schrodinger_residual(np.ones(6), r + np.array([0, 0, 2e-11, 0, 0, 0]), d, 0.9)
+
+    def test_exact_on_a_quartic(self):
+        # the five-point second difference is exact on a quartic, so the
+        # residual is the formula's value; Z = -2 and eps = 0.6 keep
+        # 2 Z eps apart from 2 eps / Z and 2 Z / eps
+        p = PhysicalParams(z=-2.0, kappa=-1, compton=0.3, omega=1.0)
+        d = model.derive(p)
+        eps, g = 0.6, d.gamma_eff
+        for count in (5, 41):
+            r = np.linspace(0.5, 2.5, count)
+            phi = r**4 - 3.0 * r**2 + 1.0
+            inner = r[2:-2]
+            centrifugal, coulomb = g * (g + 1.0) / inner**2, 2.0 * p.z * eps / inner
+            constant = (1.0 - eps**2) / p.compton**2
+            resid = np.abs(-(12.0 * inner**2 - 6.0) + (centrifugal + coulomb + constant) * phi[2:-2])
+            norm = np.max(np.abs(centrifugal) + np.abs(coulomb)) + abs(constant)
+            want = np.max(resid) / (np.max(np.abs(phi)) * norm)
+            assert abs(wavefunction.schrodinger_residual(phi, r, d, eps) - want) <= 1e-9 * want
 
     def test_bound_state_residual(self):
         eps0 = spectrum.bound_energy(DESK, 0)
@@ -419,6 +479,20 @@ class TestCoupledSystem:
         coeffs = wavefunction.coefficients_bound_state(d, eps0, 48)
         r = np.array([0.8, 1.5, 2.5, 5.0, 9.0])
         assert wavefunction.coupled_system_residual(coeffs, d, eps0, r, 48) < 1e-6
+
+    @pytest.mark.parametrize("p", [PhysicalParams(z=-2.0, kappa=1, compton=0.3, omega=1.0),
+                                   PhysicalParams(z=-0.5, kappa=2, compton=1.0, omega=1.0)], ids=["z-2", "z-0.5"])
+    def test_other_charges(self, p):
+        # at Z = -1, |kappa| = 1 and eps ~ 1, Z and 1/Z, eps Z and Z/eps,
+        # and Z/kappa and Z kappa coincide; these levels (eps_0 = 0.949 and
+        # 0.986) tell them apart in both residuals
+        eps0 = spectrum.bound_energy(p, 0)
+        d = model.derive(p)
+        coeffs = wavefunction.coefficients_bound_state(d, eps0, 64)
+        r = np.arange(0.5, 30.0, 0.01)
+        phi, _ = wavefunction.reconstruct_upper(coeffs, d, r, 64)
+        assert wavefunction.schrodinger_residual(phi, r, d, eps0) <= 1e-4
+        assert wavefunction.coupled_system_residual(coeffs, d, eps0, np.array([0.8, 1.5, 2.5, 5.0, 9.0]), 64) < 1e-6
 
 
 class TestLeftBranch:
