@@ -155,7 +155,7 @@ def scattering_amplitude_phase(params: PollaczekParams, theta):
     return amplitude, lg.imag, phi
 
 
-def drifting_phase(psi: float, lam: float, theta: float, phi: float, n: int) -> float:
+def drifting_phase(psi: float, lam: float, theta: float, phi: float, n):
     """Slowly drifting phase psi_n of the cos(n theta + psi_n)
     approximant, given the Gamma phase psi:
 
@@ -164,9 +164,11 @@ def drifting_phase(psi: float, lam: float, theta: float, phi: float, n: int) -> 
     The n-dependence is exactly -phi ln n.  The ln(sin theta) constant
     comes from the (2 e^{-i pi/2} sin theta)^{-(lam - i phi)} factor of
     the singular expansion; dropping it leaves an O(1) phase offset that
-    does not decay with n.
+    does not decay with n.  Elementwise in n: an int gives a float, an
+    ndarray of degrees an ndarray (scattering.fit_asymptotics fits its
+    window with psi = 0 and reads psi off as the fitted offset).
     """
-    return psi + lam * (theta - 0.5 * math.pi) - phi * math.log(2.0 * n * math.sin(theta))
+    return psi + lam * (theta - 0.5 * math.pi) - phi * np.log(2.0 * n * np.sin(theta))
 
 
 def asymptotic_scattering(params: PollaczekParams, theta: float, n: int) -> float:

@@ -132,10 +132,6 @@ def phase_shift_sweep(p: PhysicalParams, eps_values) -> PhaseShiftResult:
     return replace(r, psi=_continue_branch(r.psi))
 
 
-def _drift(params: pollaczek.PollaczekParams, theta: float, n: np.ndarray) -> np.ndarray:
-    return n * theta - pollaczek.phase_parameter(params, theta) * np.log(2.0 * n)
-
-
 def _linear_fit(values: np.ndarray, g: np.ndarray, n: np.ndarray):
     # leading cosine pair plus 1/n-modulated pair: the second pair soaks
     # up the next-order term so its phase does not bias the leading one
@@ -216,8 +212,10 @@ def fit_asymptotics(seq: pollaczek.PolynomialSequence, window) -> FitResult:
     tolerance.  Near its minimum that squared residual is close to a
     parabola in theta, so the parabolic steps converge in a few fits; the
     search stops once theta is resolved to 4 eps |theta| + 1e-13, or
-    after 100 fits.  Amplitude and residual phase come from the search's
-    own fit at that theta.
+    after 100 fits.  The fitted phase is n theta +
+    pollaczek.drifting_phase at psi = 0, the whole Darboux phase but psi,
+    so psi is the fit's own offset atan2(-s, c), wrapped to [-pi, pi);
+    it and the amplitude come from the search's fit at that theta.
 
     `window` is (start, length) with start >= 100 and length >= 200.
     Raises FitError when the sequence is not oscillatory (bound-regime
@@ -264,7 +262,8 @@ def fit_asymptotics(seq: pollaczek.PolynomialSequence, window) -> FitResult:
     # stage 2: refine theta by Brent's search on the squared cosine-fit residual
     @functools.cache
     def fit_at(th):
-        return _linear_fit(p, _drift(seq.params, th, n), n)
+        phi = pollaczek.phase_parameter(seq.params, th)
+        return _linear_fit(p, n * th + pollaczek.drifting_phase(0.0, seq.params.lam, th, phi, n), n)
 
     def cost(th):
         _, r = fit_at(th)
@@ -277,12 +276,5 @@ def fit_asymptotics(seq: pollaczek.PolynomialSequence, window) -> FitResult:
 
     (coef_c, coef_s), residual = fit_at(theta_est)
     amplitude_est = math.hypot(coef_c, coef_s)
-    delta = math.atan2(-coef_s, coef_c)
-    phi_est = float(pollaczek.phase_parameter(seq.params, theta_est))
-    psi_est = (
-        delta
-        - seq.params.lam * (theta_est - 0.5 * math.pi)
-        + phi_est * math.log(math.sin(theta_est))
-    )
-    psi_est = (psi_est + math.pi) % (2.0 * math.pi) - math.pi
-    return FitResult(theta=float(theta_est), amplitude=amplitude_est, psi=float(psi_est), residual=residual)
+    psi_est = (math.atan2(-coef_s, coef_c) + math.pi) % (2.0 * math.pi) - math.pi
+    return FitResult(theta=float(theta_est), amplitude=amplitude_est, psi=psi_est, residual=residual)

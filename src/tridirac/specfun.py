@@ -1,16 +1,18 @@
 """Self-contained special-function kernel.
 
-Complex log-Gamma (Lanczos sum plus reflection), rising factorials,
-associated Laguerre polynomials (one recurrence, yielded row by row),
-terminating Gauss hypergeometric sums, and Gauss quadrature rules built
-from symmetric tridiagonal (Jacobi) matrices: nodes from LAPACK, weights
-and eigenvectors from one pass of the same three-term recurrence.
+Complex log-Gamma (Lanczos sum plus reflection), rising factorials (one
+running product), associated Laguerre polynomials (one recurrence,
+yielded row by row), terminating Gauss hypergeometric sums, and Gauss
+quadrature rules built from symmetric tridiagonal (Jacobi) matrices:
+nodes from LAPACK, weights and eigenvectors from one pass of the same
+three-term recurrence.
 
 Everything here is a pure function of its arguments; no global state.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -141,30 +143,24 @@ def pochhammer(c, n):
     """Rising factorial (c)_n = c (c+1) ... (c+n-1), elementwise in n.
 
     A scalar n gives a complex, an int ndarray a complex ndarray of its
-    shape.  Orders n <= 64 (all orders when c is within 1e-13 of a
-    non-positive integer, a log-Gamma pole) come from one running product
-    in Python complex arithmetic, each bit for bit the product of its
-    order alone; larger orders are one array log-Gamma difference,
-    agreeing to ~1e-13 relative at the crossover.  Raises ValueError for
-    a negative order, and OverflowError, naming the first such order,
-    where (c)_n leaves the double range.
+    shape.  Every order comes from one running product in Python complex
+    arithmetic, so each value is bit for bit the product of its order
+    alone (a log-Gamma difference would be ~1e-13 off at orders near
+    150); the product stops at its first value beyond the double range.
+    Raises ValueError for a negative order, and OverflowError, naming the
+    first such order, where (c)_n leaves the double range.
     """
     orders = np.asarray(n)
     if orders.size and orders.min() < 0:
         raise ValueError("pochhammer order must be non-negative")
     c = complex(c)
     ns = orders.reshape(-1).astype(int)
-    direct = (ns <= 64) | _poles(np.array([c]))
-    out = np.empty(ns.size, dtype=complex)
-    if direct.any():
-        products = [1.0 + 0.0j]
-        for k in range(int(ns[direct].max())):
-            products.append(products[-1] * (c + k))
-        out[direct] = np.array(products)[ns[direct]]
-    if not direct.all():
-        lg = log_gamma(c + np.concatenate(([0], ns[~direct])))
-        with np.errstate(over="ignore", invalid="ignore"):
-            out[~direct] = np.exp(lg[1:] - lg[0])
+    products = [1.0 + 0.0j]
+    for k in range(int(ns.max(initial=0))):
+        if not cmath.isfinite(products[-1]):
+            break
+        products.append(products[-1] * (c + k))
+    out = np.array(products)[np.minimum(ns, len(products) - 1)]
     bad = ~np.isfinite(out)
     if bad.any():
         raise OverflowError(f"pochhammer leaves the double range at n={int(ns[bad][0])}")

@@ -97,13 +97,16 @@ def _expansion(values, g: float, omega: float, r, n_trunc: int):
     by y: at r = 1e-4 that form put phi- 1.4e-13 off (relative to its
     largest value), the tail sums 5e-15.  Each degree adds its three
     coefficients times its row to a (3, len r) accumulator, so memory
-    stays O(len r) at any n_trunc.  The derivatives divide by y, so r = 0
-    draws numpy's divide-by-zero warning.  Both reconstructions, spinor and
-    coupled_system_residual are this sum; at a unit vector e_n it is
-    zeta_n and its derivatives alone."""
+    stays O(len r) at any n_trunc.  The derivatives divide by y, so every
+    r must be finite and > 0 (ValueError otherwise).  Both
+    reconstructions, spinor and coupled_system_residual are this sum; at a
+    unit vector e_n it is zeta_n and its derivatives alone."""
     if n_trunc > len(values):
         raise ValueError("n_trunc exceeds the available coefficients")
-    y = omega * np.asarray(r, dtype=float)
+    r = np.asarray(r, dtype=float)
+    if not (np.isfinite(r) & (r > 0.0)).all():
+        raise ValueError("r must be finite and > 0")
+    y = omega * r
     nu = 2.0 * g + 1.0
     f = np.real(values[:n_trunc])
     n = np.arange(float(n_trunc))

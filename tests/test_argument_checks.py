@@ -203,3 +203,21 @@ class TestWavefunction:
     def test_coupled_residual_of_a_zero_spinor(self):
         zero = wavefunction.CoefficientVector(values=np.zeros(8, dtype=complex), eps=1.3, source="recursion")
         assert wavefunction.coupled_system_residual(zero, model.derive(DESK), 1.3, np.array([0.5, 1.0, 2.0])) == 0.0
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan])
+    @pytest.mark.parametrize("call", [
+        lambda c, d, r: wavefunction.reconstruct_upper(c, d, r, 8),
+        lambda c, d, r: wavefunction.reconstruct_derivative(c, d, r, 8),
+        lambda c, d, r: wavefunction.spinor(c, d, 1.3, r, 8),
+        lambda c, d, r: wavefunction.lower_component(c, d, 1.3, r),
+        lambda c, d, r: wavefunction.coupled_system_residual(c, d, 1.3, r),
+    ], ids=["reconstruct_upper", "reconstruct_derivative", "spinor", "lower_component", "coupled_system_residual"])
+    def test_basis_sums_refuse_bad_radii(self, call, bad):
+        # the basis derivatives divide by r: r = 0 once gave nan with only
+        # numpy's warning, and r < 0 a nan power
+        d = model.derive(DESK)
+        coeffs = wavefunction.coefficients_recursion(d, 1.3, 8)
+        with pytest.raises(ValueError, match="finite and > 0"):
+            call(coeffs, d, np.array([bad, 1.0]))
+        with pytest.raises(ValueError, match="finite and > 0"):
+            call(coeffs, d, bad)

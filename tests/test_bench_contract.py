@@ -90,16 +90,20 @@ def test_bound_state_path_reports_its_counters(tracing, capsys):
 
 
 def test_closed_form_path_reports_its_spans(tracing, capsys):
-    # the `sweep` workload's coefficients op: the closed form forms its
-    # Pochhammer factors in one specfun.pochhammer call, whose orders
-    # above 64 take one array specfun.log_gamma call
+    # the `sweep` workload's coefficients op forms its Pochhammer factors
+    # in one specfun.pochhammer call, a running product with no log-Gamma;
+    # its phase-shift op takes every Gamma phase from one array
+    # specfun.log_gamma call
+    desk = ["--z", "-1", "--kappa", "1"]
     tracer = tracing.Tracer()
     try:
         tracer.install()
-        code = cli.main(["coefficients", "--z", "-1", "--kappa", "1", "--compton", "0.05", "--eps", "1.3",
-                         "--n-max", "150"])
+        code = cli.main(["coefficients", *desk, "--compton", "0.05", "--eps", "1.3", "--n-max", "150"])
+        assert code == 0 and capsys.readouterr().err == ""
+        assert tracer.spans["specfun.pochhammer"].calls == 1
+        assert "specfun.log_gamma" not in tracer.spans
+        code = cli.main(["phase-shift", *desk, "--compton", "0.02", "--eps-grid", "1.01", "3.0", "2000"])
     finally:
         tracer.uninstall()
     assert code == 0 and capsys.readouterr().err == ""
-    assert tracer.spans["specfun.pochhammer"].calls == 1
     assert tracer.spans["specfun.log_gamma"].calls == 1

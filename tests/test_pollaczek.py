@@ -18,6 +18,17 @@ class TestEvaluate:
         assert seq.values[0] == 1.0
         assert_allclose(seq.values[1], 2 * 1.3 * 0.4 + 2 * (-0.5), rtol=1e-15)
 
+    def test_degree_zero(self):
+        seq = pollaczek.evaluate(PollaczekParams(lam=1.3, b=-0.5), 0.4, 0)
+        assert seq.values.tolist() == [1.0]
+
+    @pytest.mark.parametrize("x, extended", [(1.0, False), (-1.0, False), (1.005, True), (-1.005, True)])
+    def test_extended_precision_only_outside_the_band(self, x, extended):
+        # doubles up to |x| = 1 inclusive, 40-digit mpmath beyond it
+        seq = pollaczek.evaluate(PollaczekParams(lam=1.3, b=-0.5), x, 5)
+        assert isinstance(seq.values, list) == extended
+        assert all(isinstance(v, mp.mpf) for v in seq.values) == extended
+
     def test_hand_recursion_p2(self):
         # lam=1, b=0, x=0.5: P_1 = 1, P_2 = [(2)(0.5)]*1 - 1 = 0
         seq = pollaczek.evaluate(PollaczekParams(lam=1.0), 0.5, 2)
@@ -67,6 +78,15 @@ class TestNormalizations:
         lam = 1.7
         seq = pollaczek.to_orthonormal(pollaczek.evaluate(PollaczekParams(lam=lam), 0.3, 1))
         assert_allclose(seq.values[0], math.sqrt(lam / math.gamma(2 * lam)), rtol=1e-13)
+
+    def test_orthonormal_scale_of_extended_values(self):
+        # the mpmath list at |x| > 1 takes the same factors as the doubles
+        # of the complex-argument pass
+        params = PollaczekParams(lam=1.5, b=-0.4)
+        extended = pollaczek.to_orthonormal(pollaczek.evaluate(params, 1.3, 60)).values
+        doubles = pollaczek.to_orthonormal(pollaczek.evaluate(params, 1.3 + 0j, 60)).values
+        assert all(isinstance(v, mp.mpf) for v in extended)
+        assert_allclose([complex(v) for v in extended], doubles, rtol=1e-14)
 
     @pytest.mark.parametrize("lam", [0.6, 1.9998, 20.0])
     def test_orthonormal_scale_against_mpmath(self, lam):
@@ -200,6 +220,21 @@ class TestScatteringAsymptotics:
             )
 
         assert window_error(2000) < window_error(200)
+        # the next Darboux term is O(1/n): about 0.91/n here
+        for n0 in (200, 1000, 2000):
+            assert window_error(n0) <= 1.0 / n0
+
+    def test_first_degree_is_allowed(self):
+        params = PollaczekParams(lam=1.5, b=-0.4)
+        amp, psi, phi = pollaczek.scattering_amplitude_phase(params, 1.1)
+        want = amp * math.cos(1.1 + pollaczek.drifting_phase(psi, 1.5, 1.1, phi, 1))
+        assert pollaczek.asymptotic_scattering(params, 1.1, 1) == want
+
+    def test_drifting_phase_is_elementwise_in_n(self):
+        n = np.array([1, 10, 600])
+        got = pollaczek.drifting_phase(0.3, 1.5, 1.1, -0.2, n)
+        assert got.tolist() == [pollaczek.drifting_phase(0.3, 1.5, 1.1, -0.2, int(k)) for k in n]
+        assert_allclose(got, 0.3 + 1.5 * (1.1 - math.pi / 2) + 0.2 * np.log(2 * n * math.sin(1.1)), rtol=1e-15)
 
     def test_phase_advances_by_theta(self):
         # cos argument advances by theta per unit n, minus the slow ln drift

@@ -66,7 +66,13 @@ def ref_recursion_residual(seq):
     return worst
 
 
-def ref_coefficients_recursion(d, eps, n_max):
+def _recursion_digits(x, n_max):
+    # the working precision of the extended pass: 30 digits plus those the
+    # growth rate |x| + sqrt(x^2 - 1) costs over n_max + 1 steps
+    return 30 + int(2.2 * (n_max + 1) * math.log10(abs(x) + math.sqrt(x * x - 1.0)))
+
+
+def ref_coefficients_recursion(d, eps, n_max, digits=None):
     pol = map_to_pollaczek(d, energy_point(eps))
     diag, off = (v.tolist() for v in recursion_coefficients(d).block(0, n_max))
     if abs(pol.x) <= 1.0:
@@ -77,8 +83,7 @@ def ref_coefficients_recursion(d, eps, n_max):
             prev = vals[n]
             vals.append(nxt)
         return np.asarray(vals, dtype=complex)
-    digits = 30 + int(2.2 * (n_max + 1) * math.log10(abs(pol.x) + math.sqrt(pol.x * pol.x - 1.0)))
-    with mp.workdps(digits):
+    with mp.workdps(digits or _recursion_digits(pol.x, n_max)):
         x = mp.mpf(pol.x)
         b = mp.mpf(pol.b)
         vals_mp = [mp.mpf(1)]
@@ -205,6 +210,30 @@ def test_coefficients_match_reference_loops(p):
                     assert_bound_state_close(got.values, ref_coefficients_bound_state(d, eps, n_max, guard))
 
 
+# (params, level, n_max) at which a fixed 30 digits change entries of the
+# recursion vector at a level energy (11 to 43 of them, by up to 4e-16 of
+# max|f|)
+DIGIT_CASES = [
+    (PhysicalParams(z=-1.0, kappa=1, compton=0.5), 1, 50),
+    (PhysicalParams(z=-1.0, kappa=-2, compton=0.5), 2, 50),
+    (PhysicalParams(z=-1.0, kappa=-2, compton=0.5, omega=10.0), 0, 150),
+    (PhysicalParams(z=-1.0, kappa=1, compton=0.05, omega=10.0), 1, 300),
+]
+
+
+@pytest.mark.parametrize("p, level, n_max", DIGIT_CASES, ids=["kappa1_level1", "kappa-2_level2",
+                                                              "kappa-2_omega10_level0", "kappa1_omega10_level1"])
+def test_recursion_digits_match_twenty_more(p, level, n_max):
+    # the growth-scaled precision gives, entry for entry, the vector of the
+    # same pass at 20 more digits; a fixed 30 digits does not
+    d = model.derive(p)
+    eps = spectrum.bound_energy(p, level)
+    x = map_to_pollaczek(d, energy_point(eps)).x
+    got = wavefunction.coefficients_recursion(d, eps, n_max).values
+    assert_same(got, ref_coefficients_recursion(d, eps, n_max, _recursion_digits(x, n_max) + 20))
+    assert not np.array_equal(got, ref_coefficients_recursion(d, eps, n_max, 30))
+
+
 def assert_bound_state_close(got, want):
     # doubles against the 30-digit loop, to 1e-13 of the vector's scale
     assert got.dtype == want.dtype and got.shape == want.shape
@@ -257,6 +286,28 @@ def test_backward_stays_finite_where_doubles_overflow():
         exact = recurrence.backward([mp.mpf(3)] * (top + 1), B, C, top, mp.mpf(0), mp.mpf(1))
         want = [float(v / exact[0]) for v in exact]
     assert max(abs(v / u[0] - w) for v, w in zip(u, want)) <= 1e-15
+
+
+def test_backward_rescaling_is_exact():
+    # u grows by 2.618 a step to ~2^600 at top = 430, so u_{n-1}..u_top are
+    # shrunk once; a power of two keeps every ratio u_n/u_0 of the same pass
+    # started 2^-200 down, which never passes 2^512, bit for bit
+    top = 430
+    A, B, C = [3.0] * (top + 1), [1.0] * (top + 1), [1.0] * (top + 1)
+    got = recurrence.backward(A, B, C, top, 0.0, 1.0)
+    plain = recurrence.backward(A, B, C, top, 0.0, 2.0**-200)
+    assert abs(got[0]) < 2.0**512 < abs(plain[0]) * 2.0**200
+    assert [v / got[0] for v in got] == [v / plain[0] for v in plain]
+
+
+def test_backward_rescales_at_the_step_that_passes_the_bound():
+    # u_{n-1} = 2^300 u_n: a rescale one step late would already overflow
+    # (2^512 * 2^300 * 2^300 > 2^1023); the powers of two stay exact
+    top = 10
+    A, B, C = [2.0**300] * (top + 1), [0.0] * (top + 1), [1.0] * (top + 1)
+    u = recurrence.backward(A, B, C, top, 0.0, 1.0)
+    assert all(math.isfinite(v) for v in u)
+    assert [u[n] / u[0] for n in range(4)] == [2.0 ** (-300 * n) for n in range(4)]
 
 
 def test_residual_of_diverged_doubles_is_inf():

@@ -149,13 +149,25 @@ class TestPochhammer:
             assert lhs == rhs  # same product, evaluated identically
 
     def test_crossover_agreement(self):
-        # both branches near n = 64 must agree to 1e-12 relative
+        # no order takes another path: past the old order-64 crossover to a
+        # log-Gamma difference the value is still the running product
         for c in [2.5, 0.3 + 1.2j, 10.0 - 4.0j]:
             direct = 1.0 + 0.0j
-            for k in range(65):
+            for k in range(150):
                 direct *= c + k
-            via_log = specfun.pochhammer(c, 65)
-            assert abs(via_log - direct) / abs(direct) < 1e-12
+                assert specfun.pochhammer(c, k + 1) == direct
+
+    @pytest.mark.parametrize("c", [1.998749217771909 - 0.07825080450575013j, 1.895512137530155, 2.5, 0.3 + 1.2j,
+                                   10.0 - 4.0j, 1.7 - 0.3j, -2.5 + 0.5j])
+    def test_against_mpmath_rf(self, c):
+        # orders <= 150, as in the closed-form coefficients of the `sweep`
+        # workload (its lam - i phi at eps = 1.3 and 0.9 come first); a
+        # log-Gamma difference is ~2e-13 off here
+        got = specfun.pochhammer(c, np.arange(151))
+        with mp.workdps(40):
+            for n, value in enumerate(got.tolist()):
+                ref = mp.rf(mp.mpc(c), n)
+                assert abs(mp.mpc(value) - ref) <= 2e-14 * abs(ref), n
 
     def test_nonpositive_integer_base_large_n(self):
         assert specfun.pochhammer(-3.0, 100) == 0.0
@@ -174,6 +186,9 @@ class TestPochhammer:
             specfun.pochhammer(1.0, np.arange(200))
         with pytest.raises(OverflowError, match="n=171"):
             specfun.pochhammer(1.0, 171)
+        # the running product stops at order 172, not at the order asked for
+        with pytest.raises(OverflowError, match="n=1000000000000"):
+            specfun.pochhammer(1.0, 10**12)
 
 
 class TestLaguerre:

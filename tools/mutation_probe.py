@@ -41,14 +41,14 @@ MODULE_TESTS = {
     "cli": ["test_cli.py"],
     "errors": ["test_cli.py"],
     "model": ["test_model.py"],
-    "pollaczek": ["test_pollaczek.py"],
+    "pollaczek": ["test_pollaczek.py", "test_scattering.py"],
     "recurrence": ["test_recurrence.py", "test_recurrence_properties.py"],
     "resolvent": ["test_resolvent.py", "test_resolvent_properties.py"],
     "scattering": ["test_scattering.py"],
     "specfun": ["test_specfun.py"],
     "spectrum": ["test_spectrum.py", "test_acceptance.py"],
     # the pinned digests only: the workflow-version test reads .github, which the copy leaves out
-    "wavefunction": ["test_wavefunction.py", "test_merged_forms.py",
+    "wavefunction": ["test_wavefunction.py", "test_merged_forms.py", "test_recurrence.py",
                      "test_cli_digests.py::test_outputs_match_pinned_digests"],
 }
 MODULE_TESTS = {module: files + ["test_argument_checks.py"] for module, files in MODULE_TESTS.items()}
