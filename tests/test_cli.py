@@ -203,6 +203,17 @@ class TestDensityCommand:
         rho = np.array([float(r[2]) for r in rows])
         assert abs(np.trapezoid(rho, xs) - 1.0) < 0.02
 
+    def test_underflowed_density_is_positive_zero(self, capsys):
+        # far from the spectrum rho ~ eta / (pi x^2) underflows and Im G
+        # comes back +0: the data file says 0, not -0
+        base = ["density", "--z", "-1", "--kappa", "1", "--compton", "0.02", "--eps", "1.25", "--eta", "1e-3"]
+        code, out, _ = run_cli(capsys, *base, "--x-grid", "1e300", "1e300", "1")
+        assert code == 0
+        assert out.strip().split("\n")[1].split(",")[2] == "0.0000000000000000e+00"
+        code, out, _ = run_cli(capsys, *base, "--x-grid", "1e200", "1e200", "1", "--format", "json")
+        assert code == 0
+        assert '"rho": 0.0' in out and "-0.0" not in out
+
 
 class TestVerifyCommand:
     def test_tridiagonality_reported(self, capsys):

@@ -147,7 +147,8 @@ class TestExactPollaczekGreenFunction:
     with the fraction: a_0 and b_0 are written out from the docstring of
     `jacobi_coefficients`.  Tolerances: the fraction at tol 1e-14 within
     1e-12 |G|; densities at the Lentz tol 1e-9 within 1e-8 |G| / pi; the
-    fixed-depth grid at its default depth within 1e-10 |G| / pi."""
+    terminated fixed-depth grid at its default depth within 1e-12 |G| / pi
+    (worst measured 3.5e-14, at eta = 1e-3)."""
 
     SETS = [(2.0, 8.9e-4), (1.6, -0.2), (0.6, 0.3), (1.0, -0.6), (2.3, 0.5)]
     ETAS = [0.5, 0.05, 0.01, 1e-3]  # 1e-3 is the `density` default
@@ -181,8 +182,8 @@ class TestExactPollaczekGreenFunction:
         est = resolvent.green_function(self.coeffs(lam, b), z, tol=1e-14)
         assert abs(est.value - exact) <= 1e-12 * abs(exact)
 
-    @pytest.mark.parametrize("eta", ETAS)
-    @pytest.mark.parametrize("lam, b", SETS[:3])
+    @pytest.mark.parametrize("eta", ETAS + [1e-4])
+    @pytest.mark.parametrize("lam, b", SETS)
     def test_densities(self, lam, b, eta):
         coeffs = self.coeffs(lam, b)
         grid = resolvent.spectral_density_grid(coeffs, self.XS, eta)
@@ -190,7 +191,7 @@ class TestExactPollaczekGreenFunction:
             exact = self.exact(lam, b, complex(x, eta))
             scale = abs(exact) / math.pi
             assert abs(resolvent.spectral_density(coeffs, x, eta) + exact.imag / math.pi) <= 1e-8 * scale
-            assert abs(rho_grid + exact.imag / math.pi) <= 1e-10 * scale
+            assert abs(rho_grid + exact.imag / math.pi) <= 1e-12 * scale
 
     @pytest.mark.parametrize("eta", ETAS)
     @pytest.mark.parametrize("charge, kappa, compton, eps", [(-1.0, 1, 0.02, 1.25), (-1.0, -2, 0.05, 1.3),
@@ -201,6 +202,63 @@ class TestExactPollaczekGreenFunction:
         rho_x, _ = resolvent.energy_density(d, eps, eta)
         exact = self.exact(pol.lam, pol.b, complex(pol.x, eta))
         assert abs(rho_x + exact.imag / math.pi) <= 1e-8 * abs(exact) / math.pi
+
+
+class TestTerminatedFraction:
+    """On a constant chain a_n = a, b_n = b the tail below every level is
+    the attracting fixed point that `spectral_density_grid` puts below its
+    deepest level, so the terminated fraction is exact at any depth >= 2:
+    G = (w - sqrt(w - 2b) sqrt(w + 2b)) / (2 b^2), w = z - a, on the branch
+    Im G <= 0, written 2 / (w + sqrt(w - 2b) sqrt(w + 2b)) to keep its
+    digits where |w| >> b.  Tolerance 1e-13 |G| / pi, the error the
+    default depth rule allows; worst measured 1.4e-14 (D = 1000, eta =
+    1e-6, at the band centre)."""
+
+    CHAINS = [(0.3, 0.5), (-1.2, 2.0)]
+    OFFSETS = np.array([-3.0, -2.0, -1.9, -0.5, 0.0, 0.7, 1.99, 2.0, 5.0])  # x = a + b * offset
+
+    @staticmethod
+    def chain(a, b):
+        return model.RecursionCoefficients(diag=lambda n: a + 0.0 * n, offdiag=lambda n: b + 0.0 * n)
+
+    @pytest.mark.parametrize("eta", [0.3, 1e-3, 1e-6])
+    @pytest.mark.parametrize("depth", [2, 3, 50, 1000, 4100])
+    @pytest.mark.parametrize("a, b", CHAINS)
+    def test_constant_chain_is_exact(self, a, b, depth, eta):
+        xs = a + b * self.OFFSETS
+        got = resolvent.spectral_density_grid(self.chain(a, b), xs, eta, depth=depth)
+        for x, rho in zip(xs, got):
+            w = complex(x, eta) - a
+            exact = 2.0 / (w + cmath.sqrt(w - 2.0 * b) * cmath.sqrt(w + 2.0 * b))
+            assert exact.imag <= 0.0
+            assert abs(rho + exact.imag / math.pi) <= 1e-13 * abs(exact) / math.pi, (x, rho, exact)
+
+    def test_depth_one_is_the_first_level(self):
+        # level 0 has no s of its own to build a terminator from
+        coeffs = self.chain(0.3, 0.5)
+        xs = np.array([-0.4, 0.3, 2.0])
+        want = -resolvent.green_function_truncated(coeffs, xs + 1e-3j, 1).imag / math.pi
+        assert np.array_equal(resolvent.spectral_density_grid(coeffs, xs, 1e-3, depth=1), want)
+
+    # one chunk, short padded chunks, group edges, and a group of one padded chunk below full ones
+    DEPTHS = [2, 3, 4, 54, 56, 166, 513, 1000, 1500, 4100, 8001]
+
+    @pytest.mark.parametrize("depth", DEPTHS)
+    def test_matches_per_level_sweep(self, depth):
+        # families whose levels differ, so the terminator must be built
+        # from level depth - 1 and no other
+        grids = {"wave": (np.linspace(-3.0, 8.0, 120), 0.02), "pollaczek": (np.linspace(-0.99, 0.99, 99), 1e-3)}
+        for family, coeffs in _truncation_families().items():
+            xs, eta = grids[family]
+            got = resolvent.spectral_density_grid(coeffs, xs, eta, depth=depth)
+            want = _truncated_per_level(coeffs, xs + 1j * eta, depth, terminated=True)
+            assert np.max(np.abs(got + want.imag / math.pi) / np.abs(want)) <= TRUNCATION_RTOL[family], family
+
+    def test_underflowed_density_is_positive_zero(self):
+        # far from the spectrum rho ~ eta / (pi x^2) underflows and Im G comes back +0
+        coeffs = pollaczek.jacobi_coefficients(pollaczek.PollaczekParams(lam=1.6, b=-0.2))
+        rho = resolvent.spectral_density_grid(coeffs, [1e200, 1e300, -1e300], 1e-3)
+        assert np.array_equal(rho, np.zeros(3)) and not np.signbit(rho).any()
 
 
 class TestCasoratian:
@@ -255,12 +313,12 @@ class TestSpectralDensity:
         assert abs(vals[2] - vals[1]) / vals[2] < 0.10
 
     def test_default_depth_is_limited(self):
-        # the default depth is 15/eta levels: 1.5e10 at eta = 1e-9, hours of work
+        # the default depth is 6/eta levels: 6e9 at eta = 1e-9, hours of work
         coeffs = pollaczek.jacobi_coefficients(pollaczek.PollaczekParams(lam=1.6, b=-0.2))
         assert resolvent.MAX_DEFAULT_DEPTH == 2_000_000
-        with pytest.raises(ValueError, match=r"eta=1e-09 needs a default depth of 1.5e\+10 levels"):
+        with pytest.raises(ValueError, match=r"eta=1e-09 needs a default depth of 6e\+09 levels"):
             resolvent.spectral_density_grid(coeffs, [0.3], 1e-9)
-        limit_eta = 15.0 / resolvent.MAX_DEFAULT_DEPTH
+        limit_eta = 6.0 / resolvent.MAX_DEFAULT_DEPTH
         with pytest.raises(ValueError, match="above the limit"):
             resolvent.spectral_density_grid(coeffs, [0.3], 0.999 * limit_eta, depth=None)
         # an explicit depth is not limited by it
@@ -416,10 +474,17 @@ def _check_stop(coeffs, z, tol, lentz_depth=None, max_depth=200_000):
     return est
 
 
-def _truncated_per_level(coeffs, z, depth):
-    """The former per-level backward sweep."""
+def _truncated_per_level(coeffs, z, depth, terminated=False):
+    """The former per-level backward sweep; when `terminated`, started from
+    the tail t = s / (w - t) of level depth - 1, w = z - a_{depth-1},
+    s = b_{depth-2}^2: the root of t^2 - w t + s = 0 of smaller modulus, s
+    over the larger one."""
     zs = np.asarray(z, dtype=complex)
     tail = np.zeros_like(zs)
+    if terminated and depth >= 2:
+        w, s = zs - coeffs.diag(depth - 1), coeffs.offdiag(depth - 2) ** 2
+        d = np.sqrt(w * w - 4.0 * s)
+        tail = s / np.where(np.abs(w + d) >= np.abs(w - d), (w + d) / 2, (w - d) / 2)
     for k in range(depth - 1, 0, -1):
         bk = coeffs.offdiag(k - 1)
         tail = bk * bk / (zs - coeffs.diag(k) - tail)

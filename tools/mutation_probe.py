@@ -43,7 +43,8 @@ MODULE_TESTS = {
     "model": ["test_model.py"],
     "pollaczek": ["test_pollaczek.py", "test_scattering.py"],
     "recurrence": ["test_recurrence.py", "test_recurrence_properties.py"],
-    "resolvent": ["test_resolvent.py", "test_resolvent_properties.py"],
+    "resolvent": ["test_resolvent.py", "test_resolvent_properties.py",
+                  "test_cli_digests.py::test_outputs_match_pinned_digests"],
     "scattering": ["test_scattering.py"],
     "specfun": ["test_specfun.py"],
     "spectrum": ["test_spectrum.py", "test_acceptance.py"],
