@@ -61,7 +61,7 @@ print("\n" + "=" * 72)
 print("Density over the polynomial argument at fixed energy (bounded band)")
 print("=" * 72)
 eps = 1.25
-pol = model.map_to_pollaczek(d, model.energy_point(eps))
+pol = model.map_to_pollaczek(d, eps)
 params = pollaczek.PollaczekParams(lam=pol.lam, b=pol.b)
 xj = pollaczek.jacobi_coefficients(params)
 xs = np.linspace(-0.98, 0.98, 197)

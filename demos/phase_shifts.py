@@ -35,7 +35,7 @@ print("Asymptotic approximant vs exact recursion values")
 print("=" * 72)
 eps = float(grid[2])
 d = model.derive(p)
-pol = model.map_to_pollaczek(d, model.energy_point(eps))
+pol = model.map_to_pollaczek(d, eps)
 params = pollaczek.PollaczekParams(lam=pol.lam, b=pol.b)
 seq = pollaczek.to_orthonormal(pollaczek.evaluate(params, pol.x, 4100))
 vals = np.asarray(seq.values)

@@ -28,7 +28,7 @@ for n in (0, 1, 2, 3, 5, 8):
     print(f"    |f_{n}| = {mags[n]:.3e}")
 
 r = np.arange(0.5, 30.0, 0.01)
-phi_plus, phi_minus = wavefunction.spinor(coeffs, d, eps0, r, 64)
+phi_plus, phi_minus = wavefunction.spinor(coeffs, d, r, 64)
 peak = r[np.argmax(np.abs(phi_plus))]
 ratio = np.max(np.abs(phi_minus)) / np.max(np.abs(phi_plus))
 print(f"\n  Upper component peaks near r = {peak:.2f} Bohr radii")
@@ -37,7 +37,7 @@ print(f"  Lower/upper amplitude ratio: {ratio:.4f}  (~ Compton scale, as it shou
 residual = wavefunction.schrodinger_residual(phi_plus, r, d, eps0)
 print(f"\n  Second-order radial equation residual on the grid: {residual:.3e}")
 
-coupled = wavefunction.coupled_system_residual(coeffs, d, eps0, np.array([0.8, 1.5, 3.0, 6.0]), 64)
+coupled = wavefunction.coupled_system_residual(coeffs, d, np.array([0.8, 1.5, 3.0, 6.0]), 64)
 print(f"  Original coupled first-order system residual (after un-rotating): {coupled:.3e}")
 
 print("\n" + "=" * 72)
@@ -51,7 +51,7 @@ print("Tridiagonality of the wave-operator matrix (N = 20)")
 print("=" * 72)
 for eps in (eps0, 1.3):
     rep = wavefunction.verify_tridiagonal(d, eps, 20)
-    kind = "bound " if abs(eps) < 1 else "scatt."
+    kind = "bound " if model.regime(eps) is model.Regime.BOUND else "scatt."
     print(
         f"\n  eps = {eps:.6f} ({kind}): off-band ratio {rep.offband_ratio:.2e}, "
         f"diagonal dev {rep.diag_deviation:.2e}, off-diagonal dev {rep.offdiag_deviation:.2e}"

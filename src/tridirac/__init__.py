@@ -17,22 +17,20 @@ from . import model, pollaczek, recurrence, resolvent, scattering, specfun, spec
 from .model import (
     FINE_STRUCTURE,
     DerivedParams,
-    EnergyPoint,
     PhysicalParams,
     Regime,
     derive,
-    energy_point,
+    regime,
 )
 
 __all__ = [
     "__version__",
     "FINE_STRUCTURE",
     "DerivedParams",
-    "EnergyPoint",
     "PhysicalParams",
     "Regime",
     "derive",
-    "energy_point",
+    "regime",
     "model",
     "pollaczek",
     "recurrence",

@@ -68,16 +68,16 @@ def _grid(flag: str, spec, positive: bool = False) -> np.ndarray:
 
 def _off_threshold(args) -> float:
     """--eps of a single-energy command that is undefined at |eps| = 1
-    (density, wavefunction): ThresholdError where `model.energy_point`
-    puts it at the threshold, as coefficients and phase-shift raise."""
-    if model.energy_point(args.eps).regime is model.Regime.THRESHOLD:
+    (density, wavefunction): ThresholdError where `model.regime` puts it
+    at the threshold, as coefficients and phase-shift raise."""
+    if model.regime(args.eps) is model.Regime.THRESHOLD:
         raise ThresholdError(f"{args.command} undefined at |eps| = 1")
     return args.eps
 
 
 def _eps_grid(args, regimes=(model.Regime.BOUND, model.Regime.SCATTERING)):
     """The energies of --eps, or of --eps-grid.  A grid that crosses
-    |eps| = 1, or has an end that `model.energy_point` puts at the
+    |eps| = 1, or has an end that `model.regime` puts at the
     threshold, needs --split, and --split drops every grid point whose
     regime is not in `regimes` (the threshold points always)."""
     if getattr(args, "eps", None) is not None:
@@ -85,12 +85,12 @@ def _eps_grid(args, regimes=(model.Regime.BOUND, model.Regime.SCATTERING)):
     start, stop, _ = args.eps_grid
     grid = list(_grid("--eps-grid", args.eps_grid))
     ends = {math.copysign(1.0, v) for v in (start, stop)
-            if model.energy_point(v).regime is model.Regime.THRESHOLD}
+            if model.regime(v) is model.Regime.THRESHOLD}
     crossings = sorted(ends.union(t for t in (-1.0, 1.0) if (start - t) * (stop - t) < 0))
     if crossings and not args.split:
         raise DomainError(f"energy grid crosses or ends at |eps| = 1 at {crossings}; rerun with --split")
     if args.split:
-        grid = [eps for eps in grid if model.energy_point(eps).regime in regimes]
+        grid = [eps for eps in grid if model.regime(eps) in regimes]
     return grid
 
 
@@ -238,8 +238,7 @@ def _cmd_green(args) -> None:
 def _cmd_density(args) -> None:
     p = _physical_params(args)
     d = model.derive(p)
-    e = model.energy_point(_off_threshold(args))
-    pol = model.map_to_pollaczek(d, e)
+    pol = model.map_to_pollaczek(d, _off_threshold(args))
     params = pollaczek.PollaczekParams(lam=pol.lam, b=pol.b)
     coeffs = pollaczek.jacobi_coefficients(params)
     xs = _grid("--x-grid", args.x_grid)
@@ -255,11 +254,11 @@ def _cmd_wavefunction(args) -> None:
     # bound regime: the square-summable vector (backward generator), so a
     # user-rounded level energy still yields the physical state; the
     # forward recursion is the scattering-regime evaluator
-    if abs(eps) < 1.0:
+    if model.regime(eps) is model.Regime.BOUND:
         coeffs = wavefunction.coefficients_bound_state(d, eps, args.trunc)
     else:
         coeffs = wavefunction.coefficients_recursion(d, eps, args.trunc)
-    phi_plus, phi_minus = wavefunction.spinor(coeffs, d, eps, r, args.trunc)
+    phi_plus, phi_minus = wavefunction.spinor(coeffs, d, r, args.trunc)
     _emit(args, {"r": r, "phi_plus": phi_plus, "phi_minus": phi_minus})
 
 

@@ -1,13 +1,18 @@
 """Physical parameterization of the relativistic Coulomb problem.
 
 Holds the experiment's knobs (charge coupling Z, spin-orbit number kappa,
-Compton length, Laguerre scale omega), the derived constants, the map
-from an energy to the Pollaczek parameter set, the angle/phase pair that
-controls the polynomial asymptotics, the spinor rotation that uncouples
-the radial system, and the discrete symmetry maps.
+Compton length, Laguerre scale omega), the derived constants, the regime
+of an energy, the map from an energy to the Pollaczek parameter set, the
+angle/phase pair that controls the polynomial asymptotics, the spinor
+rotation that uncouples the radial system, and the discrete symmetry
+maps.
 
 Units: energies are eps = E/mc^2 (dimensionless), lengths are Bohr radii,
 so the physical Compton length equals the fine-structure constant.
+Energies are plain floats.  `regime` is the one place that compares
+|eps| with 1: every operation that needs a bound or a scattering energy
+asks it, so all of them put the threshold band |eps| = 1 +- 1e-15 on the
+same side.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ import numpy as np
 
 from .errors import (
     ConfigError,
+    DomainError,
     SingularMapError,
     SupercriticalError,
     ThresholdError,
@@ -30,17 +36,17 @@ from .errors import (
 __all__ = [
     "PhysicalParams",
     "DerivedParams",
-    "EnergyPoint",
     "Regime",
     "RecursionCoefficients",
     "PollaczekMap",
     "AngleParameters",
     "FINE_STRUCTURE",
+    "THRESHOLD_TOL",
     "derive",
-    "energy_point",
+    "regime",
+    "check_regime",
     "eps_sq_minus_one",
     "map_to_pollaczek",
-    "angle_map",
     "theta_phi",
     "scattering_angles",
     "recursion_coefficients",
@@ -52,7 +58,7 @@ __all__ = [
 
 FINE_STRUCTURE = 7.2973525693e-3  # CODATA alpha; the physical Compton length in Bohr radii
 
-_THRESHOLD_TOL = 1e-15
+THRESHOLD_TOL = 1e-15  # half-width of the threshold band around |eps| = 1
 
 
 @dataclass(frozen=True)
@@ -107,12 +113,6 @@ class Regime(Enum):
     BOUND = "bound"
     SCATTERING = "scattering"
     THRESHOLD = "threshold"
-
-
-@dataclass(frozen=True)
-class EnergyPoint:
-    eps: float
-    regime: Regime
 
 
 @dataclass(frozen=True)
@@ -187,12 +187,24 @@ def derive(params: PhysicalParams) -> DerivedParams:
     )
 
 
-def energy_point(eps: float) -> EnergyPoint:
-    """Classify a dimensionless energy into its regime."""
-    if abs(abs(eps) - 1.0) <= _THRESHOLD_TOL:
-        return EnergyPoint(eps=eps, regime=Regime.THRESHOLD)
-    regime = Regime.BOUND if abs(eps) < 1.0 else Regime.SCATTERING
-    return EnergyPoint(eps=eps, regime=regime)
+def regime(eps: float) -> Regime:
+    """The regime of a dimensionless energy: THRESHOLD within 1e-15 of
+    |eps| = 1, BOUND below that band and SCATTERING above it (a NaN is
+    SCATTERING)."""
+    if abs(abs(eps) - 1.0) <= THRESHOLD_TOL:
+        return Regime.THRESHOLD
+    return Regime.BOUND if abs(eps) < 1.0 else Regime.SCATTERING
+
+
+def check_regime(eps: float, wanted: Regime, what: str) -> None:
+    """Refuse an energy outside the regime `wanted` (BOUND or SCATTERING)
+    of the operation `what`: ThresholdError in the threshold band,
+    DomainError in the other regime."""
+    energy_regime = regime(eps)
+    if energy_regime is Regime.THRESHOLD:
+        raise ThresholdError(f"{what} undefined at |eps| = 1")
+    if energy_regime is not wanted:
+        raise DomainError(f"{what} needs |eps| {'<' if wanted is Regime.BOUND else '>'} 1")
 
 
 def eps_sq_minus_one(eps: float) -> float:
@@ -200,26 +212,38 @@ def eps_sq_minus_one(eps: float) -> float:
     return (eps - 1.0) * (eps + 1.0)
 
 
-def map_to_pollaczek(d: DerivedParams, e: EnergyPoint) -> PollaczekMap:
+def map_to_pollaczek(d: DerivedParams, eps: float) -> PollaczekMap:
     """The energy-to-Pollaczek identification:
     x = (eps^2-1-beta^2)/(eps^2-1+beta^2),
     b = -alpha*eps/(eps^2-1+beta^2), lam = gamma_eff + 1."""
-    s = eps_sq_minus_one(e.eps)
+    s = eps_sq_minus_one(eps)
     den = s + d.beta * d.beta
     # relative cutoff: below it the map loses all significant digits
     if abs(den) <= 1e-12 * (abs(s) + d.beta * d.beta):
-        raise SingularMapError(f"eps^2 = 1 - beta^2 at eps={e.eps}")
+        raise SingularMapError(f"eps^2 = 1 - beta^2 at eps={eps}")
     x = (s - d.beta * d.beta) / den
-    b = -d.alpha * e.eps / den
+    b = -d.alpha * eps / den
     return PollaczekMap(x=x, b=b, lam=d.gamma_eff + 1.0)
 
 
-def angle_map(x: float, b: float) -> AngleParameters:
-    """theta with cos(theta) = x, e^{i theta} and phi = b/sin(theta)
-    at a real x with |x| != 1, for `theta_phi`.  |x| < 1: theta = acos(x).
-    |x| > 1: e^{i theta} = x + sqrt(x^2-1) (positive root), so
-    |e^{i theta}| > 1 for x > 1 ("bound_right") and < 1 for x < -1
-    ("bound_left"), and sin(theta) = -i sqrt(x^2-1) on both."""
+def theta_phi(d: DerivedParams, eps: float) -> AngleParameters:
+    """theta with cos(theta) = x, e^{i theta} and phi = b/sin(theta) at
+    the energy's Pollaczek argument x and shift b.  |x| < 1:
+    theta = acos(x).  |x| > 1: e^{i theta} = x + sqrt(x^2-1) (positive
+    root), so |e^{i theta}| > 1 for x > 1 ("bound_right") and < 1 for
+    x < -1 ("bound_left"), and sin(theta) = -i sqrt(x^2-1) on both.
+
+    Raises ThresholdError in the threshold band of `regime` and
+    SingularMapError where x rounds onto the band edge |x| = 1 (eps
+    extreme), where sin(theta) = 0 and the phase decomposition
+    degenerates.
+    """
+    if regime(eps) is Regime.THRESHOLD:
+        raise ThresholdError("theta/phi undefined at |eps| = 1")
+    pol = map_to_pollaczek(d, eps)
+    x, b = pol.x, pol.b
+    if abs(x) == 1.0:
+        raise SingularMapError(f"polynomial argument degenerate at x={x} (eps={eps})")
     if abs(x) > 1.0:
         root = math.sqrt(x * x - 1.0)
         w = x + root  # real; in (-1,0) for x < -1, above 1 for x > 1
@@ -231,21 +255,6 @@ def angle_map(x: float, b: float) -> AngleParameters:
     phi = b / math.sin(theta)
     return AngleParameters(theta=complex(theta), phi=complex(phi), exp_i_theta=cmath.exp(1j * theta),
                            branch="scattering")
-
-
-def theta_phi(d: DerivedParams, e: EnergyPoint) -> AngleParameters:
-    """`angle_map` at the energy's Pollaczek argument x and shift b.
-
-    Raises ThresholdError at |eps| = 1 and SingularMapError where x rounds
-    onto the band edge |x| = 1 (eps extreme), where sin(theta) = 0 and the
-    phase decomposition degenerates.
-    """
-    if e.regime is Regime.THRESHOLD:
-        raise ThresholdError("theta/phi undefined at |eps| = 1")
-    pol = map_to_pollaczek(d, e)
-    if abs(pol.x) == 1.0:
-        raise SingularMapError(f"polynomial argument degenerate at x={pol.x} (eps={e.eps})")
-    return angle_map(pol.x, pol.b)
 
 
 def scattering_angles(d: DerivedParams, eps) -> AngleParameters:
@@ -328,10 +337,10 @@ def rotation_angle(d: DerivedParams) -> float:
     return math.atan2(d.compton * d.z / d.kappa, d.gamma / d.kappa)
 
 
-def negative_energy_map(p: PhysicalParams, e: EnergyPoint | None = None):
+def negative_energy_map(p: PhysicalParams, eps: float | None = None):
     """Map to the partner problem: Z -> -Z, kappa -> -kappa, eps -> -eps;
-    the partner's spinor components are exchanged.  Applying the map
+    the partner's spinor components are exchanged.  Returns the partner's
+    (PhysicalParams, eps), eps None when none is given.  Applying the map
     twice is the identity."""
     mapped = PhysicalParams(z=-p.z, kappa=-p.kappa, compton=p.compton, omega=p.omega)
-    mapped_e = None if e is None else EnergyPoint(eps=-e.eps, regime=e.regime)
-    return mapped, mapped_e
+    return mapped, None if eps is None else -eps

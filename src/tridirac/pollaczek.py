@@ -114,7 +114,7 @@ def phase_parameter(params: PollaczekParams, theta):
     """phi(theta) = b / sin(theta), elementwise: theta
     real or complex, a scalar or an ndarray.  The phi of
     scattering_amplitude_phase and scattering.fit_asymptotics
-    (model.angle_map gives it from x)."""
+    (model.theta_phi gives it from x)."""
     return params.b / np.sin(theta)
 
 

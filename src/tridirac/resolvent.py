@@ -50,7 +50,7 @@ import numpy as np
 
 from . import pollaczek, recurrence
 from .errors import NoConvergence, SpectrumProximity
-from .model import DerivedParams, RecursionCoefficients, energy_point, eps_sq_minus_one, map_to_pollaczek
+from .model import DerivedParams, RecursionCoefficients, eps_sq_minus_one, map_to_pollaczek
 
 __all__ = [
     "ResolventEstimate",
@@ -456,7 +456,7 @@ def energy_density(d: DerivedParams, eps: float, eta: float) -> tuple[float, flo
         |dx/d eps| = 4 |eps| beta^2 / (s + beta^2)^2.
 
     Returns (rho_x at x(eps), rho_eps)."""
-    pol = map_to_pollaczek(d, energy_point(eps))
+    pol = map_to_pollaczek(d, eps)
     params = pollaczek.PollaczekParams(lam=pol.lam, b=pol.b)
     rho_x = spectral_density(pollaczek.jacobi_coefficients(params), pol.x, eta, tol=1e-9)
     beta_sq = d.beta * d.beta

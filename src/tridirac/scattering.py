@@ -12,8 +12,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import pollaczek
-from .errors import DomainError, FitError, SingularMapError, ThresholdError
-from .model import PhysicalParams, Regime, derive, energy_point, scattering_angles
+from .errors import FitError, SingularMapError
+from .model import THRESHOLD_TOL, PhysicalParams, Regime, check_regime, derive, scattering_angles
 
 __all__ = [
     "PhaseShiftResult",
@@ -54,17 +54,6 @@ class FitResult:
     residual: float
 
 
-def _check_regime(energies: np.ndarray) -> None:
-    # the first energy (in order) outside the scattering regime raises;
-    # only |eps| <= 1 + 1e-14, a superset of the threshold band, can be one
-    for eps in energies[~(np.abs(energies) > 1.0 + 1e-14)].tolist():
-        regime = energy_point(eps).regime
-        if regime is Regime.THRESHOLD:
-            raise ThresholdError("phase shift undefined at |eps| = 1")
-        if regime is not Regime.SCATTERING:
-            raise DomainError("phase shift needs |eps| > 1")
-
-
 def _check_finite(name: str, values: np.ndarray, energies: np.ndarray) -> None:
     bad = ~np.isfinite(values)
     if bad.any():
@@ -82,13 +71,16 @@ def phase_shift(p: PhysicalParams, eps) -> PhaseShiftResult:
 
     Elementwise: a float eps gives a result of floats; a float ndarray of
     energies gives one result of ndarrays, from one `derive`.  Raises
-    ThresholdError or DomainError for the first energy at |eps| = 1 or
-    below it, and SingularMapError when theta leaves (0, pi) or phi, psi
+    ThresholdError or DomainError for the first energy that
+    `model.regime` puts at the threshold or below it, and SingularMapError when theta leaves (0, pi) or phi, psi
     or the amplitude is not finite (|eps| so large that eps^2 or the
     amplitude overflows).
     """
     energies = np.atleast_1d(np.asarray(eps, dtype=float))
-    _check_regime(energies)
+    # |eps| - 1 > THRESHOLD_TOL is model.regime's SCATTERING: the others
+    # (and NaN) go through check_regime, in order
+    for energy in energies[~(np.abs(energies) - 1.0 > THRESHOLD_TOL)].tolist():
+        check_regime(energy, Regime.SCATTERING, "phase shift")
     d = derive(p)
     angles = scattering_angles(d, energies)
     inside = (0.0 < angles.theta) & (angles.theta < math.pi)

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import recurrence
-from .errors import DomainError, RepulsiveError, ThresholdError
-from .model import (DerivedParams, PhysicalParams, Regime, derive, energy_point, growth_rate, map_to_pollaczek,
+from .errors import DomainError, RepulsiveError
+from .model import (DerivedParams, PhysicalParams, Regime, check_regime, derive, growth_rate, map_to_pollaczek,
                     negative_energy_map, wave_rows)
 
 __all__ = [
@@ -92,10 +92,7 @@ def quantization_condition(d: DerivedParams, eps: float) -> float:
     levels exponentially close to threshold keep full precision.
     """
     _check_attractive(d.z)
-    if energy_point(eps).regime is Regime.THRESHOLD:
-        raise ThresholdError("quantization condition undefined at |eps| = 1")
-    if abs(eps) > 1.0:
-        raise DomainError("quantization condition is a bound-regime quantity")
+    check_regime(eps, Regime.BOUND, "quantization condition")
     root = math.sqrt((1.0 - eps) * (1.0 + eps))
     return d.gamma_eff + 1.0 + d.compton * d.z * eps / root
 
@@ -134,11 +131,12 @@ def minimal_solution_defect(d: DerivedParams, eps: float, n_probe: int) -> float
     the local growth rate (capped at 100000 steps, which resolves levels
     whose growth ratio exceeds ~1 + 1e-4; energies even closer to the
     threshold are outside the detector's resolvable range).  The pass is
-    `recurrence.backward` in doubles; a vanishing f_0 scores inf.
+    `recurrence.backward` in doubles; a vanishing f_0 scores inf.  Raises
+    ThresholdError in the threshold band of `model.regime` and DomainError
+    above it, as `quantization_condition` does.
     """
-    if abs(eps) >= 1.0:
-        raise DomainError("minimal-solution probing needs |eps| < 1")
-    pol = map_to_pollaczek(d, energy_point(eps))
+    check_regime(eps, Regime.BOUND, "minimal-solution probing")
+    pol = map_to_pollaczek(d, eps)
     w = growth_rate(pol.x)  # per-step solution ratio is w^2
     guard = max(40, min(100_000, int(10.0 / math.log(max(w, 1.0 + 1e-12))) + 40))
     top = n_probe + guard

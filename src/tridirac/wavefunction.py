@@ -38,8 +38,8 @@ import mpmath as mp
 import numpy as np
 
 from . import recurrence, specfun
-from .errors import DomainError, GridError, KineticBalanceSingular
-from .model import (DerivedParams, Regime, energy_point, eps_sq_minus_one, growth_rate, map_to_pollaczek,
+from .errors import GridError, KineticBalanceSingular
+from .model import (DerivedParams, Regime, check_regime, eps_sq_minus_one, growth_rate, map_to_pollaczek,
                     recursion_coefficients, rotation_angle, spinor_rotation, theta_phi, wave_rows)
 
 __all__ = [
@@ -160,8 +160,7 @@ def coefficients_recursion(d: DerivedParams, eps: float, n_max: int) -> Coeffici
     genuinely grows past n ~ |log ulp| / (2 log growth).  Use
     coefficients_bound_state for the square-summable eigenvector.
     """
-    e = energy_point(eps)
-    pol = map_to_pollaczek(d, e)
+    pol = map_to_pollaczek(d, eps)
     extended = abs(pol.x) > 1.0
     num = mp.mpf if extended else float
     digits = 30 + int(2.2 * (n_max + 1) * math.log10(growth_rate(pol.x)))
@@ -184,12 +183,11 @@ def coefficients_bound_state(d: DerivedParams, eps: float, n_max: int, guard: in
     that admixture instead of amplifying it and is insensitive to the
     seed beyond the guard range.  It is stable in doubles: where
     a_n x + b cancels, the rounding of x and b costs the same digits at
-    any working precision.
+    any working precision.  Raises ThresholdError in the threshold band of
+    `model.regime` and DomainError above it.
     """
-    e = energy_point(eps)
-    if e.regime is not Regime.BOUND:
-        raise DomainError("bound-state coefficients need |eps| < 1")
-    pol = map_to_pollaczek(d, e)
+    check_regime(eps, Regime.BOUND, "bound-state vector")
+    pol = map_to_pollaczek(d, eps)
     top = n_max + guard
     A, B, C = wave_rows(d, pol.x, pol.b, top + 1)
     f = np.asarray(recurrence.backward(A, B, C, top, 0.0, 1.0)[: n_max + 1], dtype=complex)
@@ -214,9 +212,8 @@ def coefficients_closed_form(d: DerivedParams, eps: float, n_max: int) -> Coeffi
     the physical parameter range this happens only at exact quantization
     points), and OverflowError once a factor leaves the double range.
     """
-    e = energy_point(eps)
-    pol = map_to_pollaczek(d, e)
-    ang = theta_phi(d, e)
+    pol = map_to_pollaczek(d, eps)
+    ang = theta_phi(d, eps)
     lam = pol.lam
     w = ang.exp_i_theta
     z = 1.0 / (w * w)
@@ -266,10 +263,10 @@ def _kinetic_balance(d: DerivedParams, eps: float, r, phi, dphi):
     return d.compton / denom * ((-d.z / d.kappa + d.gamma / r) * phi + dphi)
 
 
-def spinor(coeffs: CoefficientVector, d: DerivedParams, eps: float, r_grid, n_trunc: int):
+def spinor(coeffs: CoefficientVector, d: DerivedParams, r_grid, n_trunc: int):
     """(phi+, phi-) on the grid from one basis pass: the truncated
     expansion phi+ = sum_{n<n_trunc} f_n zeta_n and the lower component
-    from the kinetic-balance relation
+    at eps = coeffs.eps from the kinetic-balance relation
 
         phi- = [compton/(eps + gamma/kappa)] (-Z/kappa + gamma/r + d/dr) phi+,
 
@@ -280,16 +277,15 @@ def spinor(coeffs: CoefficientVector, d: DerivedParams, eps: float, r_grid, n_tr
     """
     r = np.asarray(r_grid, dtype=float)
     phi_plus, dphi, _ = _expansion(coeffs.values, d.gamma_eff, d.omega, r, n_trunc)
-    return phi_plus, _kinetic_balance(d, eps, r, phi_plus, dphi)
+    return phi_plus, _kinetic_balance(d, coeffs.eps, r, phi_plus, dphi)
 
 
-def lower_component(coeffs: CoefficientVector, d: DerivedParams, eps: float, r_grid,
-                    n_trunc: int | None = None):
+def lower_component(coeffs: CoefficientVector, d: DerivedParams, r_grid, n_trunc: int | None = None):
     """The phi- half of spinor, over the whole vector by default; a float
     for a scalar r."""
     if n_trunc is None:
         n_trunc = len(coeffs)
-    _, out = spinor(coeffs, d, eps, r_grid, n_trunc)
+    _, out = spinor(coeffs, d, r_grid, n_trunc)
     return float(out) if np.ndim(r_grid) == 0 else out
 
 
@@ -359,7 +355,7 @@ def verify_tridiagonal(d: DerivedParams, eps: float, n_basis: int) -> Tridiagona
     offband_ratio = float(np.max(np.abs(offband)) / np.max(np.abs(tri)))
 
     # compare with the recursion form: row scaling -2 (eps^2-1+beta^2)/compton^2
-    pol = map_to_pollaczek(d, energy_point(eps))
+    pol = map_to_pollaczek(d, eps)
     den = eps_sq_minus_one(eps) + d.beta * d.beta
     scale = -2.0 * den / (d.compton * d.compton)
     diag_expected = a_n * pol.x + pol.b
@@ -376,10 +372,10 @@ def verify_tridiagonal(d: DerivedParams, eps: float, n_basis: int) -> Tridiagona
     )
 
 
-def coupled_system_residual(coeffs: CoefficientVector, d: DerivedParams, eps: float,
-                            r_values, n_trunc: int | None = None) -> float:
+def coupled_system_residual(coeffs: CoefficientVector, d: DerivedParams, r_values,
+                            n_trunc: int | None = None) -> float:
     """Residual of the original coupled first-order radial system on the
-    un-rotated spinor pair.
+    un-rotated spinor pair, at the vector's energy eps = coeffs.eps.
 
     The reconstructed (phi+, phi-) pair is rotated back by the inverse
     of the uncoupling rotation and inserted into both rows of
@@ -394,6 +390,7 @@ def coupled_system_residual(coeffs: CoefficientVector, d: DerivedParams, eps: fl
         n_trunc = len(coeffs)
     r = np.asarray(r_values, dtype=float)
     lam = d.compton
+    eps = coeffs.eps
     phi_p, dphi_p, d2phi_p = _expansion(coeffs.values, d.gamma_eff, d.omega, r, n_trunc)
     phi_m = _kinetic_balance(d, eps, r, phi_p, dphi_p)
     # d/dr of the relation: the same operator on phi_p', plus -gamma/r^2 phi_p

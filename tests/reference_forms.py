@@ -49,7 +49,7 @@ import numpy as np
 
 from tridirac import specfun
 from tridirac.errors import BottomPoleError, BranchError, PoleError, SingularMapError
-from tridirac.model import Regime, energy_point, map_to_pollaczek, recursion_coefficients
+from tridirac.model import Regime, map_to_pollaczek, recursion_coefficients, regime
 from tridirac.wavefunction import CoefficientVector
 
 
@@ -283,7 +283,7 @@ def verify_tridiagonal(d, eps, n_basis):
     tri = np.triu(np.tril(matrix, 1), -1)
     offband = matrix - tri
     offband_ratio = float(np.max(np.abs(offband)) / np.max(np.abs(tri)))
-    pol = map_to_pollaczek(d, energy_point(eps))
+    pol = map_to_pollaczek(d, eps)
     den = (eps - 1.0) * (eps + 1.0) + d.beta * d.beta
     scale = -2.0 * den / (d.compton * d.compton)
     diag_expected = a_n * pol.x + pol.b
@@ -295,15 +295,15 @@ def verify_tridiagonal(d, eps, n_basis):
     return offband_ratio, diag_dev, off_dev, matrix
 
 
-def theta_phi(d, e):
+def theta_phi(d, eps):
     """(theta, phi, exp_i_theta, branch)."""
-    pol = map_to_pollaczek(d, e)
+    pol = map_to_pollaczek(d, eps)
     x = pol.x
-    if e.regime is Regime.SCATTERING:
+    if regime(eps) is Regime.SCATTERING:
         theta = math.acos(max(-1.0, min(1.0, x)))
         sin_theta = math.sin(theta)
         if sin_theta == 0.0:
-            raise SingularMapError(f"polynomial argument degenerate at x={x} (eps={e.eps})")
+            raise SingularMapError(f"polynomial argument degenerate at x={x} (eps={eps})")
         w = cmath.exp(1j * theta)
         phi = pol.b / sin_theta
         return complex(theta), complex(phi), w, "scattering"
@@ -377,7 +377,7 @@ def casoratian(coeffs, first, second):
 
 
 def minimal_solution_defect(d, eps, n_probe):
-    pol = map_to_pollaczek(d, energy_point(eps))
+    pol = map_to_pollaczek(d, eps)
     x, b = pol.x, pol.b
     w = abs(x) + math.sqrt(x * x - 1.0)
     guard = max(40, min(100_000, int(10.0 / math.log(max(w, 1.0 + 1e-12))) + 40))

@@ -80,7 +80,7 @@ def test_criterion_04_recursion_identification_consistency():
             else:
                 eps = float(rng.uniform(0.3, 0.998))
             try:
-                pol = model.map_to_pollaczek(d, model.energy_point(eps))
+                pol = model.map_to_pollaczek(d, eps)
             except Exception:
                 continue
             params = pollaczek.PollaczekParams(lam=pol.lam, b=pol.b)
@@ -120,7 +120,7 @@ def test_criterion_06_phase_shift_extraction():
     for eps in (1.15, 1.25, 1.5, 2.0, -1.4):
         r = scattering.phase_shift(p, eps)
         d = model.derive(p)
-        pol = model.map_to_pollaczek(d, model.energy_point(eps))
+        pol = model.map_to_pollaczek(d, eps)
         seq = pollaczek.to_orthonormal(
             pollaczek.evaluate(pollaczek.PollaczekParams(lam=pol.lam, b=pol.b), pol.x, 2100)
         )
@@ -254,10 +254,9 @@ def test_criterion_11_special_functions():
 
 def test_criterion_12_symmetry_maps():
     p = PhysicalParams(z=-1.0, kappa=2, compton=0.04, omega=1.1)
-    e = model.energy_point(0.6)
-    p2, e2 = model.negative_energy_map(p, e)
-    p3, e3 = model.negative_energy_map(p2, e2)
-    assert p3 == p and e3.eps == e.eps
+    p2, eps2 = model.negative_energy_map(p, 0.6)
+    p3, eps3 = model.negative_energy_map(p2, eps2)
+    assert p3 == p and eps3 == 0.6
 
     mapped, _ = model.negative_energy_map(p)
     negatives = spectrum.negative_energy_levels(mapped, 10)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from tridirac import model, pollaczek, recurrence, resolvent, scattering, specfun, spectrum, wavefunction
-from tridirac.errors import BranchError, ConfigError, DomainError, FitError
+from tridirac.errors import BranchError, ConfigError, DomainError, FitError, ThresholdError
 from tridirac.model import PhysicalParams
 
 DESK = PhysicalParams(z=-1.0, kappa=1, compton=0.05, omega=1.0)
@@ -169,12 +169,15 @@ class TestSpecfun:
 class TestSpectrum:
     def test_quantization_condition_is_bound_only(self):
         for eps in (1.3, 1.005):
-            with pytest.raises(DomainError, match="bound-regime"):
+            with pytest.raises(DomainError, match="needs \\|eps\\| < 1"):
                 spectrum.quantization_condition(model.derive(DESK), eps)
 
     @pytest.mark.parametrize("eps", [1.0, -1.3, 1.005])
     def test_minimal_solution_defect_is_bound_only(self, eps):
-        with pytest.raises(DomainError, match="needs \\|eps\\| < 1"):
+        # the threshold band is refused as quantization_condition refuses it
+        at_threshold = eps == 1.0
+        with pytest.raises(ThresholdError if at_threshold else DomainError,
+                           match="undefined at" if at_threshold else "needs \\|eps\\| < 1"):
             spectrum.minimal_solution_defect(model.derive(DESK), eps, 10)
 
     def test_minimal_solution_defect_with_vanishing_f0(self, monkeypatch):
@@ -202,15 +205,15 @@ class TestWavefunction:
 
     def test_coupled_residual_of_a_zero_spinor(self):
         zero = wavefunction.CoefficientVector(values=np.zeros(8, dtype=complex), eps=1.3, source="recursion")
-        assert wavefunction.coupled_system_residual(zero, model.derive(DESK), 1.3, np.array([0.5, 1.0, 2.0])) == 0.0
+        assert wavefunction.coupled_system_residual(zero, model.derive(DESK), np.array([0.5, 1.0, 2.0])) == 0.0
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan])
     @pytest.mark.parametrize("call", [
         lambda c, d, r: wavefunction.reconstruct_upper(c, d, r, 8),
         lambda c, d, r: wavefunction.reconstruct_derivative(c, d, r, 8),
-        lambda c, d, r: wavefunction.spinor(c, d, 1.3, r, 8),
-        lambda c, d, r: wavefunction.lower_component(c, d, 1.3, r),
-        lambda c, d, r: wavefunction.coupled_system_residual(c, d, 1.3, r),
+        lambda c, d, r: wavefunction.spinor(c, d, r, 8),
+        lambda c, d, r: wavefunction.lower_component(c, d, r),
+        lambda c, d, r: wavefunction.coupled_system_residual(c, d, r),
     ], ids=["reconstruct_upper", "reconstruct_derivative", "spinor", "lower_component", "coupled_system_residual"])
     def test_basis_sums_refuse_bad_radii(self, call, bad):
         # the basis derivatives divide by r: r = 0 once gave nan with only

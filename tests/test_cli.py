@@ -488,7 +488,7 @@ class TestSplitDropsOutOfRegimePoints:
 
 
 class TestThresholdEnergy:
-    """|eps| = 1 (to `model.energy_point`'s 1e-15) is refused with
+    """|eps| = 1 (to `model.regime`'s 1e-15) is refused with
     ThresholdError by every command that takes one energy or a grid."""
 
     DESK = ("--z", "-1", "--kappa", "1", "--compton", "0.05")

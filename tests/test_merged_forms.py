@@ -18,6 +18,7 @@ comparison is exact, except these, which agree to a bound:
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -89,12 +90,12 @@ class TestBasisSide:
             count = n_trunc or len(coeffs)
             phi, dphi, _ = ref.mp_basis_sums(coeffs.values, d.gamma_eff, d.omega, r, count)
             want = [ref.mp_kinetic_balance(d, eps, *point) for point in zip(r.tolist(), phi, dphi)]
-            _close(wavefunction.lower_component(coeffs, d, eps, r, n_trunc), want)
-            phi_plus, phi_minus = wavefunction.spinor(coeffs, d, eps, R, count)
+            _close(wavefunction.lower_component(coeffs, d, r, n_trunc), want)
+            phi_plus, phi_minus = wavefunction.spinor(coeffs, d, R, count)
             _same(phi_plus, wavefunction.reconstruct_upper(coeffs, d, R, count)[0])
-            _same(phi_minus, wavefunction.lower_component(coeffs, d, eps, R, n_trunc))
+            _same(phi_minus, wavefunction.lower_component(coeffs, d, R, n_trunc))
         # the whole vector by default, a float at a scalar radius
-        scalar = wavefunction.lower_component(coeffs, d, eps, 1.7)
+        scalar = wavefunction.lower_component(coeffs, d, 1.7)
         assert isinstance(scalar, float)
         assert abs(scalar - float(want[-1])) <= TOL * max(abs(float(v)) for v in want)
 
@@ -104,7 +105,7 @@ class TestBasisSide:
         for n_trunc in (5, 48, None):
             sums = ref.mp_basis_sums(coeffs.values, d.gamma_eff, d.omega, r, n_trunc or len(coeffs))
             want, largest_term = ref.mp_coupled_residual(d, eps, r, sums)
-            got = wavefunction.coupled_system_residual(coeffs, d, eps, r, n_trunc)
+            got = wavefunction.coupled_system_residual(coeffs, d, r, n_trunc)
             assert abs(got - want) <= TOL * largest_term
 
     def test_gram_matrix(self, name):
@@ -129,9 +130,8 @@ class TestBasisSide:
 
     def test_theta_phi(self, name):
         d, eps, _ = _state(name, 1)
-        e = model.energy_point(eps)
-        ang = model.theta_phi(d, e)
-        assert (ang.theta, ang.phi, ang.exp_i_theta, ang.branch) == ref.theta_phi(d, e)
+        ang = model.theta_phi(d, eps)
+        assert (ang.theta, ang.phi, ang.exp_i_theta, ang.branch) == ref.theta_phi(d, eps)
 
 
 @pytest.mark.parametrize("nu", [0.0, 1.2, 2.9, 2.9987])
@@ -147,14 +147,14 @@ def test_gauss_rule_from_the_eigenvector_rows(order, nu):
 
 def test_kinetic_balance_singular_in_both_users():
     d, _, coeffs = _state("scattering.k1", 8)
-    eps = -d.gamma / d.kappa
+    coeffs = dataclasses.replace(coeffs, eps=-d.gamma / d.kappa)
     r = np.array([1.0])
     with pytest.raises(KineticBalanceSingular):
-        wavefunction.spinor(coeffs, d, eps, r, 8)
+        wavefunction.spinor(coeffs, d, r, 8)
     with pytest.raises(KineticBalanceSingular):
-        wavefunction.lower_component(coeffs, d, eps, r)
+        wavefunction.lower_component(coeffs, d, r)
     with pytest.raises(KineticBalanceSingular):
-        wavefunction.coupled_system_residual(coeffs, d, eps, r)
+        wavefunction.coupled_system_residual(coeffs, d, r)
 
 
 def test_theta_phi_on_energy_sweeps():
@@ -164,14 +164,13 @@ def test_theta_phi_on_energy_sweeps():
         d = model.derive(p)
         for eps in np.concatenate([np.linspace(-0.999, 0.999, 41), np.linspace(1.001, 30.0, 41),
                                    -np.linspace(1.001, 30.0, 11)]).tolist():
-            e = model.energy_point(eps)
             try:
-                old = ref.theta_phi(d, e)
+                old = ref.theta_phi(d, eps)
             except Exception as exc:  # the map's singular point
                 with pytest.raises(type(exc)):
-                    model.theta_phi(d, e)
+                    model.theta_phi(d, eps)
                 continue
-            ang = model.theta_phi(d, e)
+            ang = model.theta_phi(d, eps)
             assert (ang.theta, ang.phi, ang.exp_i_theta, ang.branch) == old
             assert [math.copysign(1.0, v) for v in (ang.phi.real, ang.phi.imag)] == [
                 math.copysign(1.0, v) for v in (old[1].real, old[1].imag)]

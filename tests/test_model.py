@@ -6,8 +6,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 import reference_forms as ref
-from tridirac import model, pollaczek
-from tridirac.errors import ConfigError, SingularMapError, SupercriticalError, ThresholdError
+from tridirac import cli, model, pollaczek, scattering, spectrum, wavefunction
+from tridirac.errors import ConfigError, DomainError, SingularMapError, SupercriticalError, ThresholdError
 from tridirac.model import PhysicalParams, Regime
 
 
@@ -25,6 +25,32 @@ class TestDerive:
     def test_supercritical(self):
         with pytest.raises(SupercriticalError):
             model.derive(PhysicalParams(z=-2.0, kappa=1, compton=1.0))
+
+    @pytest.mark.parametrize("z", [-1.0, -1.005])
+    def test_critical_coupling_refused(self, z):
+        # |compton Z / kappa| = 1, where gamma = 0, and just above it
+        with pytest.raises(SupercriticalError):
+            model.derive(PhysicalParams(z=z, kappa=1, compton=1.0))
+
+    def test_defaults(self):
+        # the physical Compton length in Bohr radii is the fine-structure constant
+        p = PhysicalParams(z=-1.0, kappa=1)
+        assert_allclose(p.compton, 1 / 137.035999084, rtol=1e-10)
+        assert p.omega == 1.0
+
+    def test_derived_constants(self):
+        d = model.derive(PhysicalParams(z=-1.5, kappa=-2, compton=0.06, omega=1.7))
+        assert_allclose(d.alpha, 0.06 * 0.06 * 1.7 * -1.5, rtol=1e-15)
+        assert_allclose(d.beta, 0.06 * 1.7 / 2, rtol=1e-15)
+        # gamma_eff + 1 = -gamma = sqrt(kappa^2 - (compton Z)^2) for kappa < 0
+        assert_allclose(d.gamma_eff + 1.0, math.sqrt(4.0 - (0.06 * 1.5) ** 2), rtol=1e-15)
+
+    @pytest.mark.parametrize("kappa", [1, -2])
+    def test_rotation_angle(self, kappa):
+        # sin(xi) = compton Z / kappa, cos(xi) = gamma / kappa
+        d = model.derive(PhysicalParams(z=-1.5, kappa=kappa, compton=0.06))
+        xi = model.rotation_angle(d)
+        assert_allclose([math.sin(xi), math.cos(xi)], [-0.09 / kappa, d.gamma / kappa], rtol=1e-14)
 
     def test_gamma_identity(self):
         # gamma^2 + (compton Z)^2 = kappa^2
@@ -63,12 +89,12 @@ class TestPollaczekMap:
     def test_forced_zero_numerator(self):
         d = model.derive(PhysicalParams(z=-1, kappa=1, compton=0.05))
         eps = math.sqrt(1 + d.beta**2)
-        pol = model.map_to_pollaczek(d, model.energy_point(eps))
+        pol = model.map_to_pollaczek(d, eps)
         assert abs(pol.x) < 1e-12
 
     def test_large_energy_limit(self):
         d = model.derive(PhysicalParams(z=-1, kappa=1, compton=0.05))
-        pol = model.map_to_pollaczek(d, model.energy_point(1e6))
+        pol = model.map_to_pollaczek(d, 1e6)
         assert abs(pol.x - 1.0) < 1e-11
 
     def test_documented_point(self):
@@ -76,7 +102,7 @@ class TestPollaczekMap:
         # b = 1.5e-4 / 1.250025 = +1.19998e-4
         d = model.derive(PhysicalParams(z=-1, kappa=1, compton=0.01, omega=1.0))
         assert_allclose(d.beta, 0.005, rtol=1e-15)
-        pol = model.map_to_pollaczek(d, model.energy_point(1.5))
+        pol = model.map_to_pollaczek(d, 1.5)
         assert_allclose(pol.b, 1.5e-4 / 1.250025, rtol=1e-12)
         assert pol.b > 0
 
@@ -84,16 +110,34 @@ class TestPollaczekMap:
         d = model.derive(PhysicalParams(z=-1, kappa=1, compton=0.05))
         eps = math.sqrt(1 - d.beta**2)
         with pytest.raises(SingularMapError):
-            model.map_to_pollaczek(d, model.energy_point(eps))
+            model.map_to_pollaczek(d, eps)
+
+    def test_singular_cutoff_is_relative(self):
+        # eps^2 - 1 + beta^2 is refused at or below 1e-12 of |eps^2 - 1| +
+        # beta^2: it is 2e-10 of it 1e-13 past the pole, and 1.006e-12 of
+        # it at the eps below, which the map still answers
+        d = model.derive(PhysicalParams(z=-1, kappa=1, compton=0.05))
+        model.map_to_pollaczek(d, math.sqrt(1 - d.beta**2) + 1e-13)
+        model.map_to_pollaczek(d, 0.9996874511566096)
+        with pytest.raises(SingularMapError):
+            model.map_to_pollaczek(d, math.nextafter(0.9996874511566096, 2.0))
+
+    def test_underflowed_beta_at_threshold(self):
+        # beta^2 underflows to 0, so at eps = 1 the denominator and its
+        # cutoff are both 0: refused, not a division by zero
+        d = model.derive(PhysicalParams(z=-1, kappa=1, compton=1e-100, omega=1e-100))
+        assert d.beta * d.beta == 0.0
+        with pytest.raises(SingularMapError):
+            model.map_to_pollaczek(d, 1.0)
 
     def test_regime_x_correspondence(self):
         # |eps| > 1 <-> x in (-1, 1);  |eps| < 1 <-> |x| > 1
         d = model.derive(PhysicalParams(z=-1, kappa=1, compton=0.05, omega=1.3))
         for eps in np.concatenate([np.linspace(1.01, 3.0, 17), -np.linspace(1.01, 3.0, 17)]):
-            x = model.map_to_pollaczek(d, model.energy_point(float(eps))).x
+            x = model.map_to_pollaczek(d, float(eps)).x
             assert -1 < x < 1
         for eps in np.linspace(0.05, 0.995, 17):
-            x = model.map_to_pollaczek(d, model.energy_point(float(eps))).x
+            x = model.map_to_pollaczek(d, float(eps)).x
             assert abs(x) > 1
 
 
@@ -101,7 +145,7 @@ class TestThetaPhi:
     def test_threshold_refused(self):
         d = model.derive(PhysicalParams(z=-1, kappa=1, compton=0.05))
         with pytest.raises(ThresholdError):
-            model.theta_phi(d, model.energy_point(1.0))
+            model.theta_phi(d, 1.0)
 
     @pytest.mark.parametrize("p,eps,x", [
         # bound: beta^2 far below |eps^2 - 1| (this raised ZeroDivisionError)
@@ -112,23 +156,29 @@ class TestThetaPhi:
     ])
     def test_band_edge_argument_refused(self, p, eps, x):
         d = model.derive(p)
-        e = model.energy_point(eps)
-        assert model.map_to_pollaczek(d, e).x == x
+        assert model.map_to_pollaczek(d, eps).x == x
         with pytest.raises(SingularMapError, match=f"degenerate at x={x}"):
-            model.theta_phi(d, e)
+            model.theta_phi(d, eps)
 
     def test_x_zero_gives_right_angle(self):
         d = model.derive(PhysicalParams(z=-1, kappa=1, compton=0.05))
         eps = math.sqrt(1 + d.beta**2)
-        ang = model.theta_phi(d, model.energy_point(eps))
-        pol = model.map_to_pollaczek(d, model.energy_point(eps))
+        ang = model.theta_phi(d, eps)
+        pol = model.map_to_pollaczek(d, eps)
         assert_allclose(ang.theta.real, math.pi / 2, rtol=1e-12)
         assert_allclose(ang.phi.real, pol.b, rtol=1e-12)
+
+    def test_exp_i_theta_is_x_plus_i_sin_theta(self):
+        d = model.derive(PhysicalParams(z=-1, kappa=1, compton=0.05, omega=1.3))
+        for eps in (1.4, -2.0, 0.7, 0.998):
+            ang = model.theta_phi(d, eps)
+            x = model.map_to_pollaczek(d, eps).x
+            assert abs(ang.exp_i_theta - (x + 1j * cmath.sin(ang.theta))) < 1e-12
 
     def test_scattering_unit_modulus(self):
         d = model.derive(PhysicalParams(z=-1, kappa=1, compton=0.05))
         for eps in (1.2, 2.5, -1.7):
-            ang = model.theta_phi(d, model.energy_point(eps))
+            ang = model.theta_phi(d, eps)
             w = ang.exp_i_theta
             assert abs(abs(w) - 1.0) < 1e-13
             assert abs(w * (1 / w) - 1.0) < 1e-13
@@ -138,24 +188,30 @@ class TestThetaPhi:
         # hydrogenic ground value: |e^{i theta}| = (sqrt(1-eps^2)+beta)/(sqrt(1-eps^2)-beta) > 1
         d = model.derive(PhysicalParams(z=-1, kappa=1, compton=1 / 137.035999, omega=1.0))
         eps = 0.9999933
-        ang = model.theta_phi(d, model.energy_point(eps))
+        ang = model.theta_phi(d, eps)
         root = math.sqrt((1 - eps) * (1 + eps))
         assert root > d.beta  # x > 1 branch for this configuration
         assert ang.branch == "bound_right"
         assert_allclose(abs(ang.exp_i_theta), (root + d.beta) / (root - d.beta), rtol=1e-9)
         assert abs(ang.exp_i_theta) > 1
 
+    def test_bound_right_branch_next_to_the_band(self):
+        # beta^2 << 1 - eps^2 puts x just above 1: 1 + 6.7e-5 here
+        d = model.derive(PhysicalParams(z=-1, kappa=1, compton=0.01))
+        assert 1.0 < model.map_to_pollaczek(d, 0.5).x < 1.0001
+        assert model.theta_phi(d, 0.5).branch == "bound_right"
+
     def test_bound_left_branch(self):
         # large omega pushes x below -1; the exchanged branch has |e^{i theta}| < 1
         d = model.derive(PhysicalParams(z=-1, kappa=1, compton=0.05, omega=4.0))
-        ang = model.theta_phi(d, model.energy_point(0.997))
+        ang = model.theta_phi(d, 0.997)
         assert ang.branch == "bound_left"
         assert abs(ang.exp_i_theta) < 1
 
     def test_cos_sin_identity_both_regimes(self):
         d = model.derive(PhysicalParams(z=-1, kappa=1, compton=0.05, omega=1.3))
         for eps in (1.4, -2.0, 0.7, 0.998):
-            ang = model.theta_phi(d, model.energy_point(eps))
+            ang = model.theta_phi(d, eps)
             c = cmath.cos(ang.theta)
             s = cmath.sin(ang.theta)
             assert abs(c * c + s * s - 1.0) < 1e-12
@@ -163,16 +219,15 @@ class TestThetaPhi:
     def test_phi_times_sin_equals_b(self):
         d = model.derive(PhysicalParams(z=-1, kappa=1, compton=0.05, omega=1.3))
         for eps in (1.4, -2.0, 0.7, 0.998):
-            e = model.energy_point(eps)
-            ang = model.theta_phi(d, e)
-            pol = model.map_to_pollaczek(d, e)
+            ang = model.theta_phi(d, eps)
+            pol = model.map_to_pollaczek(d, eps)
             assert abs(ang.phi * cmath.sin(ang.theta) - pol.b) < 1e-12 * (1 + abs(pol.b))
 
     def test_bound_phi_matches_closed_expression(self):
         # phi = i alpha eps / (2 beta sqrt(1 - eps^2)) on the x > 1 branch
         d = model.derive(PhysicalParams(z=-1, kappa=1, compton=0.05, omega=0.6))
         eps = 0.9993
-        ang = model.theta_phi(d, model.energy_point(eps))
+        ang = model.theta_phi(d, eps)
         expected = d.alpha * eps / (2 * d.beta * math.sqrt((1 - eps) * (1 + eps)))
         assert abs(ang.phi.real) < 1e-12
         assert_allclose(ang.phi.imag, expected, rtol=1e-11)
@@ -195,7 +250,7 @@ class TestIdentificationConsistency:
             d = model.derive(p)
             eps = float(rng.uniform(1.05, 2.5)) if checked % 2 == 0 else float(rng.uniform(0.4, 0.99))
             try:
-                pol = model.map_to_pollaczek(d, model.energy_point(eps))
+                pol = model.map_to_pollaczek(d, eps)
             except SingularMapError:
                 continue
             params = pollaczek.PollaczekParams(lam=pol.lam, b=pol.b)
@@ -210,7 +265,47 @@ class TestIdentificationConsistency:
             checked += 1
 
 
+class TestScatteringAngles:
+    def test_closed_forms_match_theta_phi(self):
+        # phi = b / sin(theta) = -compton Z eps / sqrt(eps^2 - 1) in the scattering regime
+        d = model.derive(PhysicalParams(z=-1, kappa=1, compton=0.05, omega=1.3))
+        energies = np.array([1.4, -2.0, 1.05, 3.0])
+        ang = model.scattering_angles(d, energies)
+        for k, eps in enumerate(energies.tolist()):
+            want = model.theta_phi(d, eps)
+            assert abs(ang.theta[k] - want.theta) < 1e-12
+            assert abs(ang.exp_i_theta[k] - want.exp_i_theta) < 1e-12
+            assert abs(ang.phi[k] - want.phi) < 1e-12 * abs(want.phi)
+
+    def test_free_case_phi_is_positive_zero(self):
+        phi = model.scattering_angles(model.derive(PhysicalParams(z=0.0, kappa=1, compton=0.05)), 1.5).phi
+        assert phi == 0.0 and math.copysign(1.0, phi) == 1.0
+
+
+class TestGrowthRate:
+    def test_values(self):
+        for x in (-3.0, 1.005, 2.5):
+            assert_allclose(model.growth_rate(x), abs(x) + math.sqrt(x * x - 1.0), rtol=1e-15)
+        assert [model.growth_rate(x) for x in (-1.0, -0.999, 0.3, 1.0)] == [1.0] * 4
+
+
 class TestRecursionCoefficients:
+    def test_gamma_eff_of_minus_one_refused(self):
+        # gamma = 0, which derive refuses, puts gamma_eff at -1 for kappa < 0
+        d = model.DerivedParams(z=-1.0, kappa=-1, compton=1.0, omega=1.0, gamma=0.0, alpha=-1.0, beta=0.5)
+        with pytest.raises(ConfigError, match="exceed -1"):
+            model.recursion_coefficients(d)
+
+    def test_wave_rows(self):
+        # (A, B, C) of b_n f_{n+1} = (a_n x + b) f_n - b_{n-1} f_{n-1}
+        d = model.derive(PhysicalParams(z=-1.2, kappa=-2, compton=0.06))
+        coeffs = model.recursion_coefficients(d)
+        x, b = 0.3, -0.2
+        A, B, C = model.wave_rows(d, x, b, 6)
+        assert A == [coeffs.diag(n) * x + b for n in range(6)]
+        assert B == [coeffs.offdiag(n) for n in range(6)]
+        assert C == [0.0] + B[:-1]
+
     def test_gamma_zero_values(self):
         d = model.derive(PhysicalParams(z=-1e-12, kappa=1, compton=0.01))  # gamma ~ 1
         # force the documented gamma = 0 data through a direct build
@@ -281,21 +376,87 @@ class TestSpinorRotation:
 class TestNegativeEnergyMap:
     def test_involution(self):
         p = PhysicalParams(z=-1, kappa=2, compton=0.05, omega=1.1)
-        e = model.energy_point(0.5)
-        p2, e2 = model.negative_energy_map(p, e)
-        p3, e3 = model.negative_energy_map(p2, e2)
+        p2, eps2 = model.negative_energy_map(p, 0.5)
+        p3, eps3 = model.negative_energy_map(p2, eps2)
         assert p3 == p
-        assert e3.eps == e.eps
+        assert eps3 == 0.5
 
     def test_documented_example(self):
         p = PhysicalParams(z=-1, kappa=1, compton=0.05)
-        mapped, e2 = model.negative_energy_map(p, model.energy_point(0.5))
-        assert (mapped.z, mapped.kappa, e2.eps) == (1.0, -1, -0.5)
+        mapped, eps = model.negative_energy_map(p, 0.5)
+        assert (mapped.z, mapped.kappa, eps) == (1.0, -1, -0.5)
 
 
-class TestEnergyPoint:
+# the band |eps| = 1 +- 1e-15 and its neighbours on both sides of it
+EDGE = [math.nextafter(1.0, 0.0), 1.0, math.nextafter(1.0, 2.0), 1.0 - 2e-15, 1.0 + 2e-15, 0.5, 1.5]
+EDGE_REGIMES = [Regime.THRESHOLD] * 3 + [Regime.BOUND, Regime.SCATTERING] * 2
+EDGE_BOTH_SIGNS = EDGE + [-eps for eps in EDGE]
+
+
+class TestRegime:
     def test_regimes(self):
-        assert model.energy_point(0.5).regime is Regime.BOUND
-        assert model.energy_point(-1.5).regime is Regime.SCATTERING
-        assert model.energy_point(1.0).regime is Regime.THRESHOLD
-        assert model.energy_point(-1.0).regime is Regime.THRESHOLD
+        assert model.regime(0.5) is Regime.BOUND
+        assert model.regime(-1.5) is Regime.SCATTERING
+        assert model.regime(1.0) is Regime.THRESHOLD
+        assert model.regime(-1.0) is Regime.THRESHOLD
+
+    def test_edge_regimes(self):
+        assert [model.regime(eps) for eps in EDGE] == EDGE_REGIMES
+        assert [model.regime(-eps) for eps in EDGE] == EDGE_REGIMES
+        assert model.regime(0.0) is Regime.BOUND
+        assert model.regime(math.nan) is Regime.SCATTERING
+
+
+class TestRegimeConsumers:
+    """Every operation that needs a bound or a scattering energy refuses
+    or accepts it as `model.regime` classifies it: ThresholdError in the
+    threshold band, DomainError in the other regime, a result in its own.
+    The coupling is weak (Z = -1e-4) so that the phase shift stays a
+    finite double next to the band, where phi grows as 1/sqrt(eps^2 - 1)."""
+
+    P = PhysicalParams(z=-1e-4, kappa=1, compton=0.05)
+
+    @staticmethod
+    def outcome(call):
+        """THRESHOLD for a ThresholdError, "refused" for a plain
+        DomainError, "accepted" for a result."""
+        try:
+            call()
+        except ThresholdError:
+            return Regime.THRESHOLD
+        except DomainError as exc:
+            assert type(exc) is DomainError, exc
+            return "refused"
+        return "accepted"
+
+    @pytest.mark.parametrize("eps", EDGE_BOTH_SIGNS, ids=repr)
+    def test_library(self, eps):
+        d = model.derive(self.P)
+        consumers = {
+            "theta_phi": (None, lambda: model.theta_phi(d, eps)),
+            "coefficients_bound_state": (Regime.BOUND, lambda: wavefunction.coefficients_bound_state(d, eps, 10)),
+            "quantization_condition": (Regime.BOUND, lambda: spectrum.quantization_condition(d, eps)),
+            "minimal_solution_defect": (Regime.BOUND, lambda: spectrum.minimal_solution_defect(d, eps, 10)),
+            "phase_shift": (Regime.SCATTERING, lambda: scattering.phase_shift(self.P, eps)),
+        }
+        regime = model.regime(eps)
+        for name, (wanted, call) in consumers.items():
+            expected = (regime if regime is Regime.THRESHOLD
+                        else "accepted" if wanted in (None, regime) else "refused")
+            assert self.outcome(call) == expected, name
+
+    @pytest.mark.parametrize("eps", EDGE_BOTH_SIGNS, ids=repr)
+    def test_single_energy_commands(self, capsys, eps):
+        # exit 2 with ThresholdError inside the band, as the README states
+        regime = model.regime(eps)
+        desk = ["--z", "-1e-4", "--kappa", "1", "--compton", "0.05", "--eps", repr(eps)]
+        for command, extra in [("wavefunction", ["--trunc", "8"]), ("density", ["--x-grid", "-0.5", "0.5", "3"]),
+                               ("coefficients", ["--n-max", "5"]), ("phase-shift", [])]:
+            code = cli.main([command, *desk, *extra])
+            err = capsys.readouterr().err
+            if regime is Regime.THRESHOLD:
+                assert (code, err.split(":")[:2]) == (2, ["error", " ThresholdError"]), command
+            elif command == "phase-shift" and regime is Regime.BOUND:
+                assert (code, err) == (2, "error: DomainError: phase shift needs |eps| > 1\n")
+            else:
+                assert (code, err) == (0, ""), command

@@ -19,7 +19,7 @@ import pytest
 
 import reference_forms as ref
 from tridirac import model, pollaczek, recurrence, resolvent, spectrum, wavefunction
-from tridirac.model import PhysicalParams, energy_point, map_to_pollaczek, recursion_coefficients
+from tridirac.model import PhysicalParams, map_to_pollaczek, recursion_coefficients
 from tridirac.pollaczek import PollaczekParams
 
 # --- the loops the kernel replaced, as references ----------------------------
@@ -73,7 +73,7 @@ def _recursion_digits(x, n_max):
 
 
 def ref_coefficients_recursion(d, eps, n_max, digits=None):
-    pol = map_to_pollaczek(d, energy_point(eps))
+    pol = map_to_pollaczek(d, eps)
     diag, off = (v.tolist() for v in recursion_coefficients(d).block(0, n_max))
     if abs(pol.x) <= 1.0:
         vals = [1.0]
@@ -97,7 +97,7 @@ def ref_coefficients_recursion(d, eps, n_max, digits=None):
 
 
 def ref_coefficients_bound_state(d, eps, n_max, guard=40):
-    pol = map_to_pollaczek(d, energy_point(eps))
+    pol = map_to_pollaczek(d, eps)
     top = n_max + guard
     diag, off = (v.tolist() for v in recursion_coefficients(d).block(0, top + 1))
     with mp.workdps(30):
@@ -228,7 +228,7 @@ def test_recursion_digits_match_twenty_more(p, level, n_max):
     # same pass at 20 more digits; a fixed 30 digits does not
     d = model.derive(p)
     eps = spectrum.bound_energy(p, level)
-    x = map_to_pollaczek(d, energy_point(eps)).x
+    x = map_to_pollaczek(d, eps).x
     got = wavefunction.coefficients_recursion(d, eps, n_max).values
     assert_same(got, ref_coefficients_recursion(d, eps, n_max, _recursion_digits(x, n_max) + 20))
     assert not np.array_equal(got, ref_coefficients_recursion(d, eps, n_max, 30))

@@ -198,7 +198,7 @@ class TestExactPollaczekGreenFunction:
                                                              (-0.5, 2, 0.1, -1.6)])
     def test_energy_density(self, charge, kappa, compton, eps, eta):
         d = model.derive(PhysicalParams(z=charge, kappa=kappa, compton=compton))
-        pol = model.map_to_pollaczek(d, model.energy_point(eps))
+        pol = model.map_to_pollaczek(d, eps)
         rho_x, _ = resolvent.energy_density(d, eps, eta)
         exact = self.exact(pol.lam, pol.b, complex(pol.x, eta))
         assert abs(rho_x + exact.imag / math.pi) <= 1e-8 * abs(exact) / math.pi
@@ -352,11 +352,10 @@ class TestSpectralDensity:
         p = PhysicalParams(z=-1.0, kappa=1, compton=0.02)
         d = model.derive(p)
         rho_x, rho_eps = resolvent.energy_density(d, 1.25, 1e-3)
-        e = model.energy_point(1.25)
         h = 1e-6
         jac = abs(
-            model.map_to_pollaczek(d, model.energy_point(1.25 + h)).x
-            - model.map_to_pollaczek(d, model.energy_point(1.25 - h)).x
+            model.map_to_pollaczek(d, 1.25 + h).x
+            - model.map_to_pollaczek(d, 1.25 - h).x
         ) / (2 * h)
         assert_allclose(rho_eps, rho_x * jac, rtol=1e-5)  # independent step size
         assert rho_x > 0
@@ -919,7 +918,7 @@ class TestChunkedTruncation:
         # the `density` op grids of the benchmark: Z = -1, kappa = 1,
         # compton 0.02, eps = 1.25, 99 points on [-0.99, 0.99]
         d = model.derive(PhysicalParams(z=-1.0, kappa=1, compton=0.02))
-        pol = model.map_to_pollaczek(d, model.energy_point(1.25))
+        pol = model.map_to_pollaczek(d, 1.25)
         coeffs = pollaczek.jacobi_coefficients(pollaczek.PollaczekParams(lam=pol.lam, b=pol.b))
         xs = np.linspace(-0.99, 0.99, 99)
         got = resolvent.green_function_truncated(coeffs, xs + 1j * eta, depth)

@@ -319,9 +319,8 @@ def _closed_form_series(omega, eps):
     # b, the bottom parameters c_n and z of coefficients_closed_form at
     # Z = -1, kappa = 1, compton 0.05, for n = 0..150
     d = model.derive(model.PhysicalParams(z=-1.0, kappa=1, compton=0.05, omega=omega))
-    e = model.energy_point(eps)
-    lam = model.map_to_pollaczek(d, e).lam
-    ang = model.theta_phi(d, e)
+    lam = model.map_to_pollaczek(d, eps).lam
+    ang = model.theta_phi(d, eps)
     c = 1.0 - np.arange(151) - lam + 1j * ang.phi
     return ang.branch, lam + 1j * ang.phi, c, 1.0 / ang.exp_i_theta**2
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import mpmath as mp
@@ -77,7 +78,7 @@ class TestCoefficients:
     def test_recursion_normalization_and_first_step(self):
         d = model.derive(DESK)
         eps = 1.4
-        pol = model.map_to_pollaczek(d, model.energy_point(eps))
+        pol = model.map_to_pollaczek(d, eps)
         coeffs = wavefunction.coefficients_recursion(d, eps, 10)
         assert coeffs.values[0] == 1.0
         g = d.gamma_eff
@@ -88,7 +89,7 @@ class TestCoefficients:
     def test_recursion_residual_by_construction(self):
         d = model.derive(DESK)
         eps = 1.4
-        pol = model.map_to_pollaczek(d, model.energy_point(eps))
+        pol = model.map_to_pollaczek(d, eps)
         vals = wavefunction.coefficients_recursion(d, eps, 60).values.real
         g = d.gamma_eff
         b = lambda n: 0.5 * math.sqrt((n + 1) * (n + 2 * g + 2))
@@ -153,8 +154,7 @@ class TestCoefficients:
         # Pochhammer factor are ones, and e^{i n theta} is divided out.  From
         # n ~ 170 on the prefactor is below the double range
         d = model.derive(PhysicalParams(z=z, kappa=kappa, compton=compton))
-        e = model.energy_point(1.3)
-        lam, w = model.map_to_pollaczek(d, e).lam, model.theta_phi(d, e).exp_i_theta
+        lam, w = model.map_to_pollaczek(d, 1.3).lam, model.theta_phi(d, 1.3).exp_i_theta
         monkeypatch.setattr(wavefunction.specfun, "hyp2f1_terminating_rows",
                             lambda n, b, c, z: np.ones(len(n), dtype=complex))
         monkeypatch.setattr(wavefunction.specfun, "pochhammer", lambda c, n: np.ones(np.shape(n), dtype=complex))
@@ -221,7 +221,7 @@ class TestCoefficients:
         # row holds to the minimal-solution defect of the rounded energy
         eps0 = spectrum.bound_energy(DESK, 0)
         d = model.derive(DESK)
-        pol = model.map_to_pollaczek(d, model.energy_point(eps0))
+        pol = model.map_to_pollaczek(d, eps0)
         vals = wavefunction.coefficients_bound_state(d, eps0, 30).values.real
         g = d.gamma_eff
         b = lambda n: 0.5 * math.sqrt((n + 1) * (n + 2 * g + 2))
@@ -323,11 +323,11 @@ class TestReconstruction:
         with pytest.raises(ValueError, match="n_trunc"):
             wavefunction.reconstruct_derivative(coeffs, d, r, 10)
         with pytest.raises(ValueError, match="n_trunc"):
-            wavefunction.spinor(coeffs, d, 1.3, r, 10)
+            wavefunction.spinor(coeffs, d, r, 10)
         with pytest.raises(ValueError, match="n_trunc"):
-            wavefunction.lower_component(coeffs, d, 1.3, r, 10)
+            wavefunction.lower_component(coeffs, d, r, 10)
         with pytest.raises(ValueError, match="n_trunc"):
-            wavefunction.coupled_system_residual(coeffs, d, 1.3, r, 10)
+            wavefunction.coupled_system_residual(coeffs, d, r, 10)
 
     def test_tail_fraction_exact(self):
         # sum_{n>=n_trunc} |f_n|^2 / sum |f_n|^2; None with nothing past the
@@ -351,16 +351,16 @@ class TestReconstruction:
 class TestLowerComponent:
     def test_singular_prefactor(self):
         d = model.derive(DESK)
-        coeffs = wavefunction.coefficients_recursion(d, 1.4, 8)
+        coeffs = dataclasses.replace(wavefunction.coefficients_recursion(d, 1.4, 8), eps=-d.gamma / d.kappa)
         with pytest.raises(KineticBalanceSingular):
-            wavefunction.lower_component(coeffs, d, -d.gamma / d.kappa, np.array([1.0]))
+            wavefunction.lower_component(coeffs, d, np.array([1.0]))
 
     def test_ground_element_action(self):
         # on zeta_0 the derivative reduces to ((g+1)/r - w/2) zeta_0
         d = model.derive(DESK)
         fake = wavefunction.CoefficientVector(values=np.array([1.0 + 0j]), eps=0.9, source="recursion")
         r = np.array([0.7, 1.3, 4.0])
-        lower = wavefunction.lower_component(fake, d, 0.9, r)
+        lower = wavefunction.lower_component(fake, d, r)
         zeta0 = reference_forms.basis_value(reference_forms.BasisElement(0, d.gamma_eff, d.omega), r)
         pref = d.compton / (0.9 + d.gamma / d.kappa)
         expected = pref * (
@@ -378,7 +378,7 @@ class TestLowerComponent:
             grid = np.array([r - h, r, r + h])
             phi, _ = wavefunction.reconstruct_upper(coeffs, d, grid, 32)
             fd = pref * ((-d.z / d.kappa + d.gamma / r) * phi[1] + (phi[2] - phi[0]) / (2 * h))
-            exact = wavefunction.lower_component(coeffs, d, eps0, np.array([r]), 32)[0]
+            exact = wavefunction.lower_component(coeffs, d, np.array([r]), 32)[0]
             assert abs(exact - fd) < 1e-7 * max(1.0, abs(exact))
 
 
@@ -478,7 +478,7 @@ class TestCoupledSystem:
         d = model.derive(p)
         coeffs = wavefunction.coefficients_bound_state(d, eps0, 48)
         r = np.array([0.8, 1.5, 2.5, 5.0, 9.0])
-        assert wavefunction.coupled_system_residual(coeffs, d, eps0, r, 48) < 1e-6
+        assert wavefunction.coupled_system_residual(coeffs, d, r, 48) < 1e-6
 
     @pytest.mark.parametrize("p", [PhysicalParams(z=-2.0, kappa=1, compton=0.3, omega=1.0),
                                    PhysicalParams(z=-0.5, kappa=2, compton=1.0, omega=1.0)], ids=["z-2", "z-0.5"])
@@ -492,7 +492,7 @@ class TestCoupledSystem:
         r = np.arange(0.5, 30.0, 0.01)
         phi, _ = wavefunction.reconstruct_upper(coeffs, d, r, 64)
         assert wavefunction.schrodinger_residual(phi, r, d, eps0) <= 1e-4
-        assert wavefunction.coupled_system_residual(coeffs, d, eps0, np.array([0.8, 1.5, 2.5, 5.0, 9.0]), 64) < 1e-6
+        assert wavefunction.coupled_system_residual(coeffs, d, np.array([0.8, 1.5, 2.5, 5.0, 9.0]), 64) < 1e-6
 
 
 class TestLeftBranch:
@@ -504,7 +504,7 @@ class TestLeftBranch:
     def test_branch_selected(self):
         d = model.derive(self.P)
         eps0 = spectrum.bound_energy(self.P, 0)
-        ang = model.theta_phi(d, model.energy_point(eps0))
+        ang = model.theta_phi(d, eps0)
         assert ang.branch == "bound_left"
 
     def test_coefficients_alternate_and_decay(self):
@@ -533,7 +533,7 @@ class TestLeftBranch:
         r = np.arange(0.4, 15.0, h)
         phi, _ = wavefunction.reconstruct_upper(coeffs, d, r, 64)
         assert wavefunction.schrodinger_residual(phi, r, d, eps0) <= 1e-4
-        assert wavefunction.coupled_system_residual(coeffs, d, eps0, np.array([0.8, 2.0, 5.0]), 64) < 1e-6
+        assert wavefunction.coupled_system_residual(coeffs, d, np.array([0.8, 2.0, 5.0]), 64) < 1e-6
 
 
 class TestExactGroundStateShape:

@@ -47,7 +47,7 @@ MODULE_TESTS = {
                   "test_cli_digests.py::test_outputs_match_pinned_digests"],
     "scattering": ["test_scattering.py"],
     "specfun": ["test_specfun.py"],
-    "spectrum": ["test_spectrum.py", "test_acceptance.py"],
+    "spectrum": ["test_spectrum.py", "test_acceptance.py", "test_merged_forms.py::test_minimal_solution_defect"],
     # the pinned digests only: the workflow-version test reads .github, which the copy leaves out
     "wavefunction": ["test_wavefunction.py", "test_merged_forms.py", "test_recurrence.py",
                      "test_cli_digests.py::test_outputs_match_pinned_digests"],
